@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint model mcheck vet-model bench bench-json bench-gate serve-smoke serve-cluster-smoke clean-cache check
+.PHONY: build test race vet lint model mcheck vet-model bench bench-json bench-gate serve-smoke clean-cache check
 
 build:
 	$(GO) build ./...
@@ -16,11 +16,11 @@ test:
 # The experiment runner fans simulations across goroutines, the
 # machine package owns the results it publishes through it, the mesh,
 # wireless and fault packages carry the shared state those parallel
-# runs tick, the serve farm layers HTTP workers on top, and the
-# cluster/client layers hedge requests across peers; these are the
-# packages where a data race could hide.
+# runs tick, and the serve farm layers HTTP handlers, job workers and
+# the queue journal on top; these are the packages where a data race
+# could hide.
 race:
-	$(GO) test -race ./internal/exp/ ./internal/machine/ ./internal/mesh/ ./internal/wireless/ ./internal/fault/ ./internal/serve/ ./internal/cluster/ ./cmd/widir-client/ ./cmd/widir-serve/
+	$(GO) test -race ./internal/exp/ ./internal/machine/ ./internal/mesh/ ./internal/wireless/ ./internal/fault/ ./internal/serve/ ./cmd/widir-serve/
 
 vet:
 	$(GO) vet ./...
@@ -88,17 +88,8 @@ bench-gate:
 serve-smoke:
 	$(GO) run ./cmd/widir-serve -smoke
 
-# Multi-node fault-tolerance self-test (DESIGN.md §17): boot a 3-node
-# cluster as real subprocesses, run a sweep, SIGKILL one node mid-sweep,
-# restart it over the same cache dir, and require (a) the queue journal
-# to replay the accepted runs so the job completes under its original
-# id, and (b) reruns of both sweeps to finish with ZERO new simulations
-# anywhere in the cluster, byte-identical to the first pass.
-serve-cluster-smoke:
-	$(GO) run ./cmd/widir-serve -cluster-smoke
-
 # Drop the local farm cache (widir-serve's default -cache location).
 clean-cache:
 	rm -rf widir-cache
 
-check: build vet lint model vet-model mcheck test race serve-smoke serve-cluster-smoke
+check: build vet lint model vet-model mcheck test race serve-smoke

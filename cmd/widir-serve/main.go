@@ -1,8 +1,11 @@
 // Command widir-serve runs the WiDir simulation farm: an HTTP/JSON
-// service that executes canonical simulations on demand and persists
-// every result in a content-addressed disk cache, so any sweep the
-// farm has computed before — in this process or any earlier one — is
-// served from disk without re-simulating.
+// service on one machine that executes canonical simulations on demand
+// and persists every result in a content-addressed disk cache, so any
+// sweep the farm has computed before — in this process or any earlier
+// one — is served from disk without re-simulating. Accepted sweeps
+// are journaled to <cache>/v1/queue.wal first, so a farm killed
+// mid-sweep and restarted over the same cache dir finishes them under
+// their original job ids (DESIGN.md §17).
 //
 // Usage:
 //
@@ -34,7 +37,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -43,19 +45,12 @@ import (
 
 func main() {
 	var (
-		addr    = flag.String("addr", ":8344", "listen address")
-		cache   = flag.String("cache", "widir-cache", "content-addressed result cache directory")
-		workers = flag.Int("workers", 4, "simulation workers")
-		queue   = flag.Int("queue", 256, "max queued runs across all clients")
-		smoke   = flag.Bool("smoke", false, "run the self-test (simulate, restart, verify the repeat sweep is fully cache-served) and exit")
-
-		self        = flag.String("self", "", "this node's base URL as peers reach it (enables clustering with -peers)")
-		peerList    = flag.String("peers", "", "comma-separated base URLs of every cluster node, including -self")
-		replicas    = flag.Int("replicas", 2, "replication factor: rendezvous owners per run key")
-		peerTimeout = flag.Duration("peer-timeout", 2*time.Second, "per-peer-request timeout")
-		cacheMax    = flag.Int64("cache-max-bytes", 0, "LRU cache budget in bytes (0 = unbounded)")
-
-		clusterSmoke = flag.Bool("cluster-smoke", false, "run the 3-node kill-mid-sweep self-test (spawns subprocesses) and exit")
+		addr     = flag.String("addr", ":8344", "listen address")
+		cache    = flag.String("cache", "widir-cache", "content-addressed result cache directory")
+		workers  = flag.Int("workers", 4, "simulation workers")
+		queue    = flag.Int("queue", 256, "max queued runs across all clients")
+		cacheMax = flag.Int64("cache-max-bytes", 0, "LRU cache budget in bytes (0 = unbounded)")
+		smoke    = flag.Bool("smoke", false, "run the self-test (simulate, restart, verify the repeat sweep is fully cache-served) and exit")
 	)
 	flag.Parse()
 
@@ -67,29 +62,11 @@ func main() {
 		fmt.Println("widir-serve: smoke ok")
 		return
 	}
-	if *clusterSmoke {
-		if err := runClusterSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "widir-serve: cluster-smoke: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("widir-serve: cluster-smoke ok")
-		return
-	}
 
-	var peers []string
-	for _, p := range strings.Split(*peerList, ",") {
-		if p = strings.TrimRight(strings.TrimSpace(p), "/"); p != "" {
-			peers = append(peers, p)
-		}
-	}
 	s, err := serve.New(serve.Config{
 		CacheDir:      *cache,
 		Workers:       *workers,
 		MaxQueue:      *queue,
-		Self:          strings.TrimRight(*self, "/"),
-		Peers:         peers,
-		Replicas:      *replicas,
-		PeerTimeout:   *peerTimeout,
 		CacheMaxBytes: *cacheMax,
 	})
 	if err != nil {
@@ -104,10 +81,6 @@ func main() {
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "widir-serve: listening on %s, cache %s, %d workers, queue %d\n",
 		*addr, *cache, *workers, *queue)
-	if len(peers) > 0 {
-		fmt.Fprintf(os.Stderr, "widir-serve: cluster: self %s, %d peers, replicas %d\n",
-			*self, len(peers), *replicas)
-	}
 
 	select {
 	case err := <-errCh:

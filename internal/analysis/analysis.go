@@ -174,28 +174,24 @@ func IsCmdPackage(path string) bool {
 }
 
 // IsServicePackage reports whether the import path is the simulation
-// farm's service layer: internal/serve, the inter-node federation
-// client internal/cluster, and the command front-ends widir-serve and
-// widir-client. The service sits OUTSIDE the determinism contract on
+// farm's service layer: internal/serve and its command front-end
+// widir-serve. The service sits OUTSIDE the determinism contract on
 // purpose: it hosts HTTP handlers, worker pools and wall-clock
-// concerns (Retry-After, circuit-breaker cooldowns, backoff timers)
-// around the deterministic simulator, and never reaches into a running
+// concerns (Retry-After jitter, LRU access stamps) around the
+// deterministic simulator, and never reaches into a running
 // simulation. Simulations it launches still execute single-threaded
 // through the exp runner, so results stay bit-identical — DESIGN.md
-// §16 and §17 record the boundary.
+// §16 records the boundary.
 func IsServicePackage(path string) bool {
 	return strings.HasSuffix(path, "internal/serve") ||
-		strings.HasSuffix(path, "internal/cluster") ||
-		strings.HasSuffix(path, "cmd/widir-serve") ||
-		strings.HasSuffix(path, "cmd/widir-client")
+		strings.HasSuffix(path, "cmd/widir-serve")
 }
 
 // IsGoroutineLicensed reports whether the package may spawn goroutines:
 // internal/exp owns the one sanctioned simulation worker pool, and the
-// service layer (internal/serve, internal/cluster and the serve/client
-// commands) runs HTTP servers, job workers and hedged peer requests
-// around it. Everything else — the simulator proper — is
-// single-threaded by contract.
+// service layer (internal/serve and the widir-serve command) runs its
+// HTTP server and job workers around it. Everything else — the
+// simulator proper — is single-threaded by contract.
 func IsGoroutineLicensed(path string) bool {
 	return strings.HasSuffix(path, "internal/exp") || IsServicePackage(path)
 }

@@ -34,9 +34,10 @@ func serveAsync(fn func()) {
 	want(t, RunAll(p), map[int][]string{})
 }
 
-// TestGoNoSyncClusterLicensed: the federation layer runs hedged peer
-// fetches and single-flight joins on goroutines.
-func TestGoNoSyncClusterLicensed(t *testing.T) {
+// TestGoNoSyncClusterUnlicensed: the exemption names the serve
+// packages only. A goroutine in any other package under internal/ —
+// here one named after the retired multi-node layer — is flagged.
+func TestGoNoSyncClusterUnlicensed(t *testing.T) {
 	p := fixture(t, "repro/internal/cluster", `package cluster
 
 func fanout(peers []string, fn func(string)) {
@@ -45,19 +46,9 @@ func fanout(peers []string, fn func(string)) {
 	}
 }
 `)
-	want(t, RunAll(p), map[int][]string{})
-}
-
-// TestGoNoSyncClientCmdLicensed: widir-client hedges entry reads
-// across replicas on goroutines.
-func TestGoNoSyncClientCmdLicensed(t *testing.T) {
-	p := fixture(t, "repro/cmd/widir-client", `package main
-
-func hedge(fn func()) {
-	go fn()
-}
-`)
-	want(t, RunAll(p), map[int][]string{})
+	want(t, RunAll(p), map[int][]string{
+		5: {"gonosync"},
+	})
 }
 
 // TestGoNoSyncCoherenceStillFails: a goroutine smuggled into the
@@ -88,23 +79,9 @@ func stamp() time.Time { return time.Now() }
 	want(t, RunAll(p), map[int][]string{})
 }
 
-// TestWallTimeClusterLicensed: circuit-breaker cooldowns and backoff
-// timers in the federation layer are wall-clock by nature.
-func TestWallTimeClusterLicensed(t *testing.T) {
-	p := fixture(t, "repro/internal/cluster", `package cluster
-
-import "time"
-
-func cooldownOver(openedAt time.Time, d time.Duration) bool {
-	return time.Since(openedAt) >= d
-}
-`)
-	want(t, RunAll(p), map[int][]string{})
-}
-
 // TestWallTimeExpStillCovered: the experiment layer computes results,
-// so the wall clock must not reach it — the serve/cluster exemption
-// does not extend to internal/exp.
+// so the wall clock must not reach it — the serve exemption does not
+// extend to internal/exp.
 func TestWallTimeExpStillCovered(t *testing.T) {
 	p := fixture(t, "repro/internal/exp", `package exp
 

@@ -47,7 +47,6 @@ type Runner struct {
 	inflightJoins atomic.Uint64
 	cacheHits     atomic.Uint64
 	cacheFills    atomic.Uint64
-	peerHits      atomic.Uint64
 }
 
 // RunKey identifies one canonical simulation: machine.DefaultConfig
@@ -74,17 +73,6 @@ type ResultCache interface {
 	Put(k RunKey, res *machine.Result)
 }
 
-// SourcedResultCache is an optional ResultCache extension for caches
-// with more than one tier behind them. GetSource distinguishes a local
-// hit (SourceCache) from one satisfied by fetching the entry off a
-// peer farm node (SourcePeer); the runner then reports the true
-// provenance per run and counts peer hits separately. A plain
-// ResultCache is treated as all-local.
-type SourcedResultCache interface {
-	ResultCache
-	GetSource(k RunKey) (*machine.Result, Source, bool)
-}
-
 // Source says where a simulation result came from.
 type Source uint8
 
@@ -96,10 +84,6 @@ const (
 	SourceMemo
 	// SourceCache is a hit in the persistent ResultCache.
 	SourceCache
-	// SourcePeer is a hit satisfied by fetching the entry from a peer
-	// farm node (a SourcedResultCache distinguishes it from a local
-	// disk hit).
-	SourcePeer
 )
 
 // String names the source for stats output and job reports.
@@ -109,8 +93,6 @@ func (s Source) String() string {
 		return "memo"
 	case SourceCache:
 		return "cache"
-	case SourcePeer:
-		return "peer"
 	default:
 		return "sim"
 	}
@@ -123,13 +105,12 @@ type RunnerStats struct {
 	InflightJoins uint64 `json:"inflight_joins"` // waited on a duplicate in flight
 	CacheHits     uint64 `json:"cache_hits"`     // served from the persistent cache
 	CacheFills    uint64 `json:"cache_fills"`    // fresh results written through
-	PeerHits      uint64 `json:"peer_hits"`      // served by fetching from a peer farm node
 }
 
 // String renders the counters in the verbose-output form.
 func (s RunnerStats) String() string {
-	return fmt.Sprintf("sims=%d memo-hits=%d inflight-joins=%d cache-hits=%d cache-fills=%d peer-hits=%d",
-		s.Sims, s.MemoHits, s.InflightJoins, s.CacheHits, s.CacheFills, s.PeerHits)
+	return fmt.Sprintf("sims=%d memo-hits=%d inflight-joins=%d cache-hits=%d cache-fills=%d",
+		s.Sims, s.MemoHits, s.InflightJoins, s.CacheHits, s.CacheFills)
 }
 
 // memoCell is a singleflight slot: the first goroutine to claim the
@@ -172,7 +153,6 @@ func (r *Runner) Stats() RunnerStats {
 		InflightJoins: r.inflightJoins.Load(),
 		CacheHits:     r.cacheHits.Load(),
 		CacheFills:    r.cacheFills.Load(),
-		PeerHits:      r.peerHits.Load(),
 	}
 }
 
@@ -219,14 +199,9 @@ func (r *Runner) SimSource(p coherence.Protocol, cores int, app workload.Profile
 	cell.once.Do(func() {
 		defer cell.settled.Store(true)
 		if r.cache != nil {
-			res, src, ok := cacheGetSource(r.cache, key)
-			if ok {
-				cell.res, cell.src = res, src
-				if src == SourcePeer {
-					r.peerHits.Add(1)
-				} else {
-					r.cacheHits.Add(1)
-				}
+			if res, ok := r.cache.Get(key); ok {
+				cell.res, cell.src = res, SourceCache
+				r.cacheHits.Add(1)
 				return
 			}
 		}
@@ -258,16 +233,6 @@ func (r *Runner) SimConfig(cfg machine.Config, app workload.Profile, seed uint64
 		return nil, fmt.Errorf("%s/%s: %w", app.Name, cfg.Protocol, err)
 	}
 	return res, nil
-}
-
-// cacheGetSource consults a ResultCache, using the richer GetSource
-// when the implementation can tell local from peer-fetched hits.
-func cacheGetSource(c ResultCache, key RunKey) (*machine.Result, Source, bool) {
-	if sc, ok := c.(SourcedResultCache); ok {
-		return sc.GetSource(key)
-	}
-	res, ok := c.Get(key)
-	return res, SourceCache, ok
 }
 
 func simulate(cfg machine.Config, app workload.Profile, seed uint64) (*machine.Result, error) {

@@ -9,32 +9,21 @@ import (
 	"repro/internal/obs"
 )
 
-// CSVHeader is the header row of the per-run metrics CSV — shared by
-// the per-entry result.csv artifact and widir-client's rendered sweep
-// output, so the two are row-compatible.
-const CSVHeader = "protocol,app,cores,seed,cycles,retired,mpki,mem_stall_frac,mean_sharers_per_update,collision_prob,energy_pj"
-
-// CSVRow renders one run's headline metrics as a CSV row (newline
-// terminated) matching CSVHeader.
-func CSVRow(k exp.RunKey, res *machine.Result) string {
-	stallFrac := 0.0
-	if res.Cycles > 0 && res.Nodes > 0 {
-		stallFrac = float64(res.MemStallCycles) / float64(res.Cycles*uint64(res.Nodes))
-	}
-	return fmt.Sprintf("%s,%s,%d,%d,%d,%d,%.4f,%.4f,%.2f,%.4f,%.1f\n",
-		k.Protocol, k.App.Name, k.Cores, k.Seed,
-		res.Cycles, res.Retired, res.MPKI(), stallFrac,
-		res.MeanSharersPerUpdate, res.CollisionProb, res.EnergyPJ)
-}
-
 // resultCSV renders one run's headline metrics as a two-line CSV —
 // the machine-readable artifact stored with every cache entry. Figure
 // series CSVs (exp.CSVFig8 etc.) aggregate across runs; this is the
 // per-run row those series are built from.
 func resultCSV(k exp.RunKey, res *machine.Result) []byte {
 	var b bytes.Buffer
-	fmt.Fprintln(&b, CSVHeader)
-	b.WriteString(CSVRow(k, res))
+	stallFrac := 0.0
+	if res.Cycles > 0 && res.Nodes > 0 {
+		stallFrac = float64(res.MemStallCycles) / float64(res.Cycles*uint64(res.Nodes))
+	}
+	fmt.Fprintln(&b, "protocol,app,cores,seed,cycles,retired,mpki,mem_stall_frac,mean_sharers_per_update,collision_prob,energy_pj")
+	fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%d,%.4f,%.4f,%.2f,%.4f,%.1f\n",
+		k.Protocol, k.App.Name, k.Cores, k.Seed,
+		res.Cycles, res.Retired, res.MPKI(), stallFrac,
+		res.MeanSharersPerUpdate, res.CollisionProb, res.EnergyPJ)
 	return b.Bytes()
 }
 

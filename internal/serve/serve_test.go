@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -243,11 +244,13 @@ func TestServeArtifacts(t *testing.T) {
 		t.Fatalf("non-whitelisted artifact: %s", resp.Status)
 	}
 	resp.Body.Close()
-	resp, _ = http.Get(ts.URL + "/api/v1/runs/nothex/artifacts/" + ArtifactCSV)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad hash: %s", resp.Status)
+	for _, bad := range []string{"nothex", strings.Repeat("z", 64)} {
+		resp, _ = http.Get(ts.URL + "/api/v1/runs/" + bad + "/artifacts/" + ArtifactCSV)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad hash %q: %s", bad, resp.Status)
+		}
+		resp.Body.Close()
 	}
-	resp.Body.Close()
 }
 
 // TestServeArtifactUpgradesPlainEntry: a plain run caches only the
