@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint model mcheck vet-model bench bench-json bench-gate serve-smoke clean-cache check
+.PHONY: build test race vet lint model mcheck vet-model fuzz-smoke bench bench-json bench-gate serve-smoke clean-cache check
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,14 @@ mcheck:
 # deliberate state changes and re-classify the TODO entries.
 vet-model:
 	$(GO) run ./cmd/widir-vet -check
+
+# Differential fuzz smoke (DESIGN.md §14): ten seconds of FuzzWheel,
+# which drives the timing wheel under the event queue and the mesh with
+# Push/PopDue/Next sequences and checks it against a sorted reference
+# list. The seed corpus under internal/engine/testdata/fuzz runs in
+# `make test` already.
+fuzz-smoke:
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWheel$$' -fuzztime 10s
 
 # One pass over every evaluation benchmark (reduced workload scale by
 # default; add WIDIR_BENCH_FLAGS="-widir.scale=1.0" for full runs).

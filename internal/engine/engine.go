@@ -1,7 +1,9 @@
 // Package engine provides the simulator's event queue: a deterministic
 // (cycle, sequence) ordered collection of callbacks. Components use it
 // for anything that happens "later" — cache access latencies, memory
-// controller service times, request retry timers.
+// controller service times, request retry timers. The queue is a thin
+// layer over Wheel, the generic timing wheel that also orders the wired
+// mesh's in-flight packets.
 package engine
 
 // Runner is the pooled alternative to a closure callback: callers that
@@ -12,201 +14,55 @@ type Runner interface {
 	Run(now uint64)
 }
 
-// Event is a scheduled callback: either a closure or a Runner.
+// event is a scheduled callback: either a closure or a Runner.
 type event struct {
-	at  uint64
-	seq uint64
-	fn  func(now uint64)
-	r   Runner
+	fn func(now uint64)
+	r  Runner
 }
 
-// The timing wheel covers wheelSize cycles from the queue's current
-// floor. Nearly every event the simulator schedules is a small fixed
-// latency ahead (L1 hits, LLC banks, link hops, memory service), so
-// almost all traffic takes the O(1) wheel path; only long timers (NACK
-// retry backoff, watchdog sweeps) fall through to the far heap.
-const (
-	wheelBits = 8
-	wheelSize = 1 << wheelBits
-	wheelMask = wheelSize - 1
-)
-
-// Queue is the event queue. The zero value is ready to use.
-//
-// Layout: a timing wheel of per-cycle FIFO slots for events within
-// wheelSize cycles of the current floor, plus a hand-maintained
-// min-heap for events beyond it. Execution order is exactly the
-// (cycle, seq) order a single heap would give:
-//
-//   - within one wheel slot, append order is seq order;
-//   - for one cycle, every far-heap event precedes every wheel event,
-//     because an event lands in the heap only while the cycle is at
-//     least wheelSize away and in the wheel only once it is closer —
-//     and the floor advances monotonically, so all heap placements for
-//     a cycle happen (seq-wise) before all wheel placements.
-//
-// The heap is maintained by hand on a plain []event slice rather than
-// through container/heap: the interface-based API boxes every event on
-// Push (one allocation per scheduled callback), whereas the open-coded
-// sift keeps events in a single backing array reused across cycles.
+// Queue is the event queue: a Wheel of callbacks. The zero value is
+// ready to use. Execution order is exactly (cycle, seq) — see Wheel
+// for the layout and the ordering argument.
 type Queue struct {
-	wheel  [wheelSize][]event
-	wcount int     // events resident in the wheel
-	cur    uint64  // floor: every cycle < cur has been drained
-	far    []event // min-heap of events >= cur+wheelSize at insert time
-	seq    uint64
+	w Wheel[event]
 }
 
 // At schedules fn to run at the given cycle. Events scheduled for the
 // same cycle run in scheduling order.
-func (q *Queue) At(cycle uint64, fn func(now uint64)) {
-	q.seq++
-	q.insert(event{at: cycle, seq: q.seq, fn: fn})
-}
+func (q *Queue) At(cycle uint64, fn func(now uint64)) { q.w.Push(cycle, event{fn: fn}) }
 
 // AtRunner schedules r.Run at the given cycle, sharing the same
 // (cycle, seq) ordering domain as At — a Runner and a closure
 // scheduled back-to-back for one cycle run in scheduling order.
-func (q *Queue) AtRunner(cycle uint64, r Runner) {
-	q.seq++
-	q.insert(event{at: cycle, seq: q.seq, r: r})
-}
-
-func (q *Queue) insert(e event) {
-	c := e.at
-	if c < q.cur {
-		// A late event runs in the next drained slot; it keeps its
-		// original cycle for ordering against the far heap.
-		c = q.cur
-	}
-	if c-q.cur < wheelSize {
-		q.wheel[c&wheelMask] = append(q.wheel[c&wheelMask], e)
-		q.wcount++
-		return
-	}
-	q.far = append(q.far, e)
-	q.siftUp(len(q.far) - 1)
-}
+func (q *Queue) AtRunner(cycle uint64, r Runner) { q.w.Push(cycle, event{r: r}) }
 
 // RunDue runs every event with at <= now, in (cycle, seq) order. Events
-// scheduled during execution for cycles <= now also run. It returns
-// the number of events executed so the driving loop can tell a
-// quiescent cycle from a busy one.
+// scheduled during execution for cycles <= now also run; a late event
+// (scheduled for a cycle already drained) runs in the next drained
+// cycle. It returns the number of events executed so the driving loop
+// can tell a quiescent cycle from a busy one.
 func (q *Queue) RunDue(now uint64) int {
 	ran := 0
-	for c := q.cur; c <= now; c++ {
-		if q.wcount == 0 {
-			// Empty wheel: jump straight to the next far event (the
-			// common case after a quiescence fast-forward).
-			if len(q.far) == 0 || q.far[0].at > now {
-				break
-			}
-			c = q.far[0].at
-		}
-		q.cur = c
-		for len(q.far) > 0 && q.far[0].at <= c {
-			e := q.popFar()
-			if e.r != nil {
-				e.r.Run(now)
-			} else {
-				e.fn(now)
-			}
-			ran++
-		}
-		slot := &q.wheel[c&wheelMask]
-		// Callbacks may append to this very slot (zero-delay
-		// reschedules); re-reading len each iteration drains them in
-		// order within the same call.
-		for i := 0; i < len(*slot); i++ {
-			e := (*slot)[i]
-			(*slot)[i] = event{} // drop the callback reference for the GC
-			q.wcount--
-			if e.r != nil {
-				e.r.Run(now)
-			} else {
-				e.fn(now)
-			}
-			ran++
-		}
-		*slot = (*slot)[:0]
-	}
-	q.cur = now
-	return ran
-}
-
-// popFar removes and returns the minimum far event, keeping the
-// backing array.
-func (q *Queue) popFar() event {
-	e := q.far[0]
-	n := len(q.far) - 1
-	q.far[0] = q.far[n]
-	q.far[n] = event{}
-	q.far = q.far[:n]
-	if n > 0 {
-		q.siftDown(0)
-	}
-	return e
-}
-
-func (q *Queue) less(i, j int) bool {
-	if q.far[i].at != q.far[j].at {
-		return q.far[i].at < q.far[j].at
-	}
-	return q.far[i].seq < q.far[j].seq
-}
-
-func (q *Queue) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			return
-		}
-		q.far[i], q.far[parent] = q.far[parent], q.far[i]
-		i = parent
-	}
-}
-
-func (q *Queue) siftDown(i int) {
-	n := len(q.far)
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+		e, ok := q.w.PopDue(now)
+		if !ok {
+			return ran
 		}
-		min := left
-		if right := left + 1; right < n && q.less(right, left) {
-			min = right
+		if e.r != nil {
+			e.r.Run(now)
+		} else {
+			e.fn(now)
 		}
-		if !q.less(min, i) {
-			return
-		}
-		q.far[i], q.far[min] = q.far[min], q.far[i]
-		i = min
+		ran++
 	}
 }
 
 // Next returns the cycle of the earliest pending event.
 //
 //vet:pure
-func (q *Queue) Next() (uint64, bool) {
-	if q.wcount > 0 {
-		for c := q.cur; c < q.cur+wheelSize; c++ {
-			if len(q.wheel[c&wheelMask]) == 0 {
-				continue
-			}
-			if len(q.far) > 0 && q.far[0].at < c {
-				return q.far[0].at, true
-			}
-			return c, true
-		}
-	}
-	if len(q.far) == 0 {
-		return 0, false
-	}
-	return q.far[0].at, true
-}
+func (q *Queue) Next() (uint64, bool) { return q.w.Next() }
 
 // Len returns the number of pending events.
 //
 //vet:pure
-func (q *Queue) Len() int { return q.wcount + len(q.far) }
+func (q *Queue) Len() int { return q.w.Len() }

@@ -4,12 +4,16 @@
 // concurrent traffic queues behind earlier packets. Delivery times are
 // computed at injection by walking the route and reserving link slots,
 // which models store-and-forward contention deterministically and
-// cheaply; the machine drains arrivals every cycle.
+// cheaply. Packets then wait on an engine.Wheel keyed by arrival cycle,
+// the allocation-free timing wheel the event queue is built on, so
+// packets arriving in the same cycle are delivered in injection order;
+// the machine drains arrivals every cycle.
 package mesh
 
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -41,6 +45,7 @@ type DeliverFunc func(now uint64, pkt Packet)
 // Mesh is the wired network. Node i sits at (i%W, i/W).
 type Mesh struct {
 	w, h    int
+	xy      []coord // node -> mesh coordinates, so Send never divides
 	deliver DeliverFunc
 
 	// Jitter, when non-zero, adds a pseudo-random 0..Jitter-1 cycle
@@ -65,7 +70,9 @@ type Mesh struct {
 	// indexed directionally: for each node, 4 outgoing links (E,W,N,S).
 	linkFree []uint64
 
-	inflight pktHeap
+	// inflight orders packets by (arrival cycle, injection order) on
+	// the same timing wheel the event queue uses.
+	inflight engine.Wheel[Packet]
 
 	// Trace receives one EvMeshLeg per routed packet; nil disables
 	// emission. (The flit-level mesh reports no per-leg events; the
@@ -93,26 +100,30 @@ func New(w, h int, fn DeliverFunc) *Mesh {
 	if w <= 0 || h <= 0 {
 		panic("mesh: dimensions must be positive")
 	}
+	xy := make([]coord, w*h)
+	for n := range xy {
+		xy[n] = coord{n % w, n / w}
+	}
 	return &Mesh{
 		w:          w,
 		h:          h,
+		xy:         xy,
 		deliver:    fn,
 		linkFree:   make([]uint64, w*h*dirCount),
 		HopsPerLeg: stats.NewHistogram(0, 3, 6, 9, 12),
 	}
 }
 
+type coord struct{ x, y int }
+
+// hops is the XY-route hop count from a to b.
+func (a coord) hops(b coord) int { return abs(a.x-b.x) + abs(a.y-b.y) }
+
 // Nodes returns the node count.
 func (m *Mesh) Nodes() int { return m.w * m.h }
 
-func (m *Mesh) coord(n int) (x, y int) { return n % m.w, n / m.w }
-
 // HopDistance returns the XY-route hop count between two nodes.
-func (m *Mesh) HopDistance(a, b int) int {
-	ax, ay := m.coord(a)
-	bx, by := m.coord(b)
-	return abs(ax-bx) + abs(ay-by)
-}
+func (m *Mesh) HopDistance(a, b int) int { return m.xy[a].hops(m.xy[b]) }
 
 // Send injects a packet at cycle now. The delivery callback fires at the
 // computed arrival cycle (during a subsequent Tick). Sending to self
@@ -125,15 +136,16 @@ func (m *Mesh) Send(now uint64, pkt Packet) {
 		pkt.Flits = 1
 	}
 	m.Packets.Inc()
-	hops := m.HopDistance(pkt.Src, pkt.Dst)
+	src, dst := m.xy[pkt.Src], m.xy[pkt.Dst]
+	hops := src.hops(dst)
 	m.HopsPerLeg.Observe(hops)
 
 	t := now
 	if hops == 0 {
 		t = now + 1 // local NIC turnaround
 	} else {
-		x, y := m.coord(pkt.Src)
-		dx, dy := m.coord(pkt.Dst)
+		x, y := src.x, src.y
+		dx, dy := dst.x, dst.y
 		flits := uint64(pkt.Flits)
 		for x != dx || y != dy {
 			// Links are owned by the node a hop leaves from.
@@ -182,7 +194,7 @@ func (m *Mesh) Send(now uint64, pkt Packet) {
 			A: uint64(hops), B: t})
 	}
 	m.TotalLat.Add(t - now)
-	m.inflight.push(inflightPkt{at: t, seq: m.Packets.Value(), pkt: pkt})
+	m.inflight.Push(t, pkt)
 }
 
 // Tick delivers every packet whose arrival cycle is <= now, returning
@@ -190,38 +202,33 @@ func (m *Mesh) Send(now uint64, pkt Packet) {
 // controllers run.
 func (m *Mesh) Tick(now uint64) int {
 	delivered := 0
-	for len(m.inflight) > 0 && m.inflight[0].at <= now {
-		ip := m.inflight.pop()
-		m.deliver(now, ip.pkt)
+	for {
+		pkt, ok := m.inflight.PopDue(now)
+		if !ok {
+			return delivered
+		}
+		m.deliver(now, pkt)
 		delivered++
 	}
-	return delivered
 }
 
 // Pending returns the number of packets still in flight.
 //
 //vet:pure
-func (m *Mesh) Pending() int { return len(m.inflight) }
-
-// NextArrival returns the earliest in-flight arrival cycle and whether
-// any packet is in flight; used by the machine to skip idle cycles.
-func (m *Mesh) NextArrival() (uint64, bool) {
-	if len(m.inflight) == 0 {
-		return 0, false
-	}
-	return m.inflight[0].at, true
-}
+func (m *Mesh) Pending() int { return m.inflight.Len() }
 
 // NextEvent returns the earliest cycle > now at which Tick would
 // deliver a packet, or never if nothing is in flight. Arrival
-// reservations are computed at Send time, so the heap top is exact.
+// reservations are computed at Send time, so the wheel's earliest
+// pending cycle is exact.
 //
 //vet:pure
 func (m *Mesh) NextEvent(now uint64) uint64 {
-	if len(m.inflight) == 0 {
+	at, ok := m.inflight.Next()
+	if !ok {
 		return never
 	}
-	if at := m.inflight[0].at; at > now {
+	if at > now {
 		return at
 	}
 	return now + 1
@@ -235,61 +242,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-type inflightPkt struct {
-	at  uint64
-	seq uint64 // FIFO tie-break for determinism
-	pkt Packet
-}
-
-// pktHeap is a hand-rolled min-heap: container/heap's any-typed API
-// would box every injected packet, and Send is on the simulator's
-// hottest path. The backing array is reused across push/pop cycles.
-type pktHeap []inflightPkt
-
-func (h pktHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *pktHeap) push(p inflightPkt) {
-	*h = append(*h, p)
-	q := *h
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (h *pktHeap) pop() inflightPkt {
-	q := *h
-	it := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = inflightPkt{} // release the payload reference
-	*h = q[:n]
-	q = q[:n]
-	for i := 0; ; {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		min := left
-		if right := left + 1; right < n && q.less(right, left) {
-			min = right
-		}
-		if !q.less(min, i) {
-			break
-		}
-		q[i], q[min] = q[min], q[i]
-		i = min
-	}
-	return it
 }

@@ -151,23 +151,72 @@ func TestEnergyCounters(t *testing.T) {
 	}
 }
 
-func TestPendingAndNextArrival(t *testing.T) {
+func TestPendingAndNextEvent(t *testing.T) {
 	_, fn := collect()
 	m := New(4, 4, fn)
-	if _, ok := m.NextArrival(); ok {
+	if m.NextEvent(0) != never || m.Pending() != 0 {
 		t.Fatal("idle mesh reported an arrival")
 	}
 	m.Send(0, Packet{Src: 0, Dst: 3, Flits: 1})
 	if m.Pending() != 1 {
 		t.Fatal("pending != 1")
 	}
-	at, ok := m.NextArrival()
-	if !ok || at != 3 {
-		t.Fatalf("next arrival = %d", at)
+	if at := m.NextEvent(0); at != 3 {
+		t.Fatalf("next event = %d, want the arrival cycle 3", at)
+	}
+	if at := m.NextEvent(4); at != 5 {
+		t.Fatalf("overdue arrival: next event = %d, want now+1", at)
 	}
 	pump(m, 5)
-	if m.Pending() != 0 {
+	if m.Pending() != 0 || m.NextEvent(5) != never {
 		t.Fatal("packet not drained")
+	}
+}
+
+// TestFarBacklogKeepsArrivalOrder builds a link backlog deeper than the
+// timing wheel, so most packets are scheduled through the far heap,
+// while short hops injected every cycle land in wheel slots on the
+// same arrival cycles. Deliveries must still come out in (arrival,
+// injection) order.
+func TestFarBacklogKeepsArrivalOrder(t *testing.T) {
+	ds, fn := collect()
+	m := New(4, 1, fn)
+	var sentAt []uint64
+	send := func(now uint64, src, dst, flits int) {
+		m.Send(now, Packet{Src: src, Dst: dst, Flits: flits, Payload: len(sentAt)})
+		sentAt = append(sentAt, now)
+	}
+	for i := 0; i < 80; i++ {
+		send(0, 0, 3, 5) // serialized 5 cycles apart on every eastbound link
+	}
+	for c := uint64(1); c <= 600; c++ {
+		m.Tick(c)
+		send(c, 3, 2, 1) // westbound, uncontended: arrives next cycle
+	}
+	m.Tick(601)
+	if len(*ds) != len(sentAt) || m.Pending() != 0 {
+		t.Fatalf("delivered %d of %d packets, %d pending", len(*ds), len(sentAt), m.Pending())
+	}
+	far, shared := 0, 0
+	for i, d := range *ds {
+		idx := d.pkt.Payload.(int)
+		if d.at-sentAt[idx] >= 256 {
+			far++
+		}
+		if i == 0 {
+			continue
+		}
+		prev := (*ds)[i-1]
+		if d.at < prev.at || d.at == prev.at && idx < prev.pkt.Payload.(int) {
+			t.Fatalf("delivery %d (packet %d at %d) after packet %d at %d",
+				i, idx, d.at, prev.pkt.Payload.(int), prev.at)
+		}
+		if d.at == prev.at {
+			shared++
+		}
+	}
+	if far < 10 || shared < 10 {
+		t.Fatalf("test does not exercise the far path: %d far packets, %d shared arrival cycles", far, shared)
 	}
 }
 

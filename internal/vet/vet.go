@@ -130,7 +130,7 @@ const (
 // Site is one read or write of shared state at a source position.
 type Site struct {
 	Kind StateKind
-	Key  string // canonical state key, e.g. "repro/internal/engine.Queue.wheel"
+	Key  string // canonical state key, e.g. "repro/internal/engine.Wheel.head"
 	Pos  token.Position
 	Recv bool // the access is rooted at the function's own receiver
 }
