@@ -36,7 +36,6 @@ func main() {
 		protosFlag = flag.String("protocols", "baseline,widir", "comma-separated protocols")
 		scale      = flag.Float64("scale", 1.0, "workload scale factor")
 		seed       = flag.Uint64("seed", 1, "workload seed")
-		flitNoC    = flag.Bool("flit-noc", false, "use the flit-level wormhole NoC model")
 		parallel   = flag.Int("parallel", 0, "simulation worker-pool width (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
@@ -84,7 +83,6 @@ func main() {
 		if j.th > cfg.MaxPointers {
 			cfg.MaxPointers = j.th
 		}
-		cfg.FlitLevelNoC = *flitNoC
 		res, err := r.SimConfig(cfg, j.app, *seed)
 		if err != nil {
 			return nil, fmt.Errorf("%d cores, th=%d: %w", j.n, j.th, err)

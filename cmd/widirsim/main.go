@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -63,9 +64,7 @@ func main() {
 	}
 
 	if *dumpConf {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(machine.DefaultConfig(*cores, coherence.WiDir)); err != nil {
+		if err := dumpConfig(os.Stdout, *cores); err != nil {
 			fmt.Fprintf(os.Stderr, "widirsim: %v\n", err)
 			os.Exit(1)
 		}
@@ -104,28 +103,25 @@ func main() {
 		os.Exit(1)
 	}
 
+	base := machine.DefaultConfig(*cores, coherence.WiDir)
+	base.MaxWiredSharers = *threshold
+	if *threshold > base.MaxPointers {
+		base.MaxPointers = *threshold
+	}
+	if *confPath != "" {
+		if base, err = loadConfig(*confPath, base); err != nil {
+			fmt.Fprintf(os.Stderr, "widirsim: %v\n", err)
+			os.Exit(1)
+		}
+	}
+
 	tw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "app\tprotocol\tcycles\tinstructions\tIPC/core\tMPKI\tmem-stall%\twireless writes\tS->W\tW->S\tcoll.prob\tenergy(uJ)")
 	for _, app := range apps {
 		app = app.Scale(*scale)
 		for _, p := range protos {
-			cfg := machine.DefaultConfig(*cores, p)
-			cfg.MaxWiredSharers = *threshold
-			if *threshold > cfg.MaxPointers {
-				cfg.MaxPointers = *threshold
-			}
-			if *confPath != "" {
-				raw, err := os.ReadFile(*confPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "widirsim: %v\n", err)
-					os.Exit(1)
-				}
-				if err := json.Unmarshal(raw, &cfg); err != nil {
-					fmt.Fprintf(os.Stderr, "widirsim: parsing %s: %v\n", *confPath, err)
-					os.Exit(1)
-				}
-				cfg.Protocol = p // the -protocol flag still selects the protocol
-			}
+			cfg := base
+			cfg.Protocol = p // the -protocol flag selects the protocol, even over -config
 			if *trace != 0 {
 				cfg.LineLog = &obs.LineLog{Line: addrspace.Line(*trace), W: os.Stderr}
 			}
@@ -158,4 +154,33 @@ func main() {
 		}
 	}
 	tw.Flush()
+}
+
+// dumpConfig writes the default machine configuration for the given
+// core count as indented JSON, the format -config reads back.
+func dumpConfig(w io.Writer, cores int) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(machine.DefaultConfig(cores, coherence.WiDir))
+}
+
+// loadConfig reads a JSON machine configuration over base: fields the
+// file names replace base's, the rest keep their value. A field the
+// Config type does not have is an error, so a file naming a removed
+// option fails instead of silently running without it.
+func loadConfig(path string, base machine.Config) (machine.Config, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return machine.Config{}, err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&base); err != nil {
+		return machine.Config{}, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	if dec.More() {
+		return machine.Config{}, fmt.Errorf("parsing %s: trailing data after the configuration", path)
+	}
+	return base, nil
 }

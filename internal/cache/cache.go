@@ -61,13 +61,23 @@ type Config struct {
 	Ways      int // associativity
 }
 
-// Sets returns the number of sets implied by the configuration.
-func (c Config) Sets() int {
+// Validate reports a geometry New cannot build: the capacity must hold
+// at least one line and a whole number of sets of Ways lines each.
+func (c Config) Validate() error {
 	lines := c.SizeBytes / addrspace.LineSize
 	if c.Ways <= 0 || lines <= 0 || lines%c.Ways != 0 {
-		panic(fmt.Sprintf("cache: invalid config %+v", c))
+		return fmt.Errorf("cache: invalid config %+v", c)
 	}
-	return lines / c.Ways
+	return nil
+}
+
+// Sets returns the number of sets implied by the configuration. It
+// panics on a configuration Validate rejects.
+func (c Config) Sets() int {
+	if err := c.Validate(); err != nil {
+		panic(err.Error())
+	}
+	return c.SizeBytes / addrspace.LineSize / c.Ways
 }
 
 // Cache is a set-associative array with true-LRU replacement. It is a

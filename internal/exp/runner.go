@@ -225,7 +225,7 @@ func (r *Runner) SimSource(p coherence.Protocol, cores int, app workload.Profile
 }
 
 // SimConfig runs an uncached simulation with a custom machine
-// configuration (threshold sweeps, alternate NoC models). The config's
+// configuration (threshold sweeps, non-default machine parameters). The config's
 // node count sizes the program; errors carry app/protocol context.
 func (r *Runner) SimConfig(cfg machine.Config, app workload.Profile, seed uint64) (*machine.Result, error) {
 	res, err := simulate(cfg, app, seed)

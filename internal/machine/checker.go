@@ -179,7 +179,7 @@ func (c *Checker) CheckStructural() error {
 				// an owner with a DirInvalid entry and no in-flight
 				// transaction is a real bug, but owners always notify,
 				// so flag any owner at all only when the mesh is idle.
-				if len(h.owners)+len(h.wireless) > 0 && s.net.Pending() == 0 && s.wchan.Idle() {
+				if len(h.owners)+len(h.wireless) > 0 && s.mesh.Pending() == 0 && s.wchan.Idle() {
 					err = fmt.Errorf("machine: dir DI but caches hold line %#x (owners=%v wireless=%v)",
 						e.Line, h.owners, h.wireless)
 				}
@@ -187,7 +187,7 @@ func (c *Checker) CheckStructural() error {
 				if len(h.owners) > 0 {
 					err = fmt.Errorf("machine: dir DW but line %#x has owner %v", e.Line, h.owners)
 				}
-				if s.net.Pending() == 0 && s.wchan.Idle() && len(h.wireless) != e.SharerCount {
+				if s.mesh.Pending() == 0 && s.wchan.Idle() && len(h.wireless) != e.SharerCount {
 					err = fmt.Errorf("machine: dir DW SharerCount=%d but %d caches hold line %#x in W (quiescent)",
 						e.SharerCount, len(h.wireless), e.Line)
 				}
@@ -195,7 +195,7 @@ func (c *Checker) CheckStructural() error {
 				if len(h.owners) > 0 {
 					err = fmt.Errorf("machine: dir DS but line %#x has owner %v", e.Line, h.owners)
 				}
-				if !e.Broadcast && s.net.Pending() == 0 && s.wchan.Idle() {
+				if !e.Broadcast && s.mesh.Pending() == 0 && s.wchan.Idle() {
 					// Pointers must be a superset of actual S holders.
 					for _, sh := range h.shared {
 						if !containsInt(e.Sharers, sh) {

@@ -79,8 +79,6 @@ func appendCanonical(e *canon, c *Config) {
 	e.field("DirScheme", itoa(int(c.DirScheme)))
 	e.field("CoarseRegion", itoa(c.CoarseRegion))
 	e.field("MAC", itoa(int(c.MAC)))
-	e.field("FlitLevelNoC", btoa(c.FlitLevelNoC))
-	e.field("NoCBufDepth", itoa(c.NoCBufDepth))
 	e.field("MessageJitter", itoa(c.MessageJitter))
 
 	e.field("MemControllers", itoa(c.MemControllers))

@@ -107,7 +107,6 @@ func TestConfigHashSeparates(t *testing.T) {
 		func(c *Config) { c.Seed = 2 },
 		func(c *Config) { c.Fault.WirelessBER = 0.25 },
 		func(c *Config) { c.Fault.Links = []fault.Link{{Src: 0, Dst: 1}} },
-		func(c *Config) { c.FlitLevelNoC = true },
 		func(c *Config) { c.EnableChecker = true },
 	}
 	for i, mut := range mutations {

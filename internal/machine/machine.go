@@ -44,8 +44,6 @@ type Config struct {
 	DirScheme          coherence.DirScheme // Dir_iB (default) or Dir_iCV_r
 	CoarseRegion       int                 // Dir_iCV_r region size (default 4)
 	MAC                wireless.MAC        // BRS (default) or Token
-	FlitLevelNoC       bool                // flit-level wormhole routers instead of the packet model
-	NoCBufDepth        int                 // flit-level input buffer depth (default 4)
 	MessageJitter      int                 // testing: random extra wired delay (preserves FIFO)
 
 	MemControllers     int
@@ -119,14 +117,21 @@ func (c *Config) fill() error {
 	if c.MeshW == 0 || c.MeshH == 0 {
 		c.MeshW, c.MeshH = meshDims(c.Nodes)
 	}
-	if c.MeshW*c.MeshH != c.Nodes {
-		return fmt.Errorf("machine: mesh %dx%d does not hold %d nodes", c.MeshW, c.MeshH, c.Nodes)
+	if c.MeshW < 0 || c.MeshH < 0 || c.MeshW*c.MeshH != c.Nodes {
+		return fmt.Errorf("machine: mesh %dx%d is not a positive grid of %d nodes", c.MeshW, c.MeshH, c.Nodes)
+	}
+	if k := c.Core; k.IssueWidth < 0 || k.ROBSize < 0 || k.LoadQueue < 0 || k.WriteBuffer < 0 {
+		return fmt.Errorf("machine: core widths and queue sizes %d/%d/%d/%d must not be negative",
+			k.IssueWidth, k.ROBSize, k.LoadQueue, k.WriteBuffer)
 	}
 	if c.L1SizeBytes == 0 {
 		c.L1SizeBytes = 64 << 10
 	}
 	if c.L1Ways == 0 {
 		c.L1Ways = 2
+	}
+	if err := (cache.Config{SizeBytes: c.L1SizeBytes, Ways: c.L1Ways}).Validate(); err != nil {
+		return fmt.Errorf("machine: L1: %w", err)
 	}
 	if c.L1Latency == 0 {
 		c.L1Latency = 2
@@ -146,8 +151,14 @@ func (c *Config) fill() error {
 	if c.MaxWiredSharers == 0 {
 		c.MaxWiredSharers = c.MaxPointers
 	}
+	if c.MaxPointers < 1 || c.MaxWiredSharers > c.MaxPointers {
+		return fmt.Errorf("machine: MaxPointers %d must be positive and at least MaxWiredSharers %d", c.MaxPointers, c.MaxWiredSharers)
+	}
 	if c.MemControllers == 0 {
 		c.MemControllers = 4
+	}
+	if c.MemControllers < 0 {
+		return fmt.Errorf("machine: memory controller count %d must not be negative", c.MemControllers)
 	}
 	if c.MemControllers > c.Nodes {
 		c.MemControllers = c.Nodes
@@ -188,9 +199,7 @@ func meshDims(n int) (w, h int) {
 type System struct {
 	cfg    Config
 	space  *addrspace.Space
-	mesh   *mesh.Mesh     // packet-level NoC (default)
-	fmesh  *mesh.FlitMesh // flit-level NoC (Config.FlitLevelNoC)
-	net    mesh.Network   // whichever is active
+	mesh   *mesh.Mesh
 	wchan  *wireless.Channel
 	events engine.Queue
 	cycle  uint64
@@ -228,15 +237,9 @@ func NewSystem(cfg Config, sources []cpu.InstrSource) (*System, error) {
 		space:  addrspace.NewSpace(cfg.Nodes, cfg.MemControllers),
 		memory: coherence.NewMemoryImage(),
 	}
-	if cfg.FlitLevelNoC {
-		s.fmesh = mesh.NewFlitMesh(cfg.MeshW, cfg.MeshH, cfg.NoCBufDepth, s.deliverWired)
-		s.net = s.fmesh
-	} else {
-		s.mesh = mesh.New(cfg.MeshW, cfg.MeshH, s.deliverWired)
-		s.mesh.Jitter = cfg.MessageJitter
-		s.mesh.Trace = cfg.Trace
-		s.net = s.mesh
-	}
+	s.mesh = mesh.New(cfg.MeshW, cfg.MeshH, s.deliverWired)
+	s.mesh.Jitter = cfg.MessageJitter
+	s.mesh.Trace = cfg.Trace
 	s.wchan = wireless.NewChannel(xrand.New(cfg.Seed ^ 0x9e3779b97f4a7c15))
 	s.wchan.Trace = cfg.Trace
 	s.wchan.Mac = cfg.MAC
@@ -261,9 +264,6 @@ func NewSystem(cfg Config, sources []cpu.InstrSource) (*System, error) {
 			}
 		}
 		if fcfg.LinkStallPct > 0 || fcfg.LinkDropPct > 0 {
-			if s.mesh == nil {
-				return nil, fmt.Errorf("machine: link fault injection requires the packet-level NoC (FlitLevelNoC unsupported)")
-			}
 			s.mesh.FaultDelay = inj.LinkDelay
 		}
 	}
@@ -336,7 +336,7 @@ func (s *System) SendWired(src, dst int, port coherence.PortKind, m *coherence.M
 			A: uint64(m.Type), B: m.ReqID})
 	}
 	m.Port = port
-	s.net.Send(s.cycle, mesh.Packet{
+	s.mesh.Send(s.cycle, mesh.Packet{
 		Src: src, Dst: dst,
 		Flits:   mesh.FlitsFor(m.Bytes()),
 		Payload: m,
@@ -554,7 +554,7 @@ const never = ^uint64(0)
 // (cpu.Core.NeedsTick); their per-cycle statistics are settled
 // analytically when they wake.
 func (s *System) tick() bool {
-	delivered := s.net.Tick(s.cycle)
+	delivered := s.mesh.Tick(s.cycle)
 	if !s.wchan.Idle() {
 		s.wchan.Tick(s.cycle)
 	}
@@ -594,7 +594,7 @@ func (s *System) horizon() uint64 {
 	if at, ok := s.events.Next(); ok && at < h {
 		h = at
 	}
-	if at := s.net.NextEvent(s.cycle); at < h {
+	if at := s.mesh.NextEvent(s.cycle); at < h {
 		h = at
 	}
 	if at := s.wchan.NextWake(s.cycle); at < h {
@@ -708,7 +708,7 @@ func (s *System) oldestTxn() (coherence.TxnInfo, bool) {
 // Diagnose renders a snapshot of stuck state for watchdog reports.
 func (s *System) Diagnose() string {
 	out := fmt.Sprintf("mesh pending=%d, wireless idle=%v tone=%d, events=%d\n",
-		s.net.Pending(), s.wchan.Idle(), s.wchan.ToneHolds(), s.events.Len())
+		s.mesh.Pending(), s.wchan.Idle(), s.wchan.ToneHolds(), s.events.Len())
 	if info, ok := s.oldestTxn(); ok {
 		out += fmt.Sprintf("oldest txn: %s age=%d\n", info.String(), info.Age(s.cycle))
 	}
@@ -758,19 +758,8 @@ func (s *System) Home(i int) *coherence.HomeCtrl { return s.homes[i] }
 // Core exposes a node's core (tests).
 func (s *System) Core(i int) *cpu.Core { return s.cores[i] }
 
-// Mesh exposes the packet-level wired NoC (nil under FlitLevelNoC).
+// Mesh exposes the wired NoC.
 func (s *System) Mesh() *mesh.Mesh { return s.mesh }
-
-// Net exposes the active wired NoC.
-func (s *System) Net() mesh.Network { return s.net }
-
-// meshStats reads the active NoC's measurement counters.
-func (s *System) meshStats() (hops *stats.Histogram, flitHops, routerXings, packets uint64) {
-	if s.fmesh != nil {
-		return s.fmesh.HopsPerLeg, s.fmesh.FlitHops.Value(), s.fmesh.RouterXings.Value(), s.fmesh.Packets.Value()
-	}
-	return s.mesh.HopsPerLeg, s.mesh.FlitHops.Value(), s.mesh.RouterXings.Value(), s.mesh.Packets.Value()
-}
 
 // Wireless exposes the wireless channel (tests, stats).
 func (s *System) Wireless() *wireless.Channel { return s.wchan }
@@ -787,15 +776,14 @@ func (s *System) Memory() *coherence.MemoryImage { return s.memory }
 func (s *System) Config() Config { return s.cfg }
 
 func (s *System) result() *Result {
-	hops, flitHops, routerXings, packets := s.meshStats()
 	r := &Result{
 		Protocol:         s.cfg.Protocol,
 		Nodes:            s.cfg.Nodes,
 		Cycles:           s.cycle,
 		SharersPerUpdate: stats.NewHistogram(0, 6, 11, 26, 50),
 		MissLatency:      stats.NewHistogram(coherence.MissLatencyBins...),
-		HopsPerLeg:       hops,
-		MeshPackets:      packets,
+		HopsPerLeg:       s.mesh.HopsPerLeg,
+		MeshPackets:      s.mesh.Packets.Value(),
 		MemAccesses:      s.memAccesses.Value(),
 	}
 	var updSum, updCount uint64
@@ -856,8 +844,8 @@ func (s *System) result() *Result {
 		L1Accesses:   r.L1Accesses,
 		LLCAccesses:  llcAccesses,
 		DirRequests:  dirReqs,
-		FlitHops:     flitHops,
-		RouterXings:  routerXings,
+		FlitHops:     s.mesh.FlitHops.Value(),
+		RouterXings:  s.mesh.RouterXings.Value(),
 		MemAccesses:  s.memAccesses.Value(),
 		WirelessBusy: s.wchan.BusyCycles.Value(),
 		WirelessTxns: s.wchan.Successes.Value(),

@@ -65,26 +65,6 @@ func BenchmarkMachineCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkSimThroughputFlitNoC is the same run over the flit-level
-// wormhole NoC, quantifying the fidelity/speed trade-off.
-func BenchmarkSimThroughputFlitNoC(b *testing.B) {
-	prof, _ := workload.ByName("barnes")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig(64, coherence.WiDir)
-		cfg.FlitLevelNoC = true
-		sys, err := NewSystem(cfg, workload.Program(prof, 64, 11))
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := sys.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(r.Cycles), "sim-cycles")
-	}
-}
-
 // BenchmarkSimFastForward measures the quiescence fast-forward on the
 // schedule it targets: a compute-dominant mix (512 compute per memory
 // op) where cores drain long compute runs analytically and the

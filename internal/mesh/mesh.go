@@ -75,8 +75,7 @@ type Mesh struct {
 	inflight engine.Wheel[Packet]
 
 	// Trace receives one EvMeshLeg per routed packet; nil disables
-	// emission. (The flit-level mesh reports no per-leg events; the
-	// machine-level msg-send/msg-recv pair covers both NoC models.)
+	// emission.
 	Trace obs.Sink
 
 	// Measurements.
