@@ -16,11 +16,12 @@ test:
 # The experiment runner fans simulations across goroutines, the
 # machine package owns the results it publishes through it, the mesh,
 # wireless and fault packages carry the shared state those parallel
-# runs tick, and the serve farm layers HTTP handlers, job workers and
-# the queue journal on top; these are the packages where a data race
-# could hide.
+# runs tick, widirsim fans its runs through the runner with per-run
+# stderr buffers, and the serve farm layers HTTP handlers, job workers
+# and the queue journal on top; these are the packages where a data
+# race could hide.
 race:
-	$(GO) test -race ./internal/exp/ ./internal/machine/ ./internal/mesh/ ./internal/wireless/ ./internal/fault/ ./internal/serve/ ./cmd/widir-serve/
+	$(GO) test -race ./internal/exp/ ./internal/machine/ ./internal/mesh/ ./internal/wireless/ ./internal/fault/ ./internal/serve/ ./cmd/widir-serve/ ./cmd/widirsim/
 
 vet:
 	$(GO) vet ./...

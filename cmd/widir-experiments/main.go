@@ -17,7 +17,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -25,18 +27,37 @@ import (
 	"repro/internal/fault"
 )
 
+// experiments names every valid -exp value.
+var experiments = []string{"summary", "motivation", "table4", "fig5", "fig6", "fig7", "table5", "fig8", "fig9", "fig10", "table6", "faultsweep", "all"}
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("widir-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		which    = flag.String("exp", "all", "experiment to run (summary,motivation,table4,fig5,fig6,fig7,table5,fig8,fig9,fig10,table6,faultsweep,all)")
-		cores    = flag.Int("cores", 64, "core count for single-machine experiments")
-		scale    = flag.Float64("scale", 1.0, "workload scale factor")
-		seed     = flag.Uint64("seed", 1, "workload seed")
-		apps     = flag.String("apps", "", "comma-separated application subset (default: all 20)")
-		csv      = flag.Bool("csv", false, "emit machine-readable CSV instead of tables (fig5, fig8, fig10, table6)")
-		parallel = flag.Int("parallel", 0, "simulation worker-pool width (0 = GOMAXPROCS)")
-		verbose  = flag.Bool("v", false, "report runner memoization counters on stderr when done")
+		which    = fs.String("exp", "all", "experiment to run ("+strings.Join(experiments, ",")+")")
+		cores    = fs.Int("cores", 64, "core count for single-machine experiments")
+		scale    = fs.Float64("scale", 1.0, "workload scale factor")
+		seed     = fs.Uint64("seed", 1, "workload seed")
+		apps     = fs.String("apps", "", "comma-separated application subset (default: all 20)")
+		csv      = fs.Bool("csv", false, "emit machine-readable CSV instead of tables (fig5, fig8, fig10, table6)")
+		parallel = fs.Int("parallel", 0, "simulation worker-pool width (0 = GOMAXPROCS)")
+		verbose  = fs.Bool("v", false, "report runner memoization counters on stderr when done")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if !slices.Contains(experiments, *which) {
+		fmt.Fprintf(stderr, "widir-experiments: unknown experiment %q (valid: %s)\n", *which, strings.Join(experiments, ", "))
+		return 2
+	}
+	if *cores <= 0 || !(*scale > 0) {
+		fmt.Fprintf(stderr, "widir-experiments: -cores %d and -scale %v must be positive\n", *cores, *scale)
+		return 2
+	}
 
 	// One runner for every experiment: simulations fan out across
 	// *parallel workers, and the memo shares canonical runs between
@@ -46,115 +67,108 @@ func main() {
 	if *apps != "" {
 		o.Apps = strings.Split(*apps, ",")
 	}
-	if *verbose {
-		// How much the memo actually saved — e.g. -exp all simulates
-		// each canonical run once and serves every other table from
-		// the memo, which this line makes visible. Closure so the
-		// stats are read after the experiments, not at defer time.
-		defer func() {
-			fmt.Fprintf(os.Stderr, "widir-experiments: runner %s\n", o.Runner.Stats())
-		}()
-	}
 
-	run := func(name string, fn func() error) {
+	failed := false
+	step := func(name string, fn func() error) {
 		// On-demand experiments: summary duplicates the pair runs and
 		// faultsweep is not a paper figure, so "all" skips both.
 		if (name == "summary" || name == "faultsweep") && *which != name {
 			return
 		}
-		if *which != "all" && *which != name {
+		if failed || (*which != "all" && *which != name) {
 			return
 		}
 		start := time.Now()
 		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "widir-experiments: %s: %v\n", name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "widir-experiments: %s: %v\n", name, err)
+			failed = true
+			return
 		}
-		fmt.Printf("[%s took %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "[%s took %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
-	run("summary", func() error {
+	step("summary", func() error {
 		rows, err := exp.Summary(o)
 		if err != nil {
 			return err
 		}
-		exp.PrintSummary(os.Stdout, rows)
+		exp.PrintSummary(stdout, rows)
 		return nil
 	})
-	run("faultsweep", func() error {
+	step("faultsweep", func() error {
 		rows, err := exp.FaultSweep(o, []float64{0.01, 0.05, 0.1, 0.25, 0.5}, fault.Config{})
 		if err != nil {
 			return err
 		}
 		if *csv {
-			exp.CSVFaultSweep(os.Stdout, rows)
+			exp.CSVFaultSweep(stdout, rows)
 			return nil
 		}
-		exp.PrintFaultSweep(os.Stdout, rows)
+		exp.PrintFaultSweep(stdout, rows)
 		return nil
 	})
-	run("motivation", func() error {
+	step("motivation", func() error {
 		m, err := exp.Motivation(o)
 		if err != nil {
 			return err
 		}
-		exp.PrintMotivation(os.Stdout, m)
+		exp.PrintMotivation(stdout, m)
 		return nil
 	})
-	run("table4", func() error {
+	step("table4", func() error {
 		rows, err := exp.Table4(o)
 		if err != nil {
 			return err
 		}
-		exp.PrintTable4(os.Stdout, rows)
+		exp.PrintTable4(stdout, rows)
 		return nil
 	})
-	run("fig5", func() error {
+	step("fig5", func() error {
 		rows, err := exp.Fig5(o)
 		if err != nil {
 			return err
 		}
 		if *csv {
-			exp.CSVFig5(os.Stdout, rows)
+			exp.CSVFig5(stdout, rows)
 			return nil
 		}
-		exp.PrintFig5(os.Stdout, rows)
+		exp.PrintFig5(stdout, rows)
 		return nil
 	})
 
 	// Figures 6, 7, 8(64) and 9 share one set of pair runs.
-	if *which == "all" || *which == "fig6" || *which == "fig7" || *which == "fig9" {
-		run("pairs", func() error { return nil }) // spacing only
+	if !failed && (*which == "all" || *which == "fig6" || *which == "fig7" || *which == "fig9") {
+		step("pairs", func() error { return nil }) // spacing only
 		start := time.Now()
 		rows, err := exp.RunPairs(o)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "widir-experiments: pairs: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "widir-experiments: pairs: %v\n", err)
+			return 1
 		}
 		if *which == "all" || *which == "fig6" {
-			exp.PrintFig6(os.Stdout, exp.Fig6(rows))
-			fmt.Println()
+			exp.PrintFig6(stdout, exp.Fig6(rows))
+			fmt.Fprintln(stdout)
 		}
 		if *which == "all" || *which == "fig7" {
-			exp.PrintFig7(os.Stdout, exp.Fig7(rows))
-			fmt.Println()
+			exp.PrintFig7(stdout, exp.Fig7(rows))
+			fmt.Fprintln(stdout)
 		}
 		if *which == "all" || *which == "fig9" {
-			exp.PrintFig9(os.Stdout, exp.Fig9(rows))
-			fmt.Println()
+			exp.PrintFig9(stdout, exp.Fig9(rows))
+			fmt.Fprintln(stdout)
 		}
-		fmt.Printf("[fig6/fig7/fig9 pair runs took %v]\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "[fig6/fig7/fig9 pair runs took %v]\n\n", time.Since(start).Round(time.Millisecond))
 	}
 
-	run("table5", func() error {
+	step("table5", func() error {
 		t, err := exp.Table5(o)
 		if err != nil {
 			return err
 		}
-		exp.PrintTable5(os.Stdout, t)
+		exp.PrintTable5(stdout, t)
 		return nil
 	})
-	run("fig8", func() error {
+	step("fig8", func() error {
 		for _, n := range []int{64, 32, 16} {
 			oo := o
 			oo.Cores = n
@@ -163,36 +177,46 @@ func main() {
 				return err
 			}
 			if *csv {
-				exp.CSVFig8(os.Stdout, n, exp.Fig8(rows))
+				exp.CSVFig8(stdout, n, exp.Fig8(rows))
 				continue
 			}
-			exp.PrintFig8(os.Stdout, n, exp.Fig8(rows))
-			fmt.Println()
+			exp.PrintFig8(stdout, n, exp.Fig8(rows))
+			fmt.Fprintln(stdout)
 		}
 		return nil
 	})
-	run("fig10", func() error {
+	step("fig10", func() error {
 		pts, err := exp.Fig10(o, nil)
 		if err != nil {
 			return err
 		}
 		if *csv {
-			exp.CSVFig10(os.Stdout, pts)
+			exp.CSVFig10(stdout, pts)
 			return nil
 		}
-		exp.PrintFig10(os.Stdout, pts)
+		exp.PrintFig10(stdout, pts)
 		return nil
 	})
-	run("table6", func() error {
+	step("table6", func() error {
 		rows, err := exp.Table6(o, nil)
 		if err != nil {
 			return err
 		}
 		if *csv {
-			exp.CSVTable6(os.Stdout, rows)
+			exp.CSVTable6(stdout, rows)
 			return nil
 		}
-		exp.PrintTable6(os.Stdout, rows)
+		exp.PrintTable6(stdout, rows)
 		return nil
 	})
+	if failed {
+		return 1
+	}
+	if *verbose {
+		// How much the memo actually saved — e.g. -exp all simulates
+		// each canonical run once and serves every other table from
+		// the memo, which this line makes visible.
+		fmt.Fprintf(stderr, "widir-experiments: runner %s\n", o.Runner.Stats())
+	}
+	return 0
 }

@@ -1,22 +1,43 @@
-// Command widirsim runs one application on one simulated manycore
-// configuration and prints the run's measurements.
+// Command widirsim runs applications on simulated manycore
+// configurations and prints each run's measurements. Every list flag
+// (-app, -cores, -protocol, -maxwired) takes comma-separated values;
+// the runs are the cartesian product, fanned across a worker pool and
+// printed in cartesian order (application, cores, protocol, threshold),
+// as a table or, with -csv, one CSV row per run. Baseline runs only the
+// first threshold: MaxWiredSharers is a WiDir knob.
+//
+// With -events or -perfetto, each run also captures a cycle-stamped
+// event trace into a ring of -buf events, prints its wired-vs-wireless
+// request-latency summary, and exports the events kept by -core,
+// -class and -trace-line: filtered JSONL for scripting and Chrome
+// trace-event JSON for ui.perfetto.dev. A traced run needs one
+// application, one core count and one threshold; when both protocols
+// run, file names get a -baseline / -widir suffix before the extension.
 //
 // Usage:
 //
 //	widirsim -app radiosity -cores 64 -protocol widir -scale 1.0
 //	widirsim -app all -cores 64 -protocol both
+//	widirsim -app radiosity,barnes -cores 16,32,64 -maxwired 2,3,4 -csv > sweep.csv
+//	widirsim -app fmm -cores 16 -scale 0.1 -protocol both \
+//	    -events trace.jsonl -perfetto trace.json
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"text/tabwriter"
 
 	"repro/internal/addrspace"
 	"repro/internal/coherence"
+	"repro/internal/exp"
 	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -24,36 +45,103 @@ import (
 )
 
 func main() {
-	var (
-		appName   = flag.String("app", "radiosity", "application name (see -list) or 'all'")
-		cores     = flag.Int("cores", 64, "core count")
-		protocol  = flag.String("protocol", "both", "baseline, widir, or both")
-		scale     = flag.Float64("scale", 1.0, "workload scale factor")
-		seed      = flag.Uint64("seed", 1, "workload seed")
-		threshold = flag.Int("maxwired", 3, "MaxWiredSharers threshold")
-		list      = flag.Bool("list", false, "list applications and exit")
-		trace     = flag.Uint64("trace-line", 0, "dump protocol events for this cache-line number to stderr")
-		latency   = flag.Bool("latency", false, "print the per-miss latency distribution after each run")
-		confPath  = flag.String("config", "", "load the machine configuration from a JSON file (overrides -cores/-maxwired)")
-		dumpConf  = flag.Bool("dump-config", false, "print the default machine configuration as JSON and exit")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		faultBER   = flag.Float64("fault-ber", 0, "wireless fault injection: per-transmission corruption probability")
-		faultSeed  = flag.Uint64("fault-seed", 0, "fault schedule seed (0 derives it from -seed)")
-		faultLinks = flag.String("fault-links", "", "afflicted mesh links as 'src-dst,src-dst' (empty = all, when a link rate is set)")
-		faultStall = flag.Float64("fault-stall", 0, "per-packet stall probability on afflicted links")
-		faultDrop  = flag.Float64("fault-drop", 0, "per-packet drop+retransmit probability on afflicted links")
-		checker    = flag.Bool("checker", false, "run the SWMR/value-coherence checker during the simulation")
+// job is one point of the cartesian product: a scaled application on a
+// complete machine configuration.
+type job struct {
+	label string
+	app   workload.Profile
+	cfg   machine.Config
+}
+
+// outcome is one job's result plus everything it wrote for stderr,
+// held back so output prints in job order whatever the pool width.
+type outcome struct {
+	res    *machine.Result
+	ring   *obs.RingSink
+	stderr bytes.Buffer
+	err    error
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("widirsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		appFlag   = fs.String("app", "radiosity", "comma-separated applications (see -list) or 'all'")
+		coresFlag = fs.String("cores", "64", "comma-separated core counts")
+		protoFlag = fs.String("protocol", "both", "comma-separated protocols: baseline, widir, or both")
+		thFlag    = fs.String("maxwired", "3", "comma-separated MaxWiredSharers thresholds (WiDir runs)")
+		scale     = fs.Float64("scale", 1.0, "workload scale factor")
+		seed      = fs.Uint64("seed", 1, "workload seed")
+		parallel  = fs.Int("parallel", 0, "simulation worker-pool width (0 = GOMAXPROCS)")
+		csv       = fs.Bool("csv", false, "print one CSV row per run instead of the table")
+		list      = fs.Bool("list", false, "list applications and exit")
+		traceLine = fs.Uint64("trace-line", 0, "dump protocol events for this cache-line number to stderr, and keep only its events in trace exports")
+		latency   = fs.Bool("latency", false, "print the per-miss latency distribution after each run")
+		confPath  = fs.String("config", "", "load the machine configuration from a JSON file (overrides -cores/-maxwired)")
+		dumpConf  = fs.Bool("dump-config", false, "print the default machine configuration as JSON and exit")
+
+		faultBER   = fs.Float64("fault-ber", 0, "wireless fault injection: per-transmission corruption probability")
+		faultSeed  = fs.Uint64("fault-seed", 0, "fault schedule seed (0 derives it from -seed)")
+		faultLinks = fs.String("fault-links", "", "afflicted mesh links as 'src-dst,src-dst' (empty = all, when a link rate is set)")
+		faultStall = fs.Float64("fault-stall", 0, "per-packet stall probability on afflicted links")
+		faultDrop  = fs.Float64("fault-drop", 0, "per-packet drop+retransmit probability on afflicted links")
+		checker    = fs.Bool("checker", false, "run the SWMR/value-coherence checker during the simulation")
+
+		events   = fs.String("events", "", "capture a trace and write the kept events as JSONL to this file ('-' = stdout)")
+		perfetto = fs.String("perfetto", "", "capture a trace and write the kept events as Chrome trace-event JSON to this file")
+		bufCap   = fs.Int("buf", 1<<20, "trace ring capacity in events (oldest evicted when full)")
+		core     = fs.Int("core", -1, "keep only trace events touching this core (-1 = all)")
+		class    = fs.String("class", "", "comma-separated trace event classes/kinds to keep (empty = all): "+strings.Join(obs.GroupNames(), ", "))
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "widirsim: %v\n", err)
+		return 1
+	}
+
+	if *list {
+		for _, p := range workload.Apps() {
+			fmt.Fprintf(stdout, "%-14s paper MPKI %.2f\n", p.Name, p.PaperMPKI)
+		}
+		return 0
+	}
+	cores, err := parseInts("-cores", *coresFlag)
+	if err != nil {
+		return fail(err)
+	}
+	if *dumpConf {
+		if err := dumpConfig(stdout, cores[0]); err != nil {
+			return fail(err)
+		}
+		return 0
+	}
+	thresholds, err := parseInts("-maxwired", *thFlag)
+	if err != nil {
+		return fail(err)
+	}
+	apps, err := parseApps(*appFlag)
+	if err != nil {
+		return fail(err)
+	}
+	protos, err := parseProtocols(*protoFlag)
+	if err != nil {
+		return fail(err)
+	}
+	if !(*scale > 0) {
+		return fail(fmt.Errorf("-scale %v must be positive", *scale))
+	}
 
 	links, err := fault.ParseLinks(*faultLinks)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "widirsim: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if len(links) > 0 && *faultStall == 0 && *faultDrop == 0 {
-		fmt.Fprintln(os.Stderr, "widirsim: -fault-links needs -fault-stall or -fault-drop to inject anything")
-		os.Exit(1)
+		return fail(fmt.Errorf("-fault-links needs -fault-stall or -fault-drop to inject anything"))
 	}
 	fcfg := fault.Config{
 		Seed:         *faultSeed,
@@ -63,97 +151,233 @@ func main() {
 		Links:        links,
 	}
 
-	if *dumpConf {
-		if err := dumpConfig(os.Stdout, *cores); err != nil {
-			fmt.Fprintf(os.Stderr, "widirsim: %v\n", err)
-			os.Exit(1)
+	filter := obs.NewFilter()
+	if filter.Kinds, err = obs.ParseKinds(*class); err != nil {
+		return fail(err)
+	}
+	if *core >= 0 {
+		filter.Node = int32(*core)
+	}
+	if *traceLine != 0 {
+		filter.Line = addrspace.Line(*traceLine)
+	}
+	traced := *events != "" || *perfetto != ""
+	if traced && (len(apps) > 1 || len(cores) > 1 || len(thresholds) > 1) {
+		return fail(fmt.Errorf("a traced run needs one application, one core count and one threshold"))
+	}
+	if *bufCap < 1 {
+		return fail(fmt.Errorf("-buf %d must be positive", *bufCap))
+	}
+
+	configFor := func(n, th int) machine.Config {
+		cfg := machine.DefaultConfig(n, coherence.WiDir)
+		cfg.MaxWiredSharers = th
+		if th > cfg.MaxPointers {
+			cfg.MaxPointers = th
 		}
-		return
+		return cfg
 	}
-
-	if *list {
-		for _, p := range workload.Apps() {
-			fmt.Printf("%-14s paper MPKI %.2f\n", p.Name, p.PaperMPKI)
-		}
-		return
-	}
-
-	var apps []workload.Profile
-	if *appName == "all" {
-		apps = workload.Apps()
-	} else {
-		p, ok := workload.ByName(*appName)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "widirsim: unknown application %q (try -list)\n", *appName)
-			os.Exit(1)
-		}
-		apps = []workload.Profile{p}
-	}
-
-	var protos []coherence.Protocol
-	switch *protocol {
-	case "baseline":
-		protos = []coherence.Protocol{coherence.Baseline}
-	case "widir":
-		protos = []coherence.Protocol{coherence.WiDir}
-	case "both":
-		protos = []coherence.Protocol{coherence.Baseline, coherence.WiDir}
-	default:
-		fmt.Fprintf(os.Stderr, "widirsim: unknown protocol %q\n", *protocol)
-		os.Exit(1)
-	}
-
-	base := machine.DefaultConfig(*cores, coherence.WiDir)
-	base.MaxWiredSharers = *threshold
-	if *threshold > base.MaxPointers {
-		base.MaxPointers = *threshold
-	}
+	var fileCfg *machine.Config
 	if *confPath != "" {
-		if base, err = loadConfig(*confPath, base); err != nil {
-			fmt.Fprintf(os.Stderr, "widirsim: %v\n", err)
-			os.Exit(1)
+		if len(cores) > 1 || len(thresholds) > 1 {
+			return fail(fmt.Errorf("-config takes one -cores and one -maxwired value"))
 		}
+		cfg, err := loadConfig(*confPath, configFor(cores[0], thresholds[0]))
+		if err != nil {
+			return fail(err)
+		}
+		fileCfg = &cfg
 	}
 
-	tw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "app\tprotocol\tcycles\tinstructions\tIPC/core\tMPKI\tmem-stall%\twireless writes\tS->W\tW->S\tcoll.prob\tenergy(uJ)")
+	// Enumerate every run up front so the worker pool can fan them out
+	// while the output still prints in cartesian order.
+	multi := len(cores) > 1 || len(thresholds) > 1
+	var jobs []job
 	for _, app := range apps {
 		app = app.Scale(*scale)
-		for _, p := range protos {
-			cfg := base
-			cfg.Protocol = p // the -protocol flag selects the protocol, even over -config
-			if *trace != 0 {
-				cfg.LineLog = &obs.LineLog{Line: addrspace.Line(*trace), W: os.Stderr}
+		for _, n := range cores {
+			for _, p := range protos {
+				ths := thresholds
+				if p == coherence.Baseline {
+					ths = thresholds[:1]
+				}
+				for _, th := range ths {
+					cfg := configFor(n, th)
+					if fileCfg != nil {
+						cfg = *fileCfg
+					}
+					cfg.Protocol = p // the -protocol flag selects the protocol, even over -config
+					cfg.Fault = fcfg
+					cfg.EnableChecker = cfg.EnableChecker || *checker
+					label := app.Name + "/" + p.String()
+					if multi {
+						label += fmt.Sprintf(" (%d cores, maxwired %d)", n, th)
+					}
+					jobs = append(jobs, job{label: label, app: app, cfg: cfg})
+				}
 			}
-			cfg.Fault = fcfg
-			cfg.EnableChecker = cfg.EnableChecker || *checker
-			sys, err := machine.NewSystem(cfg, workload.Program(app, cfg.Nodes, *seed))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "widirsim: %v\n", err)
-				os.Exit(1)
-			}
-			r, err := sys.Run()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "widirsim: %s/%s: %v\n", app.Name, p, err)
-				os.Exit(1)
-			}
-			ipc := float64(r.Retired) / float64(r.Cycles) / float64(cfg.Nodes)
-			stall := 100 * float64(r.MemStallCycles) / float64(r.Cycles*uint64(cfg.Nodes))
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%.2f\t%.2f\t%.0f%%\t%d\t%d\t%d\t%.2f%%\t%.1f\n",
-				app.Name, p, r.Cycles, r.Retired, ipc, r.MPKI(), stall,
-				r.WirelessWrites, r.SToW, r.WToS, 100*r.CollisionProb, r.EnergyPJ/1e6)
+		}
+	}
+	if *events == "-" && len(jobs) > 1 {
+		return fail(fmt.Errorf("-events - takes a single run; name a file to export %d runs", len(jobs)))
+	}
+
+	// Each job's error travels in its outcome rather than through Map,
+	// so a failure reports in job order whatever the pool width.
+	outs, _ := exp.Map(exp.NewRunner(*parallel), len(jobs), func(i int) (*outcome, error) {
+		j, o := jobs[i], &outcome{}
+		cfg := j.cfg
+		if *traceLine != 0 {
+			cfg.LineLog = &obs.LineLog{Line: addrspace.Line(*traceLine), W: &o.stderr}
+		}
+		if traced {
+			o.ring = obs.NewRingSink(*bufCap)
+			cfg.Trace = o.ring
+		}
+		sys, err := machine.NewSystem(cfg, workload.Program(j.app, cfg.Nodes, *seed))
+		if err != nil {
+			o.err = err
+			return o, nil
+		}
+		r, err := sys.Run()
+		if o.res, o.err = r, err; err == nil {
 			if inj := sys.Injector(); inj != nil {
-				fmt.Fprintf(os.Stderr, "widirsim: %s/%s faults (%s): corrupted=%d tx-failures=%d W->S-demotions=%d link-delays=%d dir-delays=%d\n",
-					app.Name, p, inj.Describe(), r.WirelessCorrupted, r.WirelessTxFailures,
+				fmt.Fprintf(&o.stderr, "widirsim: %s faults (%s): corrupted=%d tx-failures=%d W->S-demotions=%d link-delays=%d dir-delays=%d\n",
+					j.label, inj.Describe(), r.WirelessCorrupted, r.WirelessTxFailures,
 					r.FaultDemotions, r.LinkFaultDelays, r.DirFaultDelays)
 			}
-			if *latency {
-				tw.Flush()
-				fmt.Printf("  miss latency (cycles): %s\n", r.MissLatency)
+		}
+		return o, nil
+	})
+	for i, o := range outs {
+		stderr.Write(o.stderr.Bytes())
+		if o.err != nil {
+			return fail(fmt.Errorf("%s: %w", jobs[i].label, o.err))
+		}
+		if traced {
+			suffix := ""
+			if len(protos) > 1 {
+				suffix = "-" + strings.ToLower(jobs[i].cfg.Protocol.String())
 			}
+			if err := exportTrace(stdout, jobs[i].label, o, filter, *events, *perfetto, suffix); err != nil {
+				return fail(err)
+			}
+		}
+	}
+
+	tw := tabwriter.NewWriter(stdout, 0, 4, 2, ' ', 0)
+	if *csv {
+		fmt.Fprintln(stdout, "app,protocol,cores,maxwired,cycles,instructions,mpki,memstall_frac,wireless_writes,stow,wtos,collision_prob,energy_pj")
+	} else {
+		fmt.Fprintln(tw, "app\tprotocol\tcores\tmaxwired\tcycles\tinstructions\tIPC/core\tMPKI\tmem-stall%\twireless writes\tS->W\tW->S\tcoll.prob\tenergy(uJ)")
+	}
+	for i, o := range outs {
+		j, r := jobs[i], o.res
+		n := uint64(j.cfg.Nodes)
+		if *csv {
+			stall := float64(r.MemStallCycles) / float64(r.Cycles*n)
+			fmt.Fprintf(stdout, "%s,%s,%d,%d,%d,%d,%.3f,%.3f,%d,%d,%d,%.4f,%.0f\n",
+				j.app.Name, j.cfg.Protocol, n, j.cfg.MaxWiredSharers, r.Cycles, r.Retired, r.MPKI(), stall,
+				r.WirelessWrites, r.SToW, r.WToS, r.CollisionProb, r.EnergyPJ)
+		} else {
+			ipc := float64(r.Retired) / float64(r.Cycles) / float64(n)
+			stall := 100 * float64(r.MemStallCycles) / float64(r.Cycles*n)
+			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%.2f\t%.2f\t%.0f%%\t%d\t%d\t%d\t%.2f%%\t%.1f\n",
+				j.app.Name, j.cfg.Protocol, n, j.cfg.MaxWiredSharers, r.Cycles, r.Retired, ipc, r.MPKI(), stall,
+				r.WirelessWrites, r.SToW, r.WToS, 100*r.CollisionProb, r.EnergyPJ/1e6)
+		}
+		if *latency {
+			tw.Flush()
+			fmt.Fprintf(stdout, "  miss latency (cycles): %s\n", r.MissLatency)
 		}
 	}
 	tw.Flush()
+	return 0
+}
+
+// exportTrace prints one traced run's capture counts and span summary
+// and writes the events the filter keeps to each requested export:
+// stdout for path "-", else the file with suffix inserted before its
+// extension.
+func exportTrace(stdout io.Writer, label string, o *outcome, filter obs.Filter, events, perfetto, suffix string) error {
+	all := o.ring.Events()
+	kept := filter.Apply(all)
+	fmt.Fprintf(stdout, "%s: %d cycles, %d events captured (%d dropped), %d after filter\n",
+		label, o.res.Cycles, len(all), o.ring.Dropped(), len(kept))
+	obs.Summarize(obs.BuildSpans(all)).Print(stdout)
+	for _, x := range []struct {
+		path  string
+		write func(io.Writer, []obs.Event) error
+	}{{events, obs.WriteJSONL}, {perfetto, obs.WritePerfetto}} {
+		if x.path == "-" {
+			if err := x.write(stdout, kept); err != nil {
+				return err
+			}
+			continue
+		}
+		if x.path == "" {
+			continue
+		}
+		ext := filepath.Ext(x.path)
+		path := strings.TrimSuffix(x.path, ext) + suffix + ext
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := x.write(f, kept); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", path)
+	}
+	return nil
+}
+
+func parseApps(s string) ([]workload.Profile, error) {
+	if s == "all" {
+		return workload.Apps(), nil
+	}
+	var out []workload.Profile
+	for _, name := range strings.Split(s, ",") {
+		p, ok := workload.ByName(strings.TrimSpace(name))
+		if !ok {
+			return nil, fmt.Errorf("unknown application %q (try -list)", name)
+		}
+		out = append(out, p)
+	}
+	return out, nil
+}
+
+func parseInts(flagName, s string) ([]int, error) {
+	var out []int
+	for _, f := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || v <= 0 {
+			return nil, fmt.Errorf("%s: %q is not a positive integer", flagName, f)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+func parseProtocols(s string) ([]coherence.Protocol, error) {
+	var out []coherence.Protocol
+	for _, f := range strings.Split(s, ",") {
+		switch strings.TrimSpace(f) {
+		case "baseline":
+			out = append(out, coherence.Baseline)
+		case "widir":
+			out = append(out, coherence.WiDir)
+		case "both":
+			out = append(out, coherence.Baseline, coherence.WiDir)
+		default:
+			return nil, fmt.Errorf("unknown protocol %q", f)
+		}
+	}
+	return out, nil
 }
 
 // dumpConfig writes the default machine configuration for the given

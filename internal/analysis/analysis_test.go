@@ -116,7 +116,7 @@ func keys(m map[int]bool) (out []int) {
 	return
 }
 `
-	if got := RunAll(fixture(t, "repro/cmd/widir-sweep", src)); len(got) != 0 {
+	if got := RunAll(fixture(t, "repro/cmd/widirsim", src)); len(got) != 0 {
 		t.Errorf("cmd package should be out of mapiter scope, got %v", got)
 	}
 	if got := RunAll(fixture(t, "repro/internal/mesh", src)); len(got) != 1 {

@@ -151,8 +151,34 @@ func (c *Config) fill() error {
 	if c.MaxWiredSharers == 0 {
 		c.MaxWiredSharers = c.MaxPointers
 	}
-	if c.MaxPointers < 1 || c.MaxWiredSharers > c.MaxPointers {
-		return fmt.Errorf("machine: MaxPointers %d must be positive and at least MaxWiredSharers %d", c.MaxPointers, c.MaxWiredSharers)
+	if c.MaxWiredSharers < 1 || c.MaxWiredSharers > c.MaxPointers {
+		return fmt.Errorf("machine: MaxPointers %d and MaxWiredSharers %d must be positive, with MaxWiredSharers at most MaxPointers", c.MaxPointers, c.MaxWiredSharers)
+	}
+	if c.UpdateCountMax < 0 {
+		return fmt.Errorf("machine: UpdateCountMax %d must not be negative", c.UpdateCountMax)
+	}
+	if c.LLCEntriesPerSlice < 0 {
+		return fmt.Errorf("machine: LLCEntriesPerSlice %d must not be negative", c.LLCEntriesPerSlice)
+	}
+	if c.Protocol != coherence.Baseline && c.Protocol != coherence.WiDir {
+		return fmt.Errorf("machine: unknown protocol %d", c.Protocol)
+	}
+	if c.DirScheme > coherence.DirCV {
+		return fmt.Errorf("machine: unknown directory scheme %d", c.DirScheme)
+	}
+	if c.MAC > wireless.MACToken {
+		return fmt.Errorf("machine: unknown MAC %d", c.MAC)
+	}
+	if c.DirScheme == coherence.DirCV {
+		// The directory defaults the region to 4 nodes; its coarse
+		// vector has one bit per region in a uint64.
+		region := c.CoarseRegion
+		if region == 0 {
+			region = 4
+		}
+		if region < 1 || (c.Nodes+region-1)/region > 64 {
+			return fmt.Errorf("machine: Dir_iCV_r region %d must be positive and cover %d nodes in at most 64 regions", region, c.Nodes)
+		}
 	}
 	if c.MemControllers == 0 {
 		c.MemControllers = 4

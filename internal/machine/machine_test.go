@@ -200,6 +200,14 @@ func TestNewSystemRejectsBadConfig(t *testing.T) {
 		{"Mesh=-4x-4", func(c *Config) { c.MeshW, c.MeshH = -4, -4 }},
 		{"Core.ROBSize=-1", func(c *Config) { c.Core.ROBSize = -1 }},
 		{"Core.IssueWidth=-1", func(c *Config) { c.Core.IssueWidth = -1 }},
+		{"MaxWiredSharers=-1", func(c *Config) { c.MaxWiredSharers = -1 }},
+		{"UpdateCountMax=-1", func(c *Config) { c.UpdateCountMax = -1 }},
+		{"LLCEntriesPerSlice=-1", func(c *Config) { c.LLCEntriesPerSlice = -1 }},
+		{"Protocol=2", func(c *Config) { c.Protocol = 2 }},
+		{"DirScheme=2", func(c *Config) { c.DirScheme = 2 }},
+		{"MAC=2", func(c *Config) { c.MAC = 2 }},
+		{"DirCV/CoarseRegion=-1", func(c *Config) { c.DirScheme, c.CoarseRegion = coherence.DirCV, -1 }},
+		{"DirCV/100 nodes/CoarseRegion=1", func(c *Config) { c.Nodes, c.DirScheme, c.CoarseRegion = 100, coherence.DirCV, 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -210,7 +218,7 @@ func TestNewSystemRejectsBadConfig(t *testing.T) {
 					t.Fatalf("NewSystem panicked: %v", r)
 				}
 			}()
-			if _, err := NewSystem(cfg, workload.Program(prof, 16, 1)); err == nil {
+			if _, err := NewSystem(cfg, workload.Program(prof, cfg.Nodes, 1)); err == nil {
 				t.Fatal("NewSystem accepted the configuration")
 			}
 		})

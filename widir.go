@@ -85,9 +85,9 @@ type TraceEvent = obs.Event
 // TraceSink receives every TraceEvent a traced machine emits. Attach
 // one via Config.Trace before building the system; a nil sink (the
 // default) keeps the simulator on its allocation-free fast path. Set
-// Config.LineLog to additionally stream the legacy single-line
-// protocol dump (the old widirsim -trace-line output) for one cache
-// line.
+// Config.LineLog to additionally stream the single-line protocol dump
+// for one cache line. `widirsim -events/-perfetto` attaches a ring
+// sink this way, and `widirsim -trace-line` sets the line log.
 type TraceSink = obs.Sink
 
 // NewTraceRing returns a bounded in-memory TraceSink holding the most
