@@ -1,11 +1,11 @@
 # Developer entry points for the WiDir reproduction. `make check` is
 # the pre-commit gate: build + vet + determinism lint + protocol-model
-# conformance + shared-state certificate + exhaustive model checking +
-# full test suite + race on the concurrency-bearing packages.
+# conformance + exhaustive model checking + full test suite + race on
+# the concurrency-bearing packages.
 
 GO ?= go
 
-.PHONY: build test race vet lint model mcheck vet-model fuzz-smoke bench bench-json bench-gate serve-smoke clean-cache check
+.PHONY: build test race vet lint model mcheck fuzz-smoke bench bench-json bench-gate serve-smoke clean-cache check
 
 build:
 	$(GO) build ./...
@@ -27,7 +27,8 @@ vet:
 	$(GO) vet ./...
 
 # Static determinism audit (DESIGN.md §10): mapiter, walltime,
-# globalrand, floatorder, gonosync over the whole module.
+# globalrand, floatorder, gonosync, switchcases, protopanic and
+# globalmut over the whole module.
 lint:
 	$(GO) run ./cmd/widir-lint ./...
 
@@ -45,21 +46,16 @@ mcheck:
 	$(GO) run ./cmd/widir-mcheck -check \
 	    -trace mcheck-cex.jsonl -perfetto mcheck-cex.perfetto.json
 
-# Shared-state certificate (DESIGN.md §18): interprocedural effect
-# analysis over the tick path, diffed against the checked-in ledger
-# internal/vet/ledger.widirvet. Fails on unregistered, stale or
-# unclassified state — rerun `go run ./cmd/widir-vet -update` after
-# deliberate state changes and re-classify the TODO entries.
-vet-model:
-	$(GO) run ./cmd/widir-vet -check
-
-# Differential fuzz smoke (DESIGN.md §14): ten seconds of FuzzWheel,
-# which drives the timing wheel under the event queue and the mesh with
+# Fuzz smoke (DESIGN.md §14): ten seconds of FuzzWheel, which drives
+# the timing wheel under the event queue and the mesh with
 # Push/PopDue/Next sequences and checks it against a sorted reference
-# list. The seed corpus under internal/engine/testdata/fuzz runs in
-# `make test` already.
+# list, then five seconds each of the -fault-links parser (FuzzParseLinks)
+# and the .widirspec parser (FuzzParseSpec). The seed corpora under each
+# package's testdata/fuzz run in `make test` already.
 fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWheel$$' -fuzztime 10s
+	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseLinks$$' -fuzztime 5s
+	$(GO) test ./internal/protomodel -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s
 
 # One pass over every evaluation benchmark (reduced workload scale by
 # default; add WIDIR_BENCH_FLAGS="-widir.scale=1.0" for full runs).
@@ -101,4 +97,4 @@ serve-smoke:
 clean-cache:
 	rm -rf widir-cache
 
-check: build vet lint model vet-model mcheck test race serve-smoke
+check: build vet lint model mcheck test race serve-smoke

@@ -6,11 +6,10 @@
 // members silently: it needs every member or a default arm),
 // protopanic (no bare panic in internal/coherence; protocol failures
 // are typed coherence.ProtocolError values reported through
-// Env.ReportProtocolError), globalmut (no unregistered mutable
-// package-level state in sim packages) and tickpure (//vet:pure
-// functions may not write non-receiver state) — printing one
-// file:line:col finding per violation and exiting nonzero when any
-// survive. `make check` and CI both gate on it.
+// Env.ReportProtocolError) and globalmut (no mutable package-level
+// state in sim packages) — printing one file:line:col finding per
+// violation and exiting nonzero when any survive. `make check` and CI
+// both gate on it.
 //
 // Usage:
 //
@@ -30,10 +29,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/analysis"
-	"repro/internal/vet"
 )
 
 func main() {
@@ -67,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "widir-lint:", err)
 		return 2
 	}
-	wireLedger(moduleDir)
 	loader, err := analysis.NewLoader(moduleDir)
 	if err != nil {
 		fmt.Fprintln(stderr, "widir-lint:", err)
@@ -107,17 +103,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// wireLedger points the globalmut rule at the shared-state ledger so
-// a registered global needs no //vet:local annotation. A missing or
-// malformed ledger degrades to "nothing registered" — globalmut then
-// demands annotations, it does not crash the lint run.
-func wireLedger(moduleDir string) {
-	led, err := vet.ParseLedger(filepath.Join(moduleDir, "internal", "vet", "ledger.widirvet"))
-	if err != nil {
-		return
-	}
-	keys := led.GlobalKeys()
-	analysis.LedgerGlobals = func(key string) bool { return keys[key] }
 }

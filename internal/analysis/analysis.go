@@ -1,6 +1,6 @@
 // Package analysis is the simulator's static determinism auditor. It
 // implements a small, stdlib-only analysis engine (go/parser + go/types
-// — no external dependencies) plus the five rules that make the
+// — no external dependencies) plus the eight rules that make the
 // repository's determinism contract machine-checkable:
 //
 //	mapiter     — no range over a map in the deterministic sim packages
@@ -10,14 +10,13 @@
 //	gonosync    — no go statements outside internal/exp's runner
 //	switchcases — no enum switch missing members without a default
 //	protopanic  — no bare panic in internal/coherence (use ProtocolError)
-//	globalmut   — no unregistered mutable package-level state in sim
-//	              packages (ledger.widirvet or //vet:local, DESIGN.md §18)
-//	tickpure    — //vet:pure functions may not write non-receiver state
+//	globalmut   — no mutable package-level state in sim packages
 //
 // The cmd/widir-lint driver runs every analyzer over ./... and exits
 // nonzero on any finding, so `make check` and CI gate on the contract.
 // A site that is deterministic for reasons the analyzers cannot prove
-// (for example a map scan whose result is order-independent) carries a
+// (for example a map scan whose result is order-independent, or a
+// constant name table held in a package-level var) carries a
 // `//lint:deterministic <why>` comment on the flagged line or the line
 // above it; DESIGN.md §10 documents when the escape hatch is
 // acceptable. The engine keeps the hatch honest: a justification
@@ -77,7 +76,6 @@ var Analyzers = []*Analyzer{
 	SwitchCases,
 	ProtoPanic,
 	GlobalMut,
-	TickPure,
 }
 
 // Justification is the escape-hatch comment marker. A finding is

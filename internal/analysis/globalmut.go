@@ -7,29 +7,21 @@ import (
 	"strings"
 )
 
-// LedgerGlobals reports whether a package-level variable (key
-// "<pkgpath>.<name>") is registered in the shared-state ledger
-// (internal/vet/ledger.widirvet). Drivers that know where the ledger
-// lives (cmd/widir-lint, cmd/widir-vet) wire it before running the
-// analyzers; nil means "no ledger available" and every unannotated
-// global in a sim package is a finding.
-var LedgerGlobals func(key string) bool
-
-// GlobalMut: a sim package may not declare mutable package-level state
-// the shared-state certificate does not know about. Every package-level
-// var in a vet-scoped package must either be registered in the ledger
-// or carry a `//vet:local <why>` annotation on its line or the line
-// above — pools, counters and xrand streams hidden in globals are
-// exactly the state that breaks mesh-domain partitioning (DESIGN.md
-// §18). Blank assertions (`var _ Iface = ...`) are ignored.
+// GlobalMut: a sim package may not declare mutable package-level
+// state. Pools, counters and xrand streams hidden in globals leak
+// between the simulations one process runs side by side, so every
+// package-level var in a sim-state package is a finding unless a
+// `//lint:deterministic <why>` comment on its line or the line above
+// records why it is safe (typically a constant table never written
+// after initialization). Blank assertions (`var _ Iface = ...`) are
+// ignored.
 var GlobalMut = &Analyzer{
 	Name: "globalmut",
-	Doc:  "no unregistered mutable package-level state in sim packages",
+	Doc:  "no mutable package-level state in sim packages",
 	Run: func(p *Package) []Finding {
-		if !IsVetScoped(p.Path) {
+		if !IsSimStatePackage(p.Path) {
 			return nil
 		}
-		annotated := vetLocalLines(p)
 		var out []Finding
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
@@ -50,19 +42,11 @@ var GlobalMut = &Analyzer{
 						if obj == nil || obj.Parent() != p.Types.Scope() {
 							continue
 						}
-						pos := p.Fset.Position(name.Pos())
-						if hasLineOrAbove(annotated, pos) {
-							continue
-						}
-						key := p.Path + "." + name.Name
-						if LedgerGlobals != nil && LedgerGlobals(key) {
-							continue
-						}
 						out = append(out, Finding{
-							Rule: "globalmut", Pos: pos,
+							Rule: "globalmut", Pos: p.Fset.Position(name.Pos()),
 							Message: fmt.Sprintf(
-								"package-level var %s is unregistered shared state; register it in the shared-state ledger (widir-vet -update) or annotate the declaration `//vet:local <why>`",
-								name.Name),
+								"package-level var %s is mutable state shared by every simulation in the process; move it into a component or justify the declaration with `%s <why>`",
+								name.Name, Justification),
 						})
 					}
 				}
@@ -72,44 +56,23 @@ var GlobalMut = &Analyzer{
 	},
 }
 
-// vetScopedExtra are sim-adjacent packages outside the determinism
-// list that still hold tick-path state: the seeded RNG streams, the
+// simStateExtra are sim-adjacent packages outside the determinism list
+// that still hold tick-path state: the seeded RNG streams, the
 // address-space mapper, and the facade package re-exporting the
 // controllers.
-var vetScopedExtra = []string{"xrand", "addrspace", "core"}
+var simStateExtra = []string{"xrand", "addrspace", "core"}
 
-// IsVetScoped reports whether the import path is under the
-// shared-state (widir-vet) contract: the deterministic sim packages
-// plus xrand/addrspace/core.
-func IsVetScoped(path string) bool {
+// IsSimStatePackage reports whether the import path is under the
+// globalmut contract: the deterministic sim packages plus
+// xrand/addrspace/core.
+func IsSimStatePackage(path string) bool {
 	if IsDeterministicPackage(path) {
 		return true
 	}
-	for _, p := range vetScopedExtra {
+	for _, p := range simStateExtra {
 		if strings.HasSuffix(path, "internal/"+p) {
 			return true
 		}
 	}
 	return false
-}
-
-// vetLocalLines collects the (file, line) positions of //vet:local
-// comments.
-func vetLocalLines(p *Package) map[lineKey]bool {
-	out := map[lineKey]bool{}
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if strings.HasPrefix(c.Text, "//vet:local ") {
-					pos := p.Fset.Position(c.Pos())
-					out[lineKey{pos.Filename, pos.Line}] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
-func hasLineOrAbove(lines map[lineKey]bool, pos token.Position) bool {
-	return lines[lineKey{pos.Filename, pos.Line}] || lines[lineKey{pos.Filename, pos.Line - 1}]
 }

@@ -140,17 +140,6 @@ func (l *Loader) check(path, dir string, files []*ast.File, cache bool) (*Packag
 			Types: map[ast.Expr]types.TypeAndValue{},
 			Defs:  map[*ast.Ident]types.Object{},
 			Uses:  map[*ast.Ident]types.Object{},
-			// Selections resolve x.f through embedded-struct promotion
-			// (the selection's Index() spells out the embedding path)
-			// and method-value receivers; Instances map each use of a
-			// generic function or type to its concrete type arguments.
-			// Both are required by interprocedural consumers
-			// (internal/vet): without them a call through a
-			// lineTable[V] instantiation or a promoted method resolves
-			// only to the declaration site, not per-instantiation.
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-			Instances:  map[*ast.Ident]types.Instance{},
-			Implicits:  map[ast.Node]types.Object{},
 		},
 	}
 	conf := types.Config{

@@ -1,8 +1,8 @@
-// Shared findings output for the three static-analysis CLIs
-// (widir-lint, widir-model, widir-vet): one text renderer and one JSON
-// encoder, so tooling that consumes findings (CI problem matchers,
-// editors, the artifact uploads) sees a single format regardless of
-// which tool produced them.
+// Shared findings output for the two static-analysis CLIs
+// (widir-lint, widir-model): one text renderer and one JSON encoder,
+// so tooling that consumes findings (CI problem matchers, editors,
+// the artifact uploads) sees a single format regardless of which tool
+// produced them.
 //
 // The CLIs also share one exit-code convention:
 //

@@ -112,7 +112,7 @@ type wirelessWrite struct {
 // completion-latency distribution: L1-adjacent, LLC-local, remote
 // 2-hop, remote 3-hop/contended, and memory-bound misses.
 //
-//vet:local written only at init/config time, read-only during ticks
+//lint:deterministic written only at init/config time, read-only during ticks
 var MissLatencyBins = []int{0, 20, 40, 80, 160, 320}
 
 // L1Stats aggregates the measurements the evaluation reports per core.

@@ -91,7 +91,7 @@ const (
 	MsgMemWrite
 )
 
-//vet:local constant name table, never written after initialization
+//lint:deterministic constant name table, never written after initialization
 var msgNames = [...]string{
 	MsgGetS: "GetS", MsgGetX: "GetX",
 	MsgDataS: "DataS", MsgDataE: "DataE", MsgDataM: "DataM",

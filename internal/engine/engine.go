@@ -58,11 +58,7 @@ func (q *Queue) RunDue(now uint64) int {
 }
 
 // Next returns the cycle of the earliest pending event.
-//
-//vet:pure
 func (q *Queue) Next() (uint64, bool) { return q.w.Next() }
 
 // Len returns the number of pending events.
-//
-//vet:pure
 func (q *Queue) Len() int { return q.w.Len() }

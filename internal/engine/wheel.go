@@ -136,8 +136,6 @@ func (w *Wheel[T]) PopDue(now uint64) (T, bool) {
 }
 
 // Next returns the cycle of the earliest pending item.
-//
-//vet:pure
 func (w *Wheel[T]) Next() (uint64, bool) {
 	at, ok := uint64(0), false
 	if w.wcount > 0 {
@@ -151,8 +149,6 @@ func (w *Wheel[T]) Next() (uint64, bool) {
 
 // firstSlotDistance returns how many cycles past the floor the first
 // non-empty slot lies. The wheel must hold at least one slot item.
-//
-//vet:pure
 func (w *Wheel[T]) firstSlotDistance() uint64 {
 	s := w.cur & wheelMask
 	i := s >> 6
@@ -172,8 +168,6 @@ func (w *Wheel[T]) firstSlotDistance() uint64 {
 }
 
 // Len returns the number of pending items.
-//
-//vet:pure
 func (w *Wheel[T]) Len() int { return w.wcount + len(w.far) }
 
 // popFar removes and returns the minimum far item, keeping the backing

@@ -20,6 +20,7 @@ package fault
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/stats"
@@ -85,6 +86,32 @@ func (c Config) Enabled() bool {
 	return c.WirelessBER > 0 || c.LinkStallPct > 0 || c.LinkDropPct > 0 || c.DirDelayPct > 0
 }
 
+// Validate rejects a configuration no run could honour: every rate
+// must be a finite probability in [0, 1], and every afflicted link
+// must name nodes below nodes, the machine's node count. A link with
+// src == dst is valid: a node's packets to itself cross its router.
+func (c Config) Validate(nodes int) error {
+	for _, r := range []struct {
+		name string
+		p    float64
+	}{
+		{"WirelessBER", c.WirelessBER},
+		{"LinkStallPct", c.LinkStallPct},
+		{"LinkDropPct", c.LinkDropPct},
+		{"DirDelayPct", c.DirDelayPct},
+	} {
+		if !(r.p >= 0 && r.p <= 1) { // also rejects NaN
+			return fmt.Errorf("fault: %s %v must be a probability in [0, 1]", r.name, r.p)
+		}
+	}
+	for _, l := range c.Links {
+		if l.Src < 0 || l.Dst < 0 || l.Src >= nodes || l.Dst >= nodes {
+			return fmt.Errorf("fault: link %v names a node outside the machine's %d nodes", l, nodes)
+		}
+	}
+	return nil
+}
+
 // fill applies the defaults for secondary knobs so a Config that only
 // names a rate is usable as-is.
 func (c Config) fill() Config {
@@ -104,23 +131,38 @@ func (c Config) fill() Config {
 }
 
 // ParseLinks parses a comma-separated "src-dst,src-dst" list (the
-// -fault-links flag syntax) into Links.
+// -fault-links flag syntax) into Links. Each part, trimmed of
+// surrounding space, must be exactly two non-negative decimal node
+// numbers joined by one '-'; anything else, trailing input included,
+// is an error.
 func ParseLinks(s string) ([]Link, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
 	var out []Link
 	for _, part := range strings.Split(s, ",") {
-		var l Link
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d-%d", &l.Src, &l.Dst); err != nil {
-			return nil, fmt.Errorf("fault: bad link %q (want \"src-dst\")", part)
-		}
-		if l.Src < 0 || l.Dst < 0 {
-			return nil, fmt.Errorf("fault: negative node in link %q", part)
+		src, dst, ok := strings.Cut(strings.TrimSpace(part), "-")
+		l := Link{Src: parseNode(src), Dst: parseNode(dst)}
+		if !ok || l.Src < 0 || l.Dst < 0 {
+			return nil, fmt.Errorf("fault: bad link %q (want \"src-dst\" with non-negative node numbers)", part)
 		}
 		out = append(out, l)
 	}
 	return out, nil
+}
+
+// parseNode parses a non-negative decimal node number, returning -1
+// for anything else: an empty string, a sign, a non-digit, or a value
+// that overflows int.
+func parseNode(s string) int {
+	if s == "" || strings.TrimLeft(s, "0123456789") != "" {
+		return -1
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return -1
+	}
+	return n
 }
 
 // Stats counts the faults an Injector actually injected.

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -114,21 +115,64 @@ func TestCorruptionRateRoughlyBER(t *testing.T) {
 }
 
 func TestParseLinks(t *testing.T) {
-	ls, err := ParseLinks(" 0-1, 12-3 ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ls) != 2 || ls[0] != (Link{0, 1}) || ls[1] != (Link{12, 3}) {
-		t.Fatalf("ParseLinks = %v", ls)
-	}
-	if ls, err := ParseLinks(""); err != nil || ls != nil {
-		t.Fatalf("empty spec = %v, %v", ls, err)
-	}
-	for _, bad := range []string{"x", "1:2", "1-", "-1-2"} {
-		if _, err := ParseLinks(bad); err == nil {
-			t.Errorf("ParseLinks(%q) accepted", bad)
+	for _, tc := range []struct {
+		in   string
+		want []Link // nil with ok=false: must be rejected
+		ok   bool
+	}{
+		{" 0-1, 12-3 ", []Link{{0, 1}, {12, 3}}, true},
+		{"", nil, true},
+		{"  ", nil, true},
+		{"7-7", []Link{{7, 7}}, true},
+		{"007-010", []Link{{7, 10}}, true},
+		{"x", nil, false},
+		{"1:2", nil, false},
+		{"1-", nil, false},
+		{"-1-2", nil, false},
+		{"0-1junk", nil, false},
+		{"0-1-2", nil, false},
+		{"0 -1", nil, false},
+		{"+0-1", nil, false},
+		{"0-1,", nil, false},
+		{"0-1,,2-3", nil, false},
+		{"0-99999999999999999999", nil, false},
+	} {
+		got, err := ParseLinks(tc.in)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("ParseLinks(%q) = %v, want error", tc.in, got)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseLinks(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
+}
+
+// FuzzParseLinks: the parser never panics, and an accepted list
+// rendered back through Link.String parses to the same list.
+func FuzzParseLinks(f *testing.F) {
+	for _, s := range []string{"0-1", "", "-1-2"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		ls, err := ParseLinks(s)
+		if err != nil {
+			return
+		}
+		parts := make([]string, len(ls))
+		for i, l := range ls {
+			if l.Src < 0 || l.Dst < 0 {
+				t.Fatalf("ParseLinks(%q) accepted negative link %v", s, l)
+			}
+			parts[i] = l.String()
+		}
+		back, err := ParseLinks(strings.Join(parts, ","))
+		if err != nil || !reflect.DeepEqual(back, ls) {
+			t.Fatalf("round trip of %q: %v -> %q -> %v, %v", s, ls, strings.Join(parts, ","), back, err)
+		}
+	})
 }
 
 func TestDescribe(t *testing.T) {

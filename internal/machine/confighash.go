@@ -26,7 +26,7 @@ import (
 // results, so two runs differing only in attached sinks are the same
 // cached run. Everything else must be encoded.
 //
-//vet:local constant exclusion table, never written after initialization
+//lint:deterministic constant exclusion table, never written after initialization
 var canonicalExcludedFields = map[string]string{
 	"Trace":      "observer sink; tracing does not perturb results (DESIGN.md §11)",
 	"LineLog":    "observer sink; line logging does not perturb results",

@@ -207,6 +207,12 @@ func (c *Config) fill() error {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
+	if c.MessageJitter < 0 {
+		return fmt.Errorf("machine: MessageJitter %d must not be negative", c.MessageJitter)
+	}
+	if err := c.Fault.Validate(c.Nodes); err != nil {
+		return fmt.Errorf("machine: %w", err)
+	}
 	return nil
 }
 
@@ -567,7 +573,7 @@ func (r *Result) WriteMPKI() float64 {
 // Callers (including the exp package's parallel aggregate errors) can
 // detect it with errors.Is.
 //
-//vet:local sentinel error value, never reassigned
+//lint:deterministic sentinel error value, never reassigned
 var ErrWatchdog = errors.New("machine: watchdog timeout")
 
 // never is the horizon sentinel for "no scheduled work".
@@ -605,8 +611,6 @@ func (s *System) tick() bool {
 // %1024 transaction-age check, the %512 checker sweep, MaxCycles+1) so
 // a fast-forwarded run performs those checks on exactly the same
 // cycles a serial run does — error reports stay byte-identical.
-//
-//vet:pure
 func (s *System) horizon() uint64 {
 	h := s.cycle + 1024 - s.cycle%1024 // txn-age watchdog cadence
 	if s.checker != nil {

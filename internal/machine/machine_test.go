@@ -1,10 +1,12 @@
 package machine
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/coherence"
 	"repro/internal/cpu"
+	"repro/internal/fault"
 	"repro/internal/wireless"
 	"repro/internal/workload"
 )
@@ -208,6 +210,17 @@ func TestNewSystemRejectsBadConfig(t *testing.T) {
 		{"MAC=2", func(c *Config) { c.MAC = 2 }},
 		{"DirCV/CoarseRegion=-1", func(c *Config) { c.DirScheme, c.CoarseRegion = coherence.DirCV, -1 }},
 		{"DirCV/100 nodes/CoarseRegion=1", func(c *Config) { c.Nodes, c.DirScheme, c.CoarseRegion = 100, coherence.DirCV, 1 }},
+		{"Fault.WirelessBER=2", func(c *Config) { c.Fault.WirelessBER = 2 }},
+		{"Fault.WirelessBER=-1", func(c *Config) { c.Fault.WirelessBER = -1 }},
+		{"Fault.WirelessBER=NaN", func(c *Config) { c.Fault.WirelessBER = math.NaN() }},
+		{"Fault.LinkStallPct=+Inf", func(c *Config) { c.Fault.LinkStallPct = math.Inf(1) }},
+		{"Fault.LinkDropPct=1.5", func(c *Config) { c.Fault.LinkDropPct = 1.5 }},
+		{"Fault.DirDelayPct=-0.1", func(c *Config) { c.Fault.DirDelayPct = -0.1 }},
+		{"Fault.Links=0-999", func(c *Config) {
+			c.Fault.LinkStallPct, c.Fault.Links = 0.5, []fault.Link{{Src: 0, Dst: 999}}
+		}},
+		{"Fault.Links=16-0", func(c *Config) { c.Fault.Links = []fault.Link{{Src: 16, Dst: 0}} }},
+		{"MessageJitter=-3", func(c *Config) { c.MessageJitter = -3 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -212,16 +212,12 @@ func (m *Mesh) Tick(now uint64) int {
 }
 
 // Pending returns the number of packets still in flight.
-//
-//vet:pure
 func (m *Mesh) Pending() int { return m.inflight.Len() }
 
 // NextEvent returns the earliest cycle > now at which Tick would
 // deliver a packet, or never if nothing is in flight. Arrival
 // reservations are computed at Send time, so the wheel's earliest
 // pending cycle is exact.
-//
-//vet:pure
 func (m *Mesh) NextEvent(now uint64) uint64 {
 	at, ok := m.inflight.Next()
 	if !ok {

@@ -22,7 +22,7 @@ const AllKinds = KindSet(1<<kindCount - 1)
 // kindGroups names coarse event families for CLI filtering. Order is
 // the presentation order of GroupNames.
 //
-//vet:local constant grouping table, never written after initialization
+//lint:deterministic constant grouping table, never written after initialization
 var kindGroups = []struct {
 	name  string
 	kinds []Kind

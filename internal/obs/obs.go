@@ -99,7 +99,7 @@ const (
 	kindCount // number of kinds; keep last
 )
 
-//vet:local constant name table, never written after initialization
+//lint:deterministic constant name table, never written after initialization
 var kindNames = [kindCount]string{
 	EvTxnBegin:     "txn-begin",
 	EvTxnEnd:       "txn-end",
@@ -150,7 +150,7 @@ const (
 	classCount
 )
 
-//vet:local constant name table, never written after initialization
+//lint:deterministic constant name table, never written after initialization
 var classNames = [classCount]string{
 	ClassWiredLoad:     "wired-load",
 	ClassWiredStore:    "wired-store",

@@ -73,14 +73,17 @@ func TestMissingArmFixtureFails(t *testing.T) {
 	}
 }
 
+// malformedSpecs are spec files the parser must reject; FuzzParseSpec
+// seeds from them too.
+var malformedSpecs = []struct{ name, content, wantErr string }{
+	{"bad-arrow", "machine dir\nDI GetS => DO\n", "malformed transition"},
+	{"no-machine", "DI GetS -> DO\n", "before any machine"},
+	{"bad-machine", "machine\n", "malformed machine"},
+}
+
 func TestSpecParserRejectsMalformed(t *testing.T) {
 	dir := t.TempDir()
-	cases := []struct{ name, content, wantErr string }{
-		{"bad-arrow", "machine dir\nDI GetS => DO\n", "malformed transition"},
-		{"no-machine", "DI GetS -> DO\n", "before any machine"},
-		{"bad-machine", "machine\n", "malformed machine"},
-	}
-	for _, c := range cases {
+	for _, c := range malformedSpecs {
 		path := filepath.Join(dir, "x.widirspec")
 		if err := os.WriteFile(path, []byte(c.content), 0o644); err != nil {
 			t.Fatal(err)

@@ -21,8 +21,6 @@ func (c *Counter) Add(d uint64) { c.n += d }
 func (c *Counter) Inc() { c.n++ }
 
 // Value returns the current count.
-//
-//vet:pure
 func (c *Counter) Value() uint64 { return c.n }
 
 // Reset sets the counter back to zero.
@@ -41,8 +39,6 @@ func (m *Mean) Observe(v float64) {
 }
 
 // Value returns the mean of all samples, or 0 if none were observed.
-//
-//vet:pure
 func (m *Mean) Value() float64 {
 	if m.count == 0 {
 		return 0
@@ -51,13 +47,9 @@ func (m *Mean) Value() float64 {
 }
 
 // Sum returns the total of all samples.
-//
-//vet:pure
 func (m *Mean) Sum() float64 { return m.sum }
 
 // Count returns the number of samples.
-//
-//vet:pure
 func (m *Mean) Count() uint64 { return m.count }
 
 // Histogram counts samples into caller-defined integer bins. A sample v
@@ -111,23 +103,15 @@ func (h *Histogram) Observe(v int) {
 }
 
 // Bins returns the number of bins.
-//
-//vet:pure
 func (h *Histogram) Bins() int { return len(h.counts) }
 
 // Count returns the count in bin i.
-//
-//vet:pure
 func (h *Histogram) Count(i int) uint64 { return h.counts[i] }
 
 // Label returns the human-readable range label for bin i.
-//
-//vet:pure
 func (h *Histogram) Label(i int) string { return h.labels[i] }
 
 // Total returns the total number of observed samples.
-//
-//vet:pure
 func (h *Histogram) Total() uint64 {
 	var t uint64
 	for _, c := range h.counts {
@@ -137,8 +121,6 @@ func (h *Histogram) Total() uint64 {
 }
 
 // Fraction returns bin i's share of all samples, or 0 when empty.
-//
-//vet:pure
 func (h *Histogram) Fraction(i int) float64 {
 	t := h.Total()
 	if t == 0 {
@@ -153,8 +135,6 @@ func (h *Histogram) Fraction(i int) float64 {
 // final bin is unbounded above, so samples landing there report the
 // bin's lower edge — a deliberate underestimate that keeps the result
 // finite. An empty histogram reports 0.
-//
-//vet:pure
 func (h *Histogram) Percentile(p float64) float64 {
 	total := h.Total()
 	if total == 0 {
@@ -191,18 +171,12 @@ func (h *Histogram) Percentile(p float64) float64 {
 }
 
 // P50 returns the median estimate.
-//
-//vet:pure
 func (h *Histogram) P50() float64 { return h.Percentile(0.50) }
 
 // P95 returns the 95th-percentile estimate.
-//
-//vet:pure
 func (h *Histogram) P95() float64 { return h.Percentile(0.95) }
 
 // P99 returns the 99th-percentile estimate.
-//
-//vet:pure
 func (h *Histogram) P99() float64 { return h.Percentile(0.99) }
 
 // Merge adds the counts of other (which must have identical edges).
@@ -221,8 +195,6 @@ func (h *Histogram) Merge(other *Histogram) {
 }
 
 // String renders the histogram as "label:percent%" fields.
-//
-//vet:pure
 func (h *Histogram) String() string {
 	var b strings.Builder
 	for i := range h.counts {
@@ -262,16 +234,12 @@ func (b *Breakdown) Add(category string, v float64) {
 }
 
 // Get returns the accumulated value for a category.
-//
-//vet:pure
 func (b *Breakdown) Get(category string) float64 { return b.vals[category] }
 
 // Total returns the sum across all categories. The sum walks the
 // reporting order, not the map: float addition is non-associative, so
 // summing in randomized map order would make the last ulp of the total
 // vary between runs of the same simulation.
-//
-//vet:pure
 func (b *Breakdown) Total() float64 {
 	var t float64
 	for _, c := range b.order {
@@ -281,15 +249,11 @@ func (b *Breakdown) Total() float64 {
 }
 
 // Categories returns the category names in reporting order.
-//
-//vet:pure
 func (b *Breakdown) Categories() []string {
 	return append([]string(nil), b.order...)
 }
 
 // Share returns the category's fraction of the total, or 0 when empty.
-//
-//vet:pure
 func (b *Breakdown) Share(category string) float64 {
 	t := b.Total()
 	if t == 0 {
@@ -312,8 +276,6 @@ func (b *Breakdown) String() string {
 
 // Ratio returns a/b, or 0 when b is 0; a convenience for normalized
 // reporting (WiDir / Baseline).
-//
-//vet:pure
 func Ratio(a, b float64) float64 {
 	if b == 0 {
 		return 0
@@ -325,8 +287,6 @@ func Ratio(a, b float64) float64 {
 // entries; it returns 0 if no positive entries exist. Used for averaging
 // normalized ratios across applications, matching common practice in
 // architecture papers.
-//
-//vet:pure
 func GeoMean(xs []float64) float64 {
 	var logSum float64
 	n := 0
@@ -343,8 +303,6 @@ func GeoMean(xs []float64) float64 {
 }
 
 // ArithMean returns the arithmetic mean of xs (0 for empty input).
-//
-//vet:pure
 func ArithMean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0

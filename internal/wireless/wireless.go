@@ -243,8 +243,6 @@ func (c *Channel) LowerTone() {
 }
 
 // ToneHolds returns the current number of holders.
-//
-//vet:pure
 func (c *Channel) ToneHolds() int { return c.toneHolds }
 
 // WaitToneSilent registers fn to run one tone-latency cycle after the
@@ -268,8 +266,6 @@ func (c *Channel) ActiveOn(l addrspace.Line) bool {
 
 // Idle reports whether the channel has no queued or active work and no
 // tone activity; the machine uses it to skip work.
-//
-//vet:pure
 func (c *Channel) Idle() bool {
 	return c.active == nil && len(c.queue) == 0 && c.toneHolds == 0 && len(c.toneWaiters) == 0
 }
@@ -282,8 +278,6 @@ const never = ^uint64(0)
 // transmission, fire tone waiters, or attempt a transmission start.
 // Statistics for skipped cycles are settled by FastForward. Returns
 // never when the channel cannot make progress without external input.
-//
-//vet:pure
 func (c *Channel) NextWake(now uint64) uint64 {
 	wake := never
 	if c.active != nil {
