@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint model mcheck fuzz-smoke bench bench-json bench-gate serve-smoke clean-cache check
+.PHONY: build test race vet lint model mcheck fuzz-smoke bench-json bench-gate check
 
 build:
 	$(GO) build ./...
@@ -13,15 +13,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The experiment runner fans simulations across goroutines, the
-# machine package owns the results it publishes through it, the mesh,
-# wireless and fault packages carry the shared state those parallel
-# runs tick, widirsim fans its runs through the runner with per-run
-# stderr buffers, and the serve farm layers HTTP handlers, job workers
-# and the queue journal on top; these are the packages where a data
-# race could hide.
+# The experiment runner fans simulations across goroutines and writes
+# the persistent result cache from them, the machine package owns the
+# results it publishes through it, the mesh, wireless and fault
+# packages carry the shared state those parallel runs tick, and
+# widirsim fans its runs through the runner with per-run stderr
+# buffers; these are the packages where a data race could hide.
 race:
-	$(GO) test -race ./internal/exp/ ./internal/machine/ ./internal/mesh/ ./internal/wireless/ ./internal/fault/ ./internal/serve/ ./cmd/widir-serve/ ./cmd/widirsim/
+	$(GO) test -race ./internal/exp/ ./internal/machine/ ./internal/mesh/ ./internal/wireless/ ./internal/fault/ ./cmd/widirsim/
 
 vet:
 	$(GO) vet ./...
@@ -57,12 +56,6 @@ fuzz-smoke:
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseLinks$$' -fuzztime 5s
 	$(GO) test ./internal/protomodel -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s
 
-# One pass over every evaluation benchmark (reduced workload scale by
-# default; add WIDIR_BENCH_FLAGS="-widir.scale=1.0" for full runs).
-# This is the quick smoke; bench-json below is the measured run.
-bench:
-	$(GO) test -bench=. -benchtime=1x $(WIDIR_BENCH_FLAGS)
-
 # Measured perf record (DESIGN.md §14, EXPERIMENTS.md): run the
 # simulator-performance benchmarks at a fixed -benchtime/-count and
 # parse the output into BENCH_<date>.json via cmd/widir-bench. The
@@ -86,15 +79,4 @@ bench-gate:
 	    | $(GO) run ./cmd/widir-bench -date $(BENCH_DATE) -out bench-current.json \
 	          -compare $(BENCH_BASELINE)
 
-# Simulation-farm self-test (DESIGN.md §16): boot widir-serve against
-# a throwaway cache dir, run a tiny sweep, restart over the same dir,
-# and verify the repeat sweep is served entirely from the disk cache
-# (zero re-simulations) with byte-identical results.
-serve-smoke:
-	$(GO) run ./cmd/widir-serve -smoke
-
-# Drop the local farm cache (widir-serve's default -cache location).
-clean-cache:
-	rm -rf widir-cache
-
-check: build vet lint model mcheck test race serve-smoke
+check: build vet lint model mcheck test race

@@ -8,10 +8,16 @@
 //	widir-experiments                    # everything, full scale
 //	widir-experiments -exp fig8 -cores 64
 //	widir-experiments -exp table6 -scale 0.5
+//	widir-experiments -cache results-cache -v   # warm reruns simulate nothing
 //
 // Experiments: motivation, table4, fig5, fig6, fig7, table5, fig8,
-// fig9, fig10, table6, all. Beyond the paper: faultsweep (robustness
-// under injected wireless faults; on demand only, like summary).
+// fig9, fig10, table6, all. On demand only (not part of all): summary
+// (the headline table), faultsweep (robustness under injected wireless
+// faults) and ablations (the design-choice comparisons).
+//
+// Stdout carries only results, so it is byte-identical across runs,
+// -parallel widths and cache states; per-experiment wall times and the
+// -v counters go to stderr.
 package main
 
 import (
@@ -28,7 +34,10 @@ import (
 )
 
 // experiments names every valid -exp value.
-var experiments = []string{"summary", "motivation", "table4", "fig5", "fig6", "fig7", "table5", "fig8", "fig9", "fig10", "table6", "faultsweep", "all"}
+var experiments = []string{"summary", "motivation", "table4", "fig5", "fig6", "fig7", "table5", "fig8", "fig9", "fig10", "table6", "faultsweep", "ablations", "all"}
+
+// onDemand names the experiments "all" skips.
+var onDemand = []string{"summary", "faultsweep", "ablations"}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -43,9 +52,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale    = fs.Float64("scale", 1.0, "workload scale factor")
 		seed     = fs.Uint64("seed", 1, "workload seed")
 		apps     = fs.String("apps", "", "comma-separated application subset (default: all 20)")
-		csv      = fs.Bool("csv", false, "emit machine-readable CSV instead of tables (fig5, fig8, fig10, table6)")
+		csv      = fs.Bool("csv", false, "emit machine-readable CSV instead of tables (fig5, fig8, fig10, table6, faultsweep)")
 		parallel = fs.Int("parallel", 0, "simulation worker-pool width (0 = GOMAXPROCS)")
-		verbose  = fs.Bool("v", false, "report runner memoization counters on stderr when done")
+		cacheDir = fs.String("cache", "", "persistent result cache directory (empty = none); reruns read every simulation from it")
+		verbose  = fs.Bool("v", false, "report runner and cache counters on stderr when done")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -60,22 +70,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// One runner for every experiment: simulations fan out across
-	// *parallel workers, and the memo shares canonical runs between
-	// tables (e.g. -exp all simulates each Baseline app once, not once
-	// per table).
-	o := exp.Options{Cores: *cores, Scale: *scale, Seed: *seed, Runner: exp.NewRunner(*parallel)}
+	// *parallel workers, and the memo shares runs between tables (e.g.
+	// -exp all simulates each Baseline app once, not once per table).
+	// With -cache the memo is backed by disk under the same key.
+	r := exp.NewRunner(*parallel)
+	var cache *exp.Cache
+	if *cacheDir != "" {
+		var err error
+		if cache, err = exp.OpenCache(*cacheDir); err != nil {
+			fmt.Fprintf(stderr, "widir-experiments: %v\n", err)
+			return 1
+		}
+		r.SetCache(cache)
+	}
+	o := exp.Options{Cores: *cores, Scale: *scale, Seed: *seed, Runner: r}
 	if *apps != "" {
 		o.Apps = strings.Split(*apps, ",")
 	}
 
 	failed := false
 	step := func(name string, fn func() error) {
-		// On-demand experiments: summary duplicates the pair runs and
-		// faultsweep is not a paper figure, so "all" skips both.
-		if (name == "summary" || name == "faultsweep") && *which != name {
-			return
-		}
-		if failed || (*which != "all" && *which != name) {
+		// On-demand experiments are not paper figures (or, for
+		// summary, repeat the pair runs), so "all" skips them.
+		selected := *which == name || (*which == "all" && !slices.Contains(onDemand, name))
+		if failed || !selected {
 			return
 		}
 		start := time.Now()
@@ -84,7 +102,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			failed = true
 			return
 		}
-		fmt.Fprintf(stdout, "[%s took %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stderr, "[%s took %v]\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
 	step("summary", func() error {
@@ -105,6 +124,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return nil
 		}
 		exp.PrintFaultSweep(stdout, rows)
+		return nil
+	})
+	step("ablations", func() error {
+		a, err := exp.Ablations(o)
+		if err != nil {
+			return err
+		}
+		exp.PrintAblations(stdout, a)
 		return nil
 	})
 	step("motivation", func() error {
@@ -135,31 +162,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		exp.PrintFig5(stdout, rows)
 		return nil
 	})
-
-	// Figures 6, 7, 8(64) and 9 share one set of pair runs.
-	if !failed && (*which == "all" || *which == "fig6" || *which == "fig7" || *which == "fig9") {
-		step("pairs", func() error { return nil }) // spacing only
-		start := time.Now()
-		rows, err := exp.RunPairs(o)
-		if err != nil {
-			fmt.Fprintf(stderr, "widir-experiments: pairs: %v\n", err)
-			return 1
-		}
-		if *which == "all" || *which == "fig6" {
-			exp.PrintFig6(stdout, exp.Fig6(rows))
-			fmt.Fprintln(stdout)
-		}
-		if *which == "all" || *which == "fig7" {
-			exp.PrintFig7(stdout, exp.Fig7(rows))
-			fmt.Fprintln(stdout)
-		}
-		if *which == "all" || *which == "fig9" {
-			exp.PrintFig9(stdout, exp.Fig9(rows))
-			fmt.Fprintln(stdout)
-		}
-		fmt.Fprintf(stdout, "[fig6/fig7/fig9 pair runs took %v]\n\n", time.Since(start).Round(time.Millisecond))
+	// Figures 6, 7 and 9 share one set of pair runs: the first of them
+	// simulates, the memo serves the others.
+	pairFig := func(name string, print func(rows []exp.AppRow)) {
+		step(name, func() error {
+			rows, err := exp.RunPairs(o)
+			if err != nil {
+				return err
+			}
+			print(rows)
+			return nil
+		})
 	}
-
+	pairFig("fig6", func(rows []exp.AppRow) { exp.PrintFig6(stdout, exp.Fig6(rows)) })
+	pairFig("fig7", func(rows []exp.AppRow) { exp.PrintFig7(stdout, exp.Fig7(rows)) })
+	pairFig("fig9", func(rows []exp.AppRow) { exp.PrintFig9(stdout, exp.Fig9(rows)) })
 	step("table5", func() error {
 		t, err := exp.Table5(o)
 		if err != nil {
@@ -169,7 +186,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return nil
 	})
 	step("fig8", func() error {
-		for _, n := range []int{64, 32, 16} {
+		for i, n := range []int{64, 32, 16} {
 			oo := o
 			oo.Cores = n
 			rows, err := exp.RunPairs(oo)
@@ -180,8 +197,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 				exp.CSVFig8(stdout, n, exp.Fig8(rows))
 				continue
 			}
+			if i > 0 {
+				fmt.Fprintln(stdout)
+			}
 			exp.PrintFig8(stdout, n, exp.Fig8(rows))
-			fmt.Fprintln(stdout)
 		}
 		return nil
 	})
@@ -213,10 +232,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *verbose {
-		// How much the memo actually saved — e.g. -exp all simulates
-		// each canonical run once and serves every other table from
-		// the memo, which this line makes visible.
-		fmt.Fprintf(stderr, "widir-experiments: runner %s\n", o.Runner.Stats())
+		// How much the memo and the cache actually saved: a warm -cache
+		// rerun reports sims=0.
+		fmt.Fprintf(stderr, "widir-experiments: runner %s\n", r.Stats())
+		if cache != nil {
+			fmt.Fprintf(stderr, "widir-experiments: cache %s %s\n", cache.Dir(), cache.Stats())
+		}
 	}
 	return 0
 }

@@ -1,4 +1,4 @@
-// Quickstart: build a 16-core machine, run one application under both
+// Quickstart: build a 64-core machine, run one application under both
 // protocols, and print the headline comparison — the minimal use of the
 // public API.
 package main

@@ -171,27 +171,12 @@ func IsCmdPackage(path string) bool {
 	return strings.HasPrefix(path, "cmd/") || strings.Contains(path, "/cmd/")
 }
 
-// IsServicePackage reports whether the import path is the simulation
-// farm's service layer: internal/serve and its command front-end
-// widir-serve. The service sits OUTSIDE the determinism contract on
-// purpose: it hosts HTTP handlers, worker pools and wall-clock
-// concerns (Retry-After jitter, LRU access stamps) around the
-// deterministic simulator, and never reaches into a running
-// simulation. Simulations it launches still execute single-threaded
-// through the exp runner, so results stay bit-identical — DESIGN.md
-// §16 records the boundary.
-func IsServicePackage(path string) bool {
-	return strings.HasSuffix(path, "internal/serve") ||
-		strings.HasSuffix(path, "cmd/widir-serve")
-}
-
 // IsGoroutineLicensed reports whether the package may spawn goroutines:
-// internal/exp owns the one sanctioned simulation worker pool, and the
-// service layer (internal/serve and the widir-serve command) runs its
-// HTTP server and job workers around it. Everything else — the
-// simulator proper — is single-threaded by contract.
+// internal/exp owns the one sanctioned simulation worker pool.
+// Everything else, the simulator proper, is single-threaded by
+// contract.
 func IsGoroutineLicensed(path string) bool {
-	return strings.HasSuffix(path, "internal/exp") || IsServicePackage(path)
+	return strings.HasSuffix(path, "internal/exp")
 }
 
 // pkgOf resolves the package an identifier qualifies, for selector

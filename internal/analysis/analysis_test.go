@@ -295,6 +295,67 @@ func fanOut(fns []func()) {
 	}
 }
 
+// TestGoNoSyncClusterUnlicensed: the license names internal/exp only.
+// A goroutine in any other package under internal/ — here one named
+// after the retired multi-node layer — is flagged.
+func TestGoNoSyncClusterUnlicensed(t *testing.T) {
+	p := fixture(t, "repro/internal/cluster", `package cluster
+
+func fanout(peers []string, fn func(string)) {
+	for _, p := range peers {
+		go fn(p)
+	}
+}
+`)
+	want(t, RunAll(p), map[int][]string{
+		5: {"gonosync"},
+	})
+}
+
+// TestGoNoSyncCoherenceStillFails: a goroutine smuggled into the
+// protocol controllers — the classic "just parallelize the directory"
+// mistake — must be flagged.
+func TestGoNoSyncCoherenceStillFails(t *testing.T) {
+	p := fixture(t, "repro/internal/coherence", `package coherence
+
+func handleAsync(fn func()) {
+	go fn()
+}
+`)
+	want(t, RunAll(p), map[int][]string{
+		4: {"gonosync"},
+	})
+}
+
+// TestWallTimeExpStillCovered: the experiment layer computes and
+// caches results, so the wall clock must not reach it — its goroutine
+// license does not extend to walltime.
+func TestWallTimeExpStillCovered(t *testing.T) {
+	p := fixture(t, "repro/internal/exp", `package exp
+
+import "time"
+
+func stamp() time.Time { return time.Now() }
+`)
+	want(t, RunAll(p), map[int][]string{
+		5: {"walltime"},
+	})
+}
+
+// TestWallTimeMachineStillCovered: the simulator proper stays under
+// the walltime rule.
+func TestWallTimeMachineStillCovered(t *testing.T) {
+	p := fixture(t, "repro/internal/machine", `package machine
+
+import "time"
+
+func now() int64 { return time.Now().UnixNano() }
+`)
+	want(t, RunAll(p), map[int][]string{
+		5: {"walltime"},
+	})
+}
+
 func TestFindingString(t *testing.T) {
 	p := fixture(t, "repro/internal/mesh", `package mesh
 

@@ -36,8 +36,8 @@ func f() {}
 }
 
 func TestGlobalMutScope(t *testing.T) {
-	// The service layer sits outside the globalmut contract.
-	p := fixture(t, "repro/internal/serve", `package serve
+	// The experiment layer sits outside the globalmut contract.
+	p := fixture(t, "repro/internal/exp", `package exp
 
 var pool []byte
 `)

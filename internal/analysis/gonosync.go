@@ -4,19 +4,17 @@ import (
 	"go/ast"
 )
 
-// GoNoSync flags `go` statements outside the licensed packages. The
+// GoNoSync flags `go` statements outside internal/exp. The
 // simulator's cycle loop is single-threaded by contract — determinism
 // comes from the (cycle, seq) event order, which a stray goroutine
-// would race. internal/exp's runner is licensed to fan whole,
-// independent simulations across goroutines (results reassembled in
-// submission order), and the service layer (internal/serve,
-// cmd/widir-serve) is licensed for its HTTP server and job workers,
-// which never reach inside a running simulation. Everything else —
-// in particular internal/coherence and the rest of the simulator —
-// stays goroutine-free.
+// would race. internal/exp's runner is the one package licensed to fan
+// whole, independent simulations across goroutines (results
+// reassembled in submission order). Everything else — in particular
+// internal/coherence and the rest of the simulator — stays
+// goroutine-free.
 var GoNoSync = &Analyzer{
 	Name: "gonosync",
-	Doc:  "go statement outside internal/exp and the serve layer",
+	Doc:  "go statement outside internal/exp",
 	Run:  runGoNoSync,
 }
 
@@ -31,7 +29,7 @@ func runGoNoSync(p *Package) []Finding {
 				out = append(out, Finding{
 					Rule:    "gonosync",
 					Pos:     p.Fset.Position(gs.Pos()),
-					Message: "go statement outside internal/exp and the serve layer: the sim cycle loop is single-threaded by contract; route parallelism through the exp runner",
+					Message: "go statement outside internal/exp: the sim cycle loop is single-threaded by contract; route parallelism through the exp runner",
 				})
 			}
 			return true

@@ -5,18 +5,15 @@ import (
 	"go/ast"
 )
 
-// WallTime flags reads of the wall clock outside cmd/ and the service
-// layer. The simulator's notion of time is the cycle counter; a
-// time.Now that leaks into sim state, statistics, or control flow
-// makes results depend on host scheduling. Progress reporting in the
-// cmd/ front-ends and the widir-serve service layer (job timestamps,
-// Retry-After arithmetic — internal/serve never touches a running
-// simulation) are the legitimate consumers. internal/exp stays
-// covered: the experiment layer computes results, so wall time must
-// not reach it.
+// WallTime flags reads of the wall clock outside cmd/. The simulator's
+// notion of time is the cycle counter; a time.Now that leaks into sim
+// state, statistics, or control flow makes results depend on host
+// scheduling. Progress reporting in the cmd/ front-ends is the one
+// legitimate consumer. internal/exp stays covered: the experiment
+// layer computes and caches results, so wall time must not reach it.
 var WallTime = &Analyzer{
 	Name: "walltime",
-	Doc:  "wall-clock read (time.Now/time.Since) outside cmd/ and internal/serve",
+	Doc:  "wall-clock read (time.Now/time.Since) outside cmd/",
 	Run:  runWallTime,
 }
 
@@ -29,7 +26,7 @@ var wallClockFuncs = map[string]bool{
 }
 
 func runWallTime(p *Package) []Finding {
-	if IsCmdPackage(p.Path) || IsServicePackage(p.Path) {
+	if IsCmdPackage(p.Path) {
 		return nil
 	}
 	var out []Finding

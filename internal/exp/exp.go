@@ -1,9 +1,8 @@
 // Package exp implements the paper's evaluation: one function per
-// table and figure, each running the required simulations and
-// formatting the same rows or series the paper reports. The
-// cmd/widir-experiments tool and the repository's benchmarks both call
-// into this package, so printed results and benchmark results always
-// agree.
+// table and figure, each running the required simulations through a
+// memoizing Runner (optionally backed by the persistent result Cache)
+// and formatting the same rows or series the paper reports. The
+// cmd/widir-experiments tool is its one front-end.
 package exp
 
 import (
@@ -104,7 +103,7 @@ func RunPairs(o Options) ([]AppRow, error) {
 		if i%2 == 1 {
 			p = coherence.WiDir
 		}
-		return r.Sim(p, o.Cores, apps[i/2], o.Seed)
+		return r.Sim(machine.DefaultConfig(o.Cores, p), apps[i/2], o.Seed)
 	})
 	if err != nil {
 		return nil, err
@@ -125,7 +124,7 @@ func runEach(o Options, p coherence.Protocol) ([]workload.Profile, []*machine.Re
 	}
 	r := o.runner()
 	res, err := Map(r, len(apps), func(i int) (*machine.Result, error) {
-		return r.Sim(p, o.Cores, apps[i], o.Seed)
+		return r.Sim(machine.DefaultConfig(o.Cores, p), apps[i], o.Seed)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -507,7 +506,7 @@ func Fig10(o Options, coreCounts []int) ([]Fig10Point, error) {
 	}
 	r := o.runner()
 	res, err := Map(r, len(jobs), func(i int) (*machine.Result, error) {
-		return r.Sim(jobs[i].protocol, jobs[i].cores, jobs[i].app, o.Seed)
+		return r.Sim(machine.DefaultConfig(jobs[i].cores, jobs[i].protocol), jobs[i].app, o.Seed)
 	})
 	if err != nil {
 		return nil, err
@@ -557,8 +556,9 @@ type Table6Row struct {
 }
 
 // Table6 sweeps the MaxWiredSharers threshold. The Baseline references
-// (memoized, shared with Table IV) and every threshold's WiDir runs go
-// through the pool as one flat batch.
+// (shared with Table IV) and every threshold's WiDir runs go through
+// the pool as one flat batch; the default threshold's runs are the
+// same simulations Fig. 5 memoizes.
 func Table6(o Options, thresholds []int) ([]Table6Row, error) {
 	o.fill()
 	if len(thresholds) == 0 {
@@ -573,7 +573,7 @@ func Table6(o Options, thresholds []int) ([]Table6Row, error) {
 	res, err := Map(r, n*(1+len(thresholds)), func(i int) (*machine.Result, error) {
 		if i < n {
 			// Baseline reference per app (threshold-independent).
-			return r.Sim(coherence.Baseline, o.Cores, apps[i], o.Seed)
+			return r.Sim(machine.DefaultConfig(o.Cores, coherence.Baseline), apps[i], o.Seed)
 		}
 		th := thresholds[(i-n)/n]
 		app := apps[(i-n)%n]
@@ -582,7 +582,7 @@ func Table6(o Options, thresholds []int) ([]Table6Row, error) {
 		if th > cfg.MaxPointers {
 			cfg.MaxPointers = th // the scheme requires i >= MaxWiredSharers
 		}
-		res, err := r.SimConfig(cfg, app, o.Seed)
+		res, err := r.Sim(cfg, app, o.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("th=%d: %w", th, err)
 		}

@@ -49,7 +49,7 @@ func FaultSweep(o Options, bers []float64, fcfg fault.Config) ([]FaultSweepRow, 
 		cfg.EnableChecker = true
 		cfg.Fault = fcfg
 		cfg.Fault.WirelessBER = ber
-		res, err := r.SimConfig(cfg, app, o.Seed)
+		res, err := r.Sim(cfg, app, o.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("BER %g: %w", ber, err)
 		}

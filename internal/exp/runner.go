@@ -7,29 +7,27 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/coherence"
 	"repro/internal/machine"
 	"repro/internal/workload"
 )
 
 // Runner executes independent machine simulations through a bounded
-// worker pool and memoizes canonical results by configuration.
+// worker pool and memoizes their results.
 //
 // Every simulation the evaluation runs is a deterministic function of
-// (protocol, cores, application profile, seed) — an embarrassingly
-// parallel shape — so the runner fans submissions out to
-// Parallelism() workers while Map preserves deterministic output
-// ordering by submission index. Results for the canonical machine
-// configuration (machine.DefaultConfig) are memoized: the Baseline
-// runs behind Table IV, Table V, Fig. 6 and Fig. 7, and the WiDir runs
-// behind Fig. 5 and the motivation measurements, are each simulated
-// once per Runner no matter how many tables ask for them.
+// (machine config, application profile, seed), an embarrassingly
+// parallel shape, so the runner fans submissions out to Parallelism()
+// workers while Map preserves deterministic output ordering by
+// submission index. Results are memoized by content address (simKey):
+// the Baseline runs behind Table IV, Table V, Fig. 6 and Fig. 7, and
+// the WiDir runs behind Fig. 5 and the motivation measurements, are
+// each simulated once per Runner no matter how many tables ask for
+// them.
 //
-// The in-process memo can be backed by a persistent ResultCache
-// (SetCache): on a memo miss the cache is consulted before simulating,
-// and fresh results are written through, so a long-lived process — the
-// widir-serve simulation farm — never re-simulates a canonical run any
-// prior process already paid for.
+// The memo can be backed by a persistent Cache (SetCache) under the
+// same key: on a memo miss the cache is consulted before simulating,
+// and fresh results are written through, so a later process never
+// re-simulates a run an earlier one already paid for.
 //
 // Memoized *machine.Result values are shared between callers and must
 // be treated as immutable.
@@ -37,10 +35,10 @@ type Runner struct {
 	parallel int
 	sem      chan struct{}
 
-	cache ResultCache
+	cache *Cache
 
 	mu   sync.Mutex
-	memo map[RunKey]*memoCell
+	memo map[string]*memoCell
 
 	sims          atomic.Uint64
 	memoHits      atomic.Uint64
@@ -49,62 +47,13 @@ type Runner struct {
 	cacheFills    atomic.Uint64
 }
 
-// RunKey identifies one canonical simulation: machine.DefaultConfig
-// (Cores, Protocol) driving workload.Program(App, Cores, Seed). The
-// full workload profile participates (not just the application name)
-// so scaled variants — Options.Scale, Fig. 10's strong-scaling
-// division — never collide. It is exported so persistent caches
-// (internal/serve) can key storage by the same identity the memo uses.
-type RunKey struct {
-	Protocol coherence.Protocol
-	Cores    int
-	App      workload.Profile
-	Seed     uint64
-}
-
-// ResultCache is a persistent result store consulted on memo misses
-// and written through after fresh simulations. Implementations must be
-// safe for concurrent use; Get must only return results that were
-// stored for exactly the same key (the serve cache guarantees this by
-// content-addressing entries with the canonical config+profile hash).
-// Returned results are shared and must be treated as immutable.
-type ResultCache interface {
-	Get(k RunKey) (*machine.Result, bool)
-	Put(k RunKey, res *machine.Result)
-}
-
-// Source says where a simulation result came from.
-type Source uint8
-
-const (
-	// SourceSim is a freshly executed simulation.
-	SourceSim Source = iota
-	// SourceMemo is a hit in the runner's in-process memo (including
-	// joining a duplicate already in flight).
-	SourceMemo
-	// SourceCache is a hit in the persistent ResultCache.
-	SourceCache
-)
-
-// String names the source for stats output and job reports.
-func (s Source) String() string {
-	switch s {
-	case SourceMemo:
-		return "memo"
-	case SourceCache:
-		return "cache"
-	default:
-		return "sim"
-	}
-}
-
 // RunnerStats is a snapshot of the runner's memoization counters.
 type RunnerStats struct {
-	Sims          uint64 `json:"sims"`           // simulations actually executed
-	MemoHits      uint64 `json:"memo_hits"`      // served from a completed memo cell
-	InflightJoins uint64 `json:"inflight_joins"` // waited on a duplicate in flight
-	CacheHits     uint64 `json:"cache_hits"`     // served from the persistent cache
-	CacheFills    uint64 `json:"cache_fills"`    // fresh results written through
+	Sims          uint64 // simulations actually executed
+	MemoHits      uint64 // served from a completed memo cell
+	InflightJoins uint64 // waited on a duplicate in flight
+	CacheHits     uint64 // served from the persistent cache
+	CacheFills    uint64 // fresh results written through
 }
 
 // String renders the counters in the verbose-output form.
@@ -120,7 +69,6 @@ type memoCell struct {
 	settled atomic.Bool // set after once.Do completes (hit/join split)
 	res     *machine.Result
 	err     error
-	src     Source // how the cell was filled: SourceSim or SourceCache
 }
 
 // NewRunner builds a runner with the given worker-pool width.
@@ -133,7 +81,7 @@ func NewRunner(parallel int) *Runner {
 	return &Runner{
 		parallel: parallel,
 		sem:      make(chan struct{}, parallel),
-		memo:     make(map[RunKey]*memoCell),
+		memo:     make(map[string]*memoCell),
 	}
 }
 
@@ -143,7 +91,7 @@ func (r *Runner) Parallelism() int { return r.parallel }
 // SetCache attaches a persistent result cache. Call before submitting
 // work; the cache is consulted on every memo miss and filled after
 // every fresh simulation.
-func (r *Runner) SetCache(c ResultCache) { r.cache = c }
+func (r *Runner) SetCache(c *Cache) { r.cache = c }
 
 // Stats snapshots the memoization counters.
 func (r *Runner) Stats() RunnerStats {
@@ -156,31 +104,32 @@ func (r *Runner) Stats() RunnerStats {
 	}
 }
 
-// Reset drops every memoized result (for long-lived processes that
-// want to bound the cache between invocations). Counters persist; they
-// describe the runner's lifetime, not the current memo population.
-func (r *Runner) Reset() {
-	r.mu.Lock()
-	r.memo = make(map[RunKey]*memoCell)
-	r.mu.Unlock()
+// errObserved rejects configs carrying observer hooks: the hooks are
+// not part of the result key, so a memoized or cached result would
+// silently skip them.
+var errObserved = errors.New("exp: Runner.Sim takes no observer hooks (Trace, LineLog, Core.Trace); build a machine.System for a traced run")
+
+// Sim runs (or recalls) one simulation: cfg driving
+// workload.Program(app, cfg.Nodes, seed). Results are memoized in
+// process and, with SetCache, on disk, both under simKey(cfg, app,
+// seed). Errors carry the app/protocol context and wrap the underlying
+// cause, so errors.Is sees through them (e.g. to machine.ErrWatchdog).
+func (r *Runner) Sim(cfg machine.Config, app workload.Profile, seed uint64) (*machine.Result, error) {
+	res, err := r.sim(cfg, app, seed)
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", app.Name, cfg.Protocol, err)
+	}
+	return res, nil
 }
 
-// Sim runs (or recalls) the canonical simulation for an application
-// profile: machine.DefaultConfig(cores, p) driving
-// workload.Program(app, cores, seed). Errors carry the app/protocol
-// context and wrap the underlying cause, so errors.Is sees through
-// them (e.g. to machine.ErrWatchdog).
-func (r *Runner) Sim(p coherence.Protocol, cores int, app workload.Profile, seed uint64) (*machine.Result, error) {
-	res, _, err := r.SimSource(p, cores, app, seed)
-	return res, err
-}
-
-// SimSource is Sim plus provenance: whether the result came from a
-// fresh simulation, the in-process memo, or the persistent cache. The
-// simulation farm reports this per run so a cached sweep is visibly
-// cached.
-func (r *Runner) SimSource(p coherence.Protocol, cores int, app workload.Profile, seed uint64) (*machine.Result, Source, error) {
-	key := RunKey{Protocol: p, Cores: cores, App: app, Seed: seed}
+func (r *Runner) sim(cfg machine.Config, app workload.Profile, seed uint64) (*machine.Result, error) {
+	if cfg.Trace != nil || cfg.LineLog != nil || cfg.Core.Trace != nil {
+		return nil, errObserved
+	}
+	key, err := simKey(cfg, app, seed)
+	if err != nil {
+		return nil, err
+	}
 	r.mu.Lock()
 	cell := r.memo[key]
 	created := cell == nil
@@ -200,39 +149,19 @@ func (r *Runner) SimSource(p coherence.Protocol, cores int, app workload.Profile
 		defer cell.settled.Store(true)
 		if r.cache != nil {
 			if res, ok := r.cache.Get(key); ok {
-				cell.res, cell.src = res, SourceCache
+				cell.res = res
 				r.cacheHits.Add(1)
 				return
 			}
 		}
 		r.sims.Add(1)
-		cfg := machine.DefaultConfig(cores, p)
 		cell.res, cell.err = simulate(cfg, app, seed)
-		cell.src = SourceSim
-		if r.cache != nil && cell.err == nil {
-			r.cache.Put(key, cell.res)
+		// Best effort: a failed fill only costs a later re-simulation.
+		if r.cache != nil && cell.err == nil && r.cache.Put(key, cell.res) == nil {
 			r.cacheFills.Add(1)
 		}
 	})
-	if cell.err != nil {
-		return nil, cell.src, fmt.Errorf("%s/%s: %w", app.Name, p, cell.err)
-	}
-	src := cell.src
-	if !created {
-		src = SourceMemo
-	}
-	return cell.res, src, nil
-}
-
-// SimConfig runs an uncached simulation with a custom machine
-// configuration (threshold sweeps, non-default machine parameters). The config's
-// node count sizes the program; errors carry app/protocol context.
-func (r *Runner) SimConfig(cfg machine.Config, app workload.Profile, seed uint64) (*machine.Result, error) {
-	res, err := simulate(cfg, app, seed)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", app.Name, cfg.Protocol, err)
-	}
-	return res, nil
+	return cell.res, cell.err
 }
 
 func simulate(cfg machine.Config, app workload.Profile, seed uint64) (*machine.Result, error) {

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/coherence"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -58,11 +58,12 @@ func TestRunnerMemoization(t *testing.T) {
 	app, _ := workload.ByName("radiosity")
 	app = app.Scale(0.05)
 
-	a, err := r.Sim(coherence.Baseline, 16, app, 1)
+	cfg := machine.DefaultConfig(16, coherence.Baseline)
+	a, err := r.Sim(cfg, app, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Sim(coherence.Baseline, 16, app, 1)
+	b, err := r.Sim(cfg, app, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestRunnerMemoization(t *testing.T) {
 
 	// A different scale must not collide: the profile participates in
 	// the key, not just the app name.
-	c, err := r.Sim(coherence.Baseline, 16, app.Scale(0.5), 1)
+	c, err := r.Sim(cfg, app.Scale(0.5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestWatchdogSurfacesThroughAggregate(t *testing.T) {
 	_, err := Map(r, 2, func(i int) (*machine.Result, error) {
 		cfg := machine.DefaultConfig(16, coherence.WiDir)
 		cfg.MaxCycles = 10 // far too few: the watchdog must trip
-		return r.SimConfig(cfg, app, 1)
+		return r.Sim(cfg, app, 1)
 	})
 	if err == nil {
 		t.Fatal("starved run did not fail")
@@ -146,52 +147,10 @@ func TestWatchdogSurfacesThroughAggregate(t *testing.T) {
 	}
 }
 
-// TestRunnerReset drops the memo.
-func TestRunnerReset(t *testing.T) {
-	r := NewRunner(1)
-	app, _ := workload.ByName("radiosity")
-	app = app.Scale(0.05)
-	if _, err := r.Sim(coherence.WiDir, 16, app, 1); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.memo) == 0 {
-		t.Fatal("memo empty after Sim")
-	}
-	r.Reset()
-	if len(r.memo) != 0 {
-		t.Fatal("memo survived Reset")
-	}
-}
-
-// memCache is an in-memory ResultCache for hook tests.
-type memCache struct {
-	mu   sync.Mutex
-	m    map[RunKey]*machine.Result
-	gets int
-	puts int
-}
-
-func newMemCache() *memCache { return &memCache{m: map[RunKey]*machine.Result{}} }
-
-func (c *memCache) Get(k RunKey) (*machine.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gets++
-	res, ok := c.m[k]
-	return res, ok
-}
-
-func (c *memCache) Put(k RunKey, res *machine.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.puts++
-	c.m[k] = res
-}
-
 // TestRunnerStatsRepeatedSweep pins the memoization counters on a
 // repeated sweep: the first pass simulates every (protocol, app) pair,
-// the second is served entirely from the memo — the hit/miss counters
-// the /stats endpoint and -v output surface must say exactly that.
+// the second is served entirely from the memo, and the counters the
+// widir-experiments -v output surfaces must say exactly that.
 func TestRunnerStatsRepeatedSweep(t *testing.T) {
 	o := tinyOpts()
 	o.Runner = NewRunner(4)
@@ -219,52 +178,68 @@ func TestRunnerStatsRepeatedSweep(t *testing.T) {
 }
 
 // TestRunnerCacheHook verifies the persistent-cache hook: a second
-// runner sharing the first's cache serves every run from it — zero
-// simulations — and returns results DeepEqual to the originals, with
-// SimSource reporting the provenance.
+// runner over the first's cache directory (a restarted process) serves
+// every run from disk, with zero simulations, and returns results
+// DeepEqual to the originals. Custom configs are cached like default
+// ones.
 func TestRunnerCacheHook(t *testing.T) {
 	app, _ := workload.ByName("radiosity")
 	app = app.Scale(0.05)
-	cache := newMemCache()
+	cfg := machine.DefaultConfig(16, coherence.WiDir)
+	cfg.MaxWiredSharers = 4
+	cfg.MaxPointers = 4
+	dir := t.TempDir()
 
-	r1 := NewRunner(1)
-	r1.SetCache(cache)
-	orig, src, err := r1.SimSource(coherence.WiDir, 16, app, 1)
+	open := func() *Runner {
+		c, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner(1)
+		r.SetCache(c)
+		return r
+	}
+	r1 := open()
+	orig, err := r1.Sim(cfg, app, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != SourceSim {
-		t.Fatalf("first run source = %v, want sim", src)
-	}
-	st := r1.Stats()
-	if st.Sims != 1 || st.CacheFills != 1 {
+	if st := r1.Stats(); st.Sims != 1 || st.CacheFills != 1 {
 		t.Fatalf("first runner stats = %v, want 1 sim / 1 fill", st)
 	}
-
 	// Same runner again: memo, not cache.
-	_, src, err = r1.SimSource(coherence.WiDir, 16, app, 1)
-	if err != nil {
+	if _, err := r1.Sim(cfg, app, 1); err != nil {
 		t.Fatal(err)
 	}
-	if src != SourceMemo {
-		t.Fatalf("repeat source = %v, want memo", src)
+	if st := r1.Stats(); st.MemoHits != 1 || st.CacheHits != 0 {
+		t.Fatalf("repeat stats = %v, want 1 memo hit / 0 cache hits", st)
 	}
 
-	// Fresh runner (a restarted process): served from the cache.
-	r2 := NewRunner(1)
-	r2.SetCache(cache)
-	res, src, err := r2.SimSource(coherence.WiDir, 16, app, 1)
+	r2 := open()
+	res, err := r2.Sim(cfg, app, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if src != SourceCache {
-		t.Fatalf("restarted source = %v, want cache", src)
 	}
 	if !reflect.DeepEqual(res, orig) {
 		t.Fatal("cached result differs from the original simulation")
 	}
-	st = r2.Stats()
-	if st.Sims != 0 || st.CacheHits != 1 {
+	if st := r2.Stats(); st.Sims != 0 || st.CacheHits != 1 {
 		t.Fatalf("restarted runner stats = %v, want 0 sims / 1 cache hit", st)
+	}
+}
+
+// TestRunnerRejectsObserverHooks: observer hooks are not part of the
+// result key, so a traced config must not be memoized or cached (its
+// sink would silently receive nothing on a hit).
+func TestRunnerRejectsObserverHooks(t *testing.T) {
+	app, _ := workload.ByName("radiosity")
+	cfg := machine.DefaultConfig(16, coherence.WiDir)
+	cfg.Trace = obs.NewRingSink(16)
+	r := NewRunner(1)
+	if _, err := r.Sim(cfg, app.Scale(0.05), 1); !errors.Is(err, errObserved) {
+		t.Fatalf("err = %v, want errObserved", err)
+	}
+	if st := r.Stats(); st.Sims != 0 {
+		t.Fatalf("traced config simulated: %v", st)
 	}
 }

@@ -1,8 +1,8 @@
-// Canonical configuration hashing. The simulation-farm service
-// (internal/serve) keys its persistent run cache by a deterministic
-// hash of the machine configuration; two processes — or two releases —
-// that build the same Config must derive the same key, and any change
-// to a semantically meaningful field must change it. That rules out
+// Canonical configuration encoding. The experiment runner
+// (internal/exp) keys its result memo and persistent cache by a
+// deterministic hash over this encoding; two processes — or two
+// releases — that build the same Config must derive the same key, and
+// any change to a semantically meaningful field must change it. That rules out
 // reflection- or JSON-based hashing (field tags, float formatting and
 // struct evolution would all shift bytes silently), so the encoder
 // below names every field explicitly. TestConfigCanonicalCoversAllFields
@@ -134,8 +134,7 @@ func (c Config) CanonicalString() (string, error) {
 }
 
 // ConfigHash returns the canonical configuration hash: the hex SHA-256
-// of CanonicalString. It is the machine component of the simulation
-// farm's content-addressed cache key.
+// of CanonicalString.
 func (c Config) ConfigHash() (string, error) {
 	s, err := c.CanonicalString()
 	if err != nil {

@@ -1,10 +1,9 @@
-// JSON round-trips for the measurement types. The simulation-farm
-// service (internal/serve) persists machine.Result values in its
-// content-addressed run cache, and a cached result must re-encode to
-// the exact bytes of a fresh run's encoding — so both marshalers emit
-// a canonical form with no map iteration: ordered parallel arrays,
-// fixed field order, and encoding/json's shortest-round-trip float
-// formatting.
+// JSON round-trips for the measurement types. The experiment runner's
+// persistent result cache (internal/exp) stores machine.Result values
+// as JSON, and a cached result must re-encode to the exact bytes of a
+// fresh run's encoding — so both marshalers emit a canonical form with
+// no map iteration: ordered parallel arrays, fixed field order, and
+// encoding/json's shortest-round-trip float formatting.
 package stats
 
 import (

@@ -15,8 +15,7 @@
 //	res, err := widir.Run(cfg, app, 1)
 //
 // The experiment harness that regenerates every table and figure of
-// the paper's evaluation lives in cmd/widir-experiments; the same
-// computations back this repository's benchmarks.
+// the paper's evaluation lives in cmd/widir-experiments.
 package widir
 
 import (
