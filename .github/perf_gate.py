@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Paired perfbench gate: the head commit against its base, on one host.
+
+    python3 .github/perf_gate.py
+
+The base is HEAD^: on a pull-request build HEAD is the merge commit and
+HEAD^ the base branch tip, on a push it is the previous commit. The base
+is checked out into a temporary git worktree. For each workload in
+BENCHMARK.json the script runs
+
+    python3 perfbench/run.py --workload W --seed 1 --seconds 1
+
+in the order base, head, head, base, so a drift in host speed lands on
+both sides. It exits 1 if a head run reports correct: false, if the head
+fails more ops than the base, or if the head's median run_s exceeds the
+base's by more than run_s's bound in BENCHMARK.json.
+"""
+
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+HEAD = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def perfbench(tree, workload):
+    """Runs one perfbench pass in tree and returns its JSON result."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1"]
+    p = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = p.stdout.strip().splitlines()
+    if p.returncode != 0 or not lines or not lines[-1].startswith("{"):
+        sys.stderr.write(p.stdout + p.stderr)
+        raise SystemExit(f"perf gate: perfbench {workload} failed in {tree} (exit {p.returncode})")
+    return json.loads(lines[-1])
+
+
+def main():
+    with open(os.path.join(HEAD, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    bound = next(m["bound"] for m in bench["end_to_end"] if m["name"] == "run_s")
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        base = os.path.join(tmp, "base")
+        subprocess.run(["git", "worktree", "add", "--detach", base, "HEAD^"], cwd=HEAD, check=True)
+        try:
+            for w in (wl["name"] for wl in bench["workloads"]):
+                runs = {base: [], HEAD: []}
+                for tree in (base, HEAD, HEAD, base):
+                    runs[tree].append(perfbench(tree, w))
+                b, h = runs[base], runs[HEAD]
+                b_run = statistics.median(r["metrics"]["run_s"]["value"] for r in b)
+                h_run = statistics.median(r["metrics"]["run_s"]["value"] for r in h)
+                b_failed = sum(r["failed"] for r in b)
+                h_failed = sum(r["failed"] for r in h)
+                change = h_run / b_run - 1
+                print(f"{w:12} run_s base {b_run:.3f} s, head {h_run:.3f} s ({change:+.1%}, bound +{bound:.0%}); "
+                      f"failed ops base {b_failed}, head {h_failed}", flush=True)
+                if not all(r["correct"] for r in h):
+                    failures.append(f"{w}: head reports correct: false")
+                if h_failed > b_failed:
+                    failures.append(f"{w}: head fails {h_failed} ops, base {b_failed}")
+                if change > bound:
+                    failures.append(f"{w}: head run_s is {change:+.1%} over base, bound +{bound:.0%}")
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", base], cwd=HEAD)
+    for f in failures:
+        print("perf gate: FAIL", f)
+    if failures:
+        return 1
+    print("perf gate: passed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

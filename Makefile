@@ -1,11 +1,13 @@
 # Developer entry points for the WiDir reproduction. `make check` is
 # the pre-commit gate: build + vet + determinism lint + protocol-model
-# conformance + exhaustive model checking + full test suite + race on
-# the concurrency-bearing packages.
+# conformance + exhaustive model checking + full test suite (which
+# holds the allocation budgets, DESIGN.md §14) + race on the
+# concurrency-bearing packages. Simulator speed is measured by
+# perfbench (BENCHMARK.json); CI gates it with .github/perf_gate.py.
 
 GO ?= go
 
-.PHONY: build test race vet lint model mcheck fuzz-smoke bench-json bench-gate check
+.PHONY: build test race vet lint model mcheck fuzz-smoke check
 
 build:
 	$(GO) build ./...
@@ -48,35 +50,14 @@ mcheck:
 # Fuzz smoke (DESIGN.md §14): ten seconds of FuzzWheel, which drives
 # the timing wheel under the event queue and the mesh with
 # Push/PopDue/Next sequences and checks it against a sorted reference
-# list, then five seconds each of the -fault-links parser (FuzzParseLinks)
-# and the .widirspec parser (FuzzParseSpec). The seed corpora under each
-# package's testdata/fuzz run in `make test` already.
+# list, then five seconds each of the -fault-links parser (FuzzParseLinks),
+# the .widirspec parser (FuzzParseSpec) and the result cache's entry
+# decoding (FuzzCacheGet). The seed corpora under each package's
+# testdata/fuzz run in `make test` already.
 fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWheel$$' -fuzztime 10s
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseLinks$$' -fuzztime 5s
 	$(GO) test ./internal/protomodel -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s
-
-# Measured perf record (DESIGN.md §14, EXPERIMENTS.md): run the
-# simulator-performance benchmarks at a fixed -benchtime/-count and
-# parse the output into BENCH_<date>.json via cmd/widir-bench. The
-# date is injected here because the tool itself never reads the clock
-# (walltime determinism lint).
-PERF_BENCH = BenchmarkMachineCycle$$|BenchmarkMachineCycleTracingOff|BenchmarkSimFastForward
-BENCH_DATE = $(shell date +%F)
-bench-json:
-	$(GO) test ./internal/machine -run '^$$' -bench '$(PERF_BENCH)' \
-	    -benchtime 1s -count 3 -benchmem \
-	    | $(GO) run ./cmd/widir-bench -date $(BENCH_DATE) -out BENCH_$(BENCH_DATE).json
-	@echo wrote BENCH_$(BENCH_DATE).json
-
-# Regression gate: rerun the measured benchmarks and compare against
-# the checked-in baseline record. Fails on >15% ns/op regression or
-# any allocs/op increase. CI runs this on every push.
-BENCH_BASELINE = BENCH_2026-08-08.json
-bench-gate:
-	$(GO) test ./internal/machine -run '^$$' -bench '$(PERF_BENCH)' \
-	    -benchtime 1s -count 3 -benchmem \
-	    | $(GO) run ./cmd/widir-bench -date $(BENCH_DATE) -out bench-current.json \
-	          -compare $(BENCH_BASELINE)
+	$(GO) test ./internal/exp -run '^$$' -fuzz '^FuzzCacheGet$$' -fuzztime 5s
 
 check: build vet lint model mcheck test race

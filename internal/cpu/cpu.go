@@ -77,7 +77,10 @@ func DefaultConfig() Config {
 	return Config{IssueWidth: 4, ROBSize: 180, LoadQueue: 64, WriteBuffer: 64}
 }
 
-func (c *Config) fill() {
+// Fill sets every zero field to its Table III default. It is the one
+// copy of the core defaults: machine.Config's normalization calls it,
+// so a sparse and a spelled-out config resolve to the same machine.
+func (c *Config) Fill() {
 	if c.IssueWidth == 0 {
 		c.IssueWidth = 4
 	}
@@ -193,7 +196,7 @@ type Core struct {
 // New builds a core reading instructions from src and accessing memory
 // through mem.
 func New(id int, cfg Config, src InstrSource, mem MemPort) *Core {
-	cfg.fill()
+	cfg.Fill()
 	c := &Core{
 		id:       id,
 		cfg:      cfg,

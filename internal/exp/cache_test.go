@@ -246,3 +246,45 @@ func TestCacheReapsCrashStaging(t *testing.T) {
 		t.Fatalf("TmpReaped = %d, want 1", got)
 	}
 }
+
+// FuzzCacheGet feeds arbitrary bytes to Get as an entry's manifest.
+// Get must never panic: it either reports a miss counted as corrupt,
+// or returns a Result that re-encodes and decodes to the same value.
+// The seed corpus holds a real entry and a truncated one.
+func FuzzCacheGet(f *testing.F) {
+	const key = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+	// One cache per fuzz process: each input overwrites the same entry,
+	// which keeps an exec to a few file operations.
+	c, err := OpenCache(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	dir := c.dirFor(key)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.MkdirAll(dir, 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "entry.json"), data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		before := c.Stats()
+		res, ok := c.Get(key)
+		if !ok {
+			if st := c.Stats(); st.Misses != before.Misses+1 || st.Corrupt != before.Corrupt+1 {
+				t.Fatalf("a rejected entry must count as one corrupt miss: %v -> %v", before, st)
+			}
+			return
+		}
+		raw, err := json.Marshal(res)
+		if err != nil {
+			t.Fatalf("accepted entry does not re-encode: %v", err)
+		}
+		var back machine.Result
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatalf("re-encoded entry does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(&back, res) {
+			t.Fatal("accepted entry changes value across a re-encode")
+		}
+	})
+}

@@ -13,9 +13,6 @@
 package machine
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -133,17 +130,6 @@ func (c Config) CanonicalString() (string, error) {
 	return e.b.String(), nil
 }
 
-// ConfigHash returns the canonical configuration hash: the hex SHA-256
-// of CanonicalString.
-func (c Config) ConfigHash() (string, error) {
-	s, err := c.CanonicalString()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:]), nil
-}
-
 // canonicalFieldPaths returns every field path the canonical encoder
 // consumes, for the reflection coverage guard.
 func canonicalFieldPaths() []string {
@@ -151,15 +137,4 @@ func canonicalFieldPaths() []string {
 	var c Config
 	appendCanonical(&e, &c)
 	return e.paths
-}
-
-// MustConfigHash is ConfigHash for configurations already known valid
-// (panics otherwise); a convenience for callers holding a config that
-// built a System.
-func (c Config) MustConfigHash() string {
-	h, err := c.ConfigHash()
-	if err != nil {
-		panic(fmt.Sprintf("machine: MustConfigHash on invalid config: %v", err))
-	}
-	return h
 }

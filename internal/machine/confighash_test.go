@@ -71,33 +71,39 @@ func TestConfigCanonicalCoversAllFields(t *testing.T) {
 	}
 }
 
+// canonical is CanonicalString for configurations known to be valid.
+func canonical(t *testing.T, c Config) string {
+	t.Helper()
+	s, err := c.CanonicalString()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestConfigHashNormalizes: configurations that describe the same
+// machine share a canonical string, and so a result key.
 func TestConfigHashNormalizes(t *testing.T) {
-	// A sparse config and its filled form are the same machine, so
-	// they must share a hash.
 	sparse := Config{Nodes: 16, Protocol: coherence.WiDir}
 	filled, err := sparse.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, err := sparse.ConfigHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := filled.ConfigHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 {
-		t.Fatalf("sparse hash %s != normalized hash %s", h1, h2)
-	}
-	if len(h1) != 64 {
-		t.Fatalf("hash %q is not hex sha256", h1)
+	for _, tc := range []struct {
+		name string
+		a, b Config
+	}{
+		{"sparse vs its normalized form", sparse, filled},
+		{"sparse vs DefaultConfig", sparse, DefaultConfig(16, coherence.WiDir)},
+	} {
+		if a, b := canonical(t, tc.a), canonical(t, tc.b); a != b {
+			t.Errorf("%s: canonical strings differ:\n%s\nvs\n%s", tc.name, a, b)
+		}
 	}
 }
 
 func TestConfigHashSeparates(t *testing.T) {
-	base := DefaultConfig(64, coherence.WiDir)
-	h0 := base.MustConfigHash()
+	base := canonical(t, DefaultConfig(64, coherence.WiDir))
 
 	mutations := []func(*Config){
 		func(c *Config) { c.Protocol = coherence.Baseline },
@@ -112,8 +118,8 @@ func TestConfigHashSeparates(t *testing.T) {
 	for i, mut := range mutations {
 		c := DefaultConfig(64, coherence.WiDir)
 		mut(&c)
-		if h := c.MustConfigHash(); h == h0 {
-			t.Errorf("mutation %d did not change the hash", i)
+		if canonical(t, c) == base {
+			t.Errorf("mutation %d did not change the canonical string", i)
 		}
 	}
 }
@@ -122,8 +128,8 @@ func TestConfigHashIgnoresObserverHooks(t *testing.T) {
 	a := DefaultConfig(16, coherence.WiDir)
 	b := a
 	b.LineLog = nil // observers excluded; attach nothing distinguishable
-	if a.MustConfigHash() != b.MustConfigHash() {
-		t.Fatal("identical configs hash differently")
+	if canonical(t, a) != canonical(t, b) {
+		t.Fatal("identical configs encode differently")
 	}
 }
 

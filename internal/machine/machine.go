@@ -124,6 +124,7 @@ func (c *Config) fill() error {
 		return fmt.Errorf("machine: core widths and queue sizes %d/%d/%d/%d must not be negative",
 			k.IssueWidth, k.ROBSize, k.LoadQueue, k.WriteBuffer)
 	}
+	c.Core.Fill()
 	if c.L1SizeBytes == 0 {
 		c.L1SizeBytes = 64 << 10
 	}

@@ -171,39 +171,3 @@ func TestTraceCoversSchema(t *testing.T) {
 		t.Error("no wireless request spans stitched")
 	}
 }
-
-// BenchmarkMachineCycleTracingOff is BenchmarkMachineCycle's guard
-// twin: the identical Step(1) loop on a system whose Trace is nil.
-// Compare its ns/op and allocs/op against BenchmarkMachineCycle to
-// measure what the disabled instrumentation branches cost (the
-// contract is: nothing beyond the nil checks).
-func BenchmarkMachineCycleTracingOff(b *testing.B) {
-	prof, _ := workload.ByName("barnes")
-	prof = prof.Scale(0.1)
-	build := func() *System {
-		cfg := DefaultConfig(16, coherence.WiDir)
-		cfg.Trace = nil // explicit: the disabled path under test
-		sys, err := NewSystem(cfg, workload.Program(prof, 16, 11))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return sys
-	}
-	sys := build()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sys.running == 0 {
-			b.StopTimer()
-			sys = build()
-			b.StartTimer()
-		}
-		sys.Step(1)
-		sys.running = 0
-		for _, c := range sys.cores {
-			if !c.Done() {
-				sys.running++
-			}
-		}
-	}
-}

@@ -7,31 +7,10 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkSimThroughput measures simulator performance itself: one
-// full-scale 64-core WiDir run of barnes per iteration. Useful for
-// tracking regressions in the cycle loop, not for paper results.
-func BenchmarkSimThroughput(b *testing.B) {
-	prof, _ := workload.ByName("barnes")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig(64, coherence.WiDir)
-		sys, err := NewSystem(cfg, workload.Program(prof, 64, 11))
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := sys.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(r.Cycles), "sim-cycles")
-	}
-}
-
 // BenchmarkMachineCycle measures the per-cycle cost of the machine
 // loop in isolation — one Step(1) per iteration on a live 16-core
 // WiDir system. With -benchmem this is the per-cycle allocation
-// budget; the event queue, mesh and directory hot paths are expected
-// to keep it near zero allocations once warm.
+// count that TestSteadyStateCycleAllocBudget bounds.
 func BenchmarkMachineCycle(b *testing.B) {
 	prof, _ := workload.ByName("barnes")
 	prof = prof.Scale(0.1)
@@ -71,6 +50,7 @@ func BenchmarkMachineCycle(b *testing.B) {
 // machine jumps the resulting quiescent stretches. One full 16-core
 // WiDir run per iteration, construction off the clock; divide ns/op
 // by sim-cycles for the effective per-simulated-cycle cost.
+// TestSimFastForwardAllocBudget bounds its allocs/op.
 func BenchmarkSimFastForward(b *testing.B) {
 	prof, _ := workload.ByName("barnes")
 	prof = prof.Scale(0.05)

@@ -3,6 +3,6 @@
 package machine
 
 // raceEnabled reports whether the race detector instruments this
-// build; the allocation-census test skips under it because the race
+// build; the allocation tests skip under it because the race
 // runtime's own bookkeeping allocates nondeterministically.
 const raceEnabled = true
