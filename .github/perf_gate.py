@@ -12,8 +12,9 @@ BENCHMARK.json the script runs
 
 in the order base, head, head, base, so a drift in host speed lands on
 both sides. It exits 1 if a head run reports correct: false, if the head
-fails more ops than the base, or if the head's median run_s exceeds the
-base's by more than run_s's bound in BENCHMARK.json.
+fails more ops than the base, or if the head's median run_s or median
+peak_rss_mb exceeds the base's by more than that metric's bound in
+BENCHMARK.json.
 """
 
 import json
@@ -24,6 +25,9 @@ import sys
 import tempfile
 
 HEAD = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The end-to-end metrics the gate holds, with the unit it prints.
+GATED = (("run_s", "s"), ("peak_rss_mb", "MB"))
 
 
 def perfbench(tree, workload):
@@ -40,7 +44,7 @@ def perfbench(tree, workload):
 def main():
     with open(os.path.join(HEAD, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    bound = next(m["bound"] for m in bench["end_to_end"] if m["name"] == "run_s")
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "base")
@@ -51,19 +55,22 @@ def main():
                 for tree in (base, HEAD, HEAD, base):
                     runs[tree].append(perfbench(tree, w))
                 b, h = runs[base], runs[HEAD]
-                b_run = statistics.median(r["metrics"]["run_s"]["value"] for r in b)
-                h_run = statistics.median(r["metrics"]["run_s"]["value"] for r in h)
+                line = [f"{w:12}"]
+                for metric, unit in GATED:
+                    b_med = statistics.median(r["metrics"][metric]["value"] for r in b)
+                    h_med = statistics.median(r["metrics"][metric]["value"] for r in h)
+                    change, bound = h_med / b_med - 1, bounds[metric]
+                    line.append(f"{metric} base {b_med:.3f} {unit}, head {h_med:.3f} {unit} "
+                                f"({change:+.1%}, bound +{bound:.0%});")
+                    if change > bound:
+                        failures.append(f"{w}: head {metric} is {change:+.1%} over base, bound +{bound:.0%}")
                 b_failed = sum(r["failed"] for r in b)
                 h_failed = sum(r["failed"] for r in h)
-                change = h_run / b_run - 1
-                print(f"{w:12} run_s base {b_run:.3f} s, head {h_run:.3f} s ({change:+.1%}, bound +{bound:.0%}); "
-                      f"failed ops base {b_failed}, head {h_failed}", flush=True)
+                print(" ".join(line), f"failed ops base {b_failed}, head {h_failed}", flush=True)
                 if not all(r["correct"] for r in h):
                     failures.append(f"{w}: head reports correct: false")
                 if h_failed > b_failed:
                     failures.append(f"{w}: head fails {h_failed} ops, base {b_failed}")
-                if change > bound:
-                    failures.append(f"{w}: head run_s is {change:+.1%} over base, bound +{bound:.0%}")
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", base], cwd=HEAD)
     for f in failures:

@@ -53,11 +53,13 @@ mcheck:
 # list, then five seconds each of the -fault-links parser (FuzzParseLinks),
 # the .widirspec parser (FuzzParseSpec) and the result cache's entry
 # decoding (FuzzCacheGet). The seed corpora under each package's
-# testdata/fuzz run in `make test` already.
+# testdata/fuzz run in `make test` already. -fuzzminimizetime caps the
+# minimization of each new input at 100 runs: Go's 60 s default spends
+# a short window minimizing instead of fuzzing.
 fuzz-smoke:
-	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWheel$$' -fuzztime 10s
-	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseLinks$$' -fuzztime 5s
-	$(GO) test ./internal/protomodel -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s
-	$(GO) test ./internal/exp -run '^$$' -fuzz '^FuzzCacheGet$$' -fuzztime 5s
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWheel$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseLinks$$' -fuzztime 5s -fuzzminimizetime 100x
+	$(GO) test ./internal/protomodel -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s -fuzzminimizetime 100x
+	$(GO) test ./internal/exp -run '^$$' -fuzz '^FuzzCacheGet$$' -fuzztime 5s -fuzzminimizetime 100x
 
 check: build vet lint model mcheck test race

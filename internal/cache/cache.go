@@ -86,6 +86,7 @@ func (c Config) Sets() int {
 type Cache struct {
 	sets  int
 	ways  int
+	mask  uint64 // sets-1 when sets is a power of two, else 0
 	lines []Line // sets*ways, set-major
 	clock uint64 // LRU stamp source
 
@@ -98,11 +99,15 @@ type Cache struct {
 // New builds an empty cache from the configuration.
 func New(cfg Config) *Cache {
 	sets := cfg.Sets()
-	return &Cache{
+	c := &Cache{
 		sets:  sets,
 		ways:  cfg.Ways,
 		lines: make([]Line, sets*cfg.Ways),
 	}
+	if sets&(sets-1) == 0 {
+		c.mask = uint64(sets) - 1
+	}
+	return c
 }
 
 // Sets returns the set count.
@@ -111,7 +116,14 @@ func (c *Cache) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
+// setIndex maps a line to its set. Every shipped geometry has a
+// power-of-two set count, which takes the mask; other geometries that
+// Validate accepts take the division. A one-set cache has mask 0 and
+// so takes the division too, which is also 0.
 func (c *Cache) setIndex(l addrspace.Line) int {
+	if c.mask != 0 {
+		return int(uint64(l) & c.mask)
+	}
 	return int(uint64(l) % uint64(c.sets))
 }
 

@@ -203,3 +203,24 @@ func TestResidencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSetIndexMatchesModulo checks the two set-index paths (mask for
+// power-of-two set counts, division otherwise) against line % sets.
+func TestSetIndexMatchesModulo(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 64 << 10, Ways: 2},                // Table III L1: 512 sets
+		{SizeBytes: 8 * addrspace.LineSize, Ways: 2},  // 4 sets
+		{SizeBytes: 2 * addrspace.LineSize, Ways: 2},  // 1 set
+		{SizeBytes: 6 * addrspace.LineSize, Ways: 2},  // 3 sets
+		{SizeBytes: 12 * addrspace.LineSize, Ways: 1}, // 12 sets
+		{SizeBytes: 20 * addrspace.LineSize, Ways: 4}, // 5 sets
+	} {
+		c := New(cfg)
+		sets := uint64(cfg.Sets())
+		for _, l := range []addrspace.Line{0, 1, 2, 3, 7, 511, 512, 513, 0x40007, 0x80000, 1<<40 + 5, ^addrspace.Line(0)} {
+			if got, want := c.setIndex(l), int(uint64(l)%sets); got != want {
+				t.Errorf("%+v: setIndex(%#x) = %d, want %d", cfg, l, got, want)
+			}
+		}
+	}
+}

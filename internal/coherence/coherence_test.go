@@ -67,13 +67,18 @@ func newMockEnv(nodes int) *mockEnv {
 
 func (e *mockEnv) Now() uint64 { return e.now }
 
-func (e *mockEnv) SendWired(src, dst int, port PortKind, m *Msg) {
-	e.wired = append(e.wired, wiredMsg{dst: dst, port: port, m: m})
+func (e *mockEnv) SendWired(src, dst int, port PortKind, m Msg) {
+	e.wired = append(e.wired, wiredMsg{dst: dst, port: port, m: &m})
 }
 
-func (e *mockEnv) TransmitWireless(sender int, line addrspace.Line, payload any, privileged bool, done func(uint64), abort func(uint64, bool)) func() bool {
-	return e.wchan.Transmit(wireless.Message{Sender: sender, Line: line, Payload: payload, Privileged: privileged}, done, abort)
+// FreeMsg leaves freed messages to the garbage collector: the mock
+// does not recycle them.
+func (e *mockEnv) FreeMsg(*Msg) {}
+
+func (e *mockEnv) TransmitWireless(sender int, line addrspace.Line, payload any, privileged bool, cb TxCallback) uint64 {
+	return e.wchan.Transmit(wireless.Message{Sender: sender, Line: line, Payload: payload, Privileged: privileged}, cb)
 }
+func (e *mockEnv) CancelWireless(tx uint64) bool { return e.wchan.Cancel(tx) }
 
 func (e *mockEnv) WirelessActive(l addrspace.Line) bool { return e.wchan.ActiveOn(l) }
 func (e *mockEnv) Jam(l addrspace.Line, owner int)      { e.wchan.Jam(l, owner) }
@@ -81,9 +86,8 @@ func (e *mockEnv) Unjam(l addrspace.Line, owner int)    { e.wchan.Unjam(l, owner
 func (e *mockEnv) RaiseTone()                           { e.wchan.RaiseTone() }
 func (e *mockEnv) LowerTone()                           { e.wchan.LowerTone() }
 func (e *mockEnv) WaitToneSilent(fn func(uint64))       { e.wchan.WaitToneSilent(fn) }
-func (e *mockEnv) After(d uint64, fn func(uint64))      { e.events.At(e.now+d, fn) }
 func (e *mockEnv) AfterRunner(d uint64, r engine.Runner) {
-	e.events.AtRunner(e.now+d, r)
+	e.events.At(e.now+d, r)
 }
 func (e *mockEnv) HomeOf(l addrspace.Line) int { return int(uint64(l) % uint64(e.nodes)) }
 func (e *mockEnv) MCOf(l addrspace.Line) int   { return 0 }

@@ -59,8 +59,8 @@ type txn struct {
 	acksLeft  int
 	ackIDs    []int
 	jammed    bool
-	cancelTx  func() bool // withdraws a still-queued wireless broadcast
-	started   uint64      // cycle the transaction began (age watchdog)
+	cancelTx  uint64 // handle of a wireless broadcast to withdraw if still queued
+	started   uint64 // cycle the transaction began (age watchdog)
 }
 
 // DirEntry is one directory entry co-located with its LLC line. The
@@ -80,7 +80,7 @@ type DirEntry struct {
 	HasData      bool // LLC copy valid
 	Dirty        bool // LLC copy newer than memory
 	busy         *txn
-	deferred     []*Msg // puts/acks queued while busy
+	deferred     []*Msg // puts queued while busy; the entry owns them
 	lru          uint64
 	faultFails   int // consecutive failed wireless broadcasts (W demotion)
 
@@ -205,8 +205,11 @@ type HomeCtrl struct {
 	entries lineTable[*DirEntry]
 	// entryFree recycles dead directory entries (with their Sharers and
 	// deferred scratch arrays), so steady-state allocate/evict churn
-	// stops hitting the allocator.
+	// stops hitting the allocator; txnFree and reqFree do the same for
+	// transaction records and request runners.
 	entryFree []*DirEntry
+	txnFree   []*txn
+	reqFree   []*requestRunner
 	lruTick   uint64
 
 	// Memory backing store: the golden contents of lines not resident in
@@ -325,19 +328,7 @@ func (h *HomeCtrl) fail(line addrspace.Line, format string, args ...any) {
 // the age watchdog and Diagnose, or ok=false when quiet. Selection is
 // min-by (started, line), which no map order can perturb.
 func (h *HomeCtrl) OldestTxn() (TxnInfo, bool) {
-	var best *DirEntry
-	// Min-by the unique (started, line) key; forEach order cannot
-	// perturb the winner.
-	h.entries.forEach(func(_ addrspace.Line, e *DirEntry) bool {
-		if !e.Busy() {
-			return true
-		}
-		if best == nil || e.busy.started < best.busy.started ||
-			(e.busy.started == best.busy.started && e.Line < best.Line) {
-			best = e
-		}
-		return true
-	})
+	best := h.oldestBusy()
 	if best == nil {
 		return TxnInfo{}, false
 	}
@@ -365,6 +356,33 @@ func (h *HomeCtrl) OldestTxn() (TxnInfo, bool) {
 		// downgrade is still discovering; there is no node set to report.
 	}
 	return info, true
+}
+
+// OldestStart returns the start cycle of this slice's oldest in-flight
+// transaction without building its TxnInfo (the age watchdog's
+// allocation-free pre-check), or ok=false when quiet.
+func (h *HomeCtrl) OldestStart() (uint64, bool) {
+	if e := h.oldestBusy(); e != nil {
+		return e.busy.started, true
+	}
+	return 0, false
+}
+
+// oldestBusy returns the busy entry with the least (started, line), or
+// nil; forEach order cannot perturb the winner.
+func (h *HomeCtrl) oldestBusy() *DirEntry {
+	var best *DirEntry
+	h.entries.forEach(func(_ addrspace.Line, e *DirEntry) bool {
+		if !e.Busy() {
+			return true
+		}
+		if best == nil || e.busy.started < best.busy.started ||
+			(e.busy.started == best.busy.started && e.Line < best.Line) {
+			best = e
+		}
+		return true
+	})
+	return best
 }
 
 // NoteWirelessFault records one failed wireless broadcast concerning a
@@ -456,8 +474,10 @@ func (m *MemoryImage) Dump() string {
 	return b.String()
 }
 
-// HandleWired dispatches a wired message delivered to this home.
-func (h *HomeCtrl) HandleWired(now uint64, m *Msg) {
+// HandleWired dispatches a wired message delivered to this home. It
+// reports whether the home kept m (see Env); a kept message is freed
+// with Env.FreeMsg by whichever path finishes with it.
+func (h *HomeCtrl) HandleWired(now uint64, m *Msg) (kept bool) {
 	switch m.Type {
 	case MsgGetS, MsgGetX:
 		// The request pays the local LLC bank latency before the
@@ -466,9 +486,10 @@ func (h *HomeCtrl) HandleWired(now uint64, m *Msg) {
 		if h.cfg.FaultDirDelay != nil {
 			delay += h.cfg.FaultDirDelay()
 		}
-		h.env.After(delay, func(now uint64) { h.processRequest(now, m) })
+		h.env.AfterRunner(delay, h.later(m, true))
+		return true
 	case MsgPutS, MsgPutE, MsgPutM, MsgPutW:
-		h.processOrDefer(m)
+		return h.processOrDefer(m)
 	case MsgInvAck, MsgCopyBack, MsgXferAck, MsgRecallAck, MsgWirUpgrAck, MsgWirDwgrAck:
 		h.processAck(m)
 	case MsgMemData:
@@ -476,14 +497,74 @@ func (h *HomeCtrl) HandleWired(now uint64, m *Msg) {
 	default:
 		h.fail(m.Line, "home cannot handle %v from %d", m.Type, m.Src)
 	}
+	return false
 }
+
+// requestRunner hands a kept request back to the directory later:
+// after the LLC bank latency on arrival (first), or one cycle later
+// while a wireless transmission for its line is on the air. Runners
+// are pooled, and each frees its request unless the directory kept it
+// again.
+type requestRunner struct {
+	h     *HomeCtrl
+	m     *Msg
+	first bool
+}
+
+// Run implements engine.Runner.
+func (r *requestRunner) Run(now uint64) {
+	h, m, first := r.h, r.m, r.first
+	r.m = nil
+	h.reqFree = append(h.reqFree, r)
+	var kept bool
+	if first {
+		kept = h.processRequest(now, m)
+	} else {
+		kept = h.reprocess(now, m)
+	}
+	if !kept {
+		h.env.FreeMsg(m)
+	}
+}
+
+// later takes a request runner from the free list.
+func (h *HomeCtrl) later(m *Msg, first bool) *requestRunner {
+	var r *requestRunner
+	if n := len(h.reqFree); n > 0 {
+		r = h.reqFree[n-1]
+		h.reqFree = h.reqFree[:n-1]
+	} else {
+		r = &requestRunner{h: h}
+	}
+	r.m, r.first = m, first
+	return r
+}
+
+// newTxn starts a transaction record, reusing a finished one (and its
+// ackIDs array) when the free list has one. t holds the fields to set.
+func (h *HomeCtrl) newTxn(t txn) *txn {
+	t.started = h.env.Now()
+	var p *txn
+	if n := len(h.txnFree); n > 0 {
+		p = h.txnFree[n-1]
+		h.txnFree = h.txnFree[:n-1]
+		t.ackIDs = p.ackIDs[:0]
+	} else {
+		p = new(txn)
+	}
+	*p = t
+	return p
+}
+
+// freeTxn recycles a transaction record its entry no longer points to.
+func (h *HomeCtrl) freeTxn(t *txn) { h.txnFree = append(h.txnFree, t) }
 
 func (h *HomeCtrl) touch(e *DirEntry) {
 	h.lruTick++
 	e.lru = h.lruTick
 }
 
-func (h *HomeCtrl) send(dst int, port PortKind, m *Msg) {
+func (h *HomeCtrl) send(dst int, port PortKind, m Msg) {
 	m.Src = h.id
 	h.env.SendWired(h.id, dst, port, m)
 }
@@ -495,37 +576,38 @@ func (h *HomeCtrl) nack(m *Msg) {
 			Node: int32(h.id), Other: int32(m.Src), Line: m.Line, B: m.ReqID})
 	}
 	h.Stats.NACKs.Inc()
-	h.send(m.Src, PortL1, &Msg{Type: MsgNACK, Line: m.Line, ReqID: m.ReqID})
+	h.send(m.Src, PortL1, Msg{Type: MsgNACK, Line: m.Line, ReqID: m.ReqID})
 }
 
-// processRequest handles GetS/GetX after the LLC tag latency.
-func (h *HomeCtrl) processRequest(now uint64, m *Msg) {
+// processRequest handles GetS/GetX after the LLC tag latency. It
+// reports whether the request was kept for later (see reprocess).
+func (h *HomeCtrl) processRequest(now uint64, m *Msg) (kept bool) {
 	if m.Type == MsgGetS {
 		h.Stats.GetS.Inc()
 	} else {
 		h.Stats.GetX.Inc()
 	}
 	h.Stats.LLCAccesses.Inc()
-	h.reprocess(now, m)
+	return h.reprocess(now, m)
 }
 
 // reprocess re-dispatches a request without recounting it (used when a
-// request defers past an in-flight wireless transmission).
-func (h *HomeCtrl) reprocess(now uint64, m *Msg) {
-
+// request defers past an in-flight wireless transmission). It reports
+// whether the request was kept: deferred again, to run one cycle on.
+func (h *HomeCtrl) reprocess(now uint64, m *Msg) (kept bool) {
 	h.tracef(h.env.Now(), m.Line, "home %d: %v from %d (isSharer=%v)", h.id, m.Type, m.Src, m.IsSharer)
 	e := h.Entry(m.Line)
 	if e == nil {
 		e = h.allocate(m)
 		if e == nil {
 			h.nack(m) // capacity eviction in progress; bounce
-			return
+			return false
 		}
 	}
 	h.touch(e)
 	if e.Busy() {
 		h.nack(m)
-		return
+		return false
 	}
 
 	switch e.State {
@@ -536,8 +618,9 @@ func (h *HomeCtrl) reprocess(now uint64, m *Msg) {
 	case DirOwned:
 		h.serveOwned(e, m)
 	case DirWireless:
-		h.serveWireless(e, m)
+		return h.serveWireless(e, m)
 	}
+	return false
 }
 
 // allocate creates a fresh entry, evicting a victim when the slice is
@@ -570,10 +653,13 @@ func (h *HomeCtrl) allocate(m *Msg) *DirEntry {
 // removed it from the table first; reuse bumps the generation stamp.
 func (h *HomeCtrl) releaseEntry(e *DirEntry) {
 	for i := range e.deferred {
-		e.deferred[i] = nil // drop message references for the GC
+		e.deferred[i] = nil
 	}
 	e.deferred = e.deferred[:0]
-	e.busy = nil
+	if e.busy != nil {
+		h.freeTxn(e.busy)
+		e.busy = nil
+	}
 	h.entryFree = append(h.entryFree, e)
 }
 
@@ -611,7 +697,7 @@ func (h *HomeCtrl) evictVictim() bool {
 		return true
 	case DirShared:
 		// Invalidate all sharers, then drop.
-		t := &txn{kind: txEvict, started: h.env.Now()}
+		t := h.newTxn(txn{kind: txEvict})
 		victim.busy = t
 		t.acksLeft = h.sendInvalidations(victim, -1)
 		if t.acksLeft == 0 {
@@ -619,13 +705,13 @@ func (h *HomeCtrl) evictVictim() bool {
 		}
 		return true
 	case DirOwned:
-		t := &txn{kind: txEvict, acksLeft: 1, started: h.env.Now()}
+		t := h.newTxn(txn{kind: txEvict, acksLeft: 1})
 		victim.busy = t
-		h.send(victim.Owner, PortL1, &Msg{Type: MsgRecall, Line: victim.Line})
+		h.send(victim.Owner, PortL1, Msg{Type: MsgRecall, Line: victim.Line})
 		return true
 	case DirWireless:
 		// Table II W->I: broadcast WirInv; write back if dirty.
-		t := &txn{kind: txEvict, started: h.env.Now()}
+		t := h.newTxn(txn{kind: txEvict})
 		victim.busy = t
 		h.Stats.WirInvs.Inc()
 		if h.cfg.Trace != nil {
@@ -634,7 +720,7 @@ func (h *HomeCtrl) evictVictim() bool {
 				A: uint64(victim.SharerCount)})
 		}
 		h.env.TransmitWireless(h.id, victim.Line, WirInv{Line: victim.Line, Home: h.id}, true,
-			func(now uint64) { h.finishEvict(victim) }, nil)
+			txDone(func(now uint64) { h.finishEvict(victim) }))
 		return true
 	}
 	return false
@@ -644,9 +730,12 @@ func (h *HomeCtrl) finishEvict(e *DirEntry) {
 	h.writebackIfDirty(e)
 	h.entries.del(e.Line)
 	// Deferred puts for a dropped entry are acked leniently.
-	for _, m := range e.deferred {
+	for i, m := range e.deferred {
 		h.ackPut(m)
+		h.env.FreeMsg(m)
+		e.deferred[i] = nil
 	}
+	e.deferred = e.deferred[:0]
 	h.releaseEntry(e)
 }
 
@@ -658,7 +747,7 @@ func (h *HomeCtrl) writebackIfDirty(e *DirEntry) {
 	if h.Memory != nil {
 		h.Memory.WriteLine(e.Line, e.Words)
 	}
-	h.send(h.env.MCOf(e.Line), PortMC, &Msg{
+	h.send(h.env.MCOf(e.Line), PortMC, Msg{
 		Type: MsgMemWrite, Line: e.Line, HasData: true, Words: e.Words,
 	})
 	e.Dirty = false
@@ -668,9 +757,9 @@ func (h *HomeCtrl) writebackIfDirty(e *DirEntry) {
 // a read with no other sharers.
 func (h *HomeCtrl) serveUncached(e *DirEntry, m *Msg) {
 	if !e.HasData {
-		e.busy = &txn{kind: txFetchMem, requester: m.Src, reqType: m.Type, reqID: m.ReqID, started: h.env.Now()}
+		e.busy = h.newTxn(txn{kind: txFetchMem, requester: m.Src, reqType: m.Type, reqID: m.ReqID})
 		h.Stats.MemReads.Inc()
-		h.send(h.env.MCOf(e.Line), PortMC, &Msg{Type: MsgMemRead, Line: e.Line, Requester: h.id})
+		h.send(h.env.MCOf(e.Line), PortMC, Msg{Type: MsgMemRead, Line: e.Line, Requester: h.id})
 		return
 	}
 	h.grantFromLLC(e, m.Src, m.Type, m.ReqID)
@@ -681,12 +770,12 @@ func (h *HomeCtrl) grantFromLLC(e *DirEntry, requester int, reqType MsgType, req
 		e.State = DirOwned // MESI: clean-exclusive grant
 		e.Owner = requester
 		e.OwnerDirty = false
-		h.send(requester, PortL1, &Msg{Type: MsgDataE, Line: e.Line, ReqID: reqID, HasData: true, Words: e.Words})
+		h.send(requester, PortL1, Msg{Type: MsgDataE, Line: e.Line, ReqID: reqID, HasData: true, Words: e.Words})
 	} else {
 		e.State = DirOwned
 		e.Owner = requester
 		e.OwnerDirty = true
-		h.send(requester, PortL1, &Msg{Type: MsgDataM, Line: e.Line, ReqID: reqID, HasData: true, Words: e.Words})
+		h.send(requester, PortL1, Msg{Type: MsgDataM, Line: e.Line, ReqID: reqID, HasData: true, Words: e.Words})
 	}
 }
 
@@ -704,8 +793,10 @@ func (h *HomeCtrl) serveShared(e *DirEntry, m *Msg) {
 			return
 		}
 		h.addSharer(e, m.Src)
-		h.tracef(h.env.Now(), e.Line, "home %d: DataS to %d, sharers=%v", h.id, m.Src, e.Sharers)
-		h.send(m.Src, PortL1, &Msg{Type: MsgDataS, Line: e.Line, ReqID: m.ReqID, HasData: true, Words: e.Words})
+		if h.cfg.Log != nil {
+			h.tracef(h.env.Now(), e.Line, "home %d: DataS to %d, sharers=%v", h.id, m.Src, e.Sharers)
+		}
+		h.send(m.Src, PortL1, Msg{Type: MsgDataS, Line: e.Line, ReqID: m.ReqID, HasData: true, Words: e.Words})
 		return
 	}
 
@@ -720,14 +811,14 @@ func (h *HomeCtrl) serveShared(e *DirEntry, m *Msg) {
 		// non-sharer, one that resolved its store locally under a
 		// BrWirUpgr ignores it. Serving it instead would count a core
 		// into a fresh S->W upgrade that never joins the group.
-		h.send(m.Src, PortL1, &Msg{Type: MsgWDiscard, Line: e.Line, ReqID: m.ReqID})
+		h.send(m.Src, PortL1, Msg{Type: MsgWDiscard, Line: e.Line, ReqID: m.ReqID})
 		return
 	}
 	if h.cfg.Protocol == WiDir && !isSharer && e.sharerCountNow()+1 > h.cfg.MaxWiredSharers {
 		h.startSToW(e, m)
 		return
 	}
-	t := &txn{kind: txInvAll, requester: m.Src, reqType: m.Type, reqID: m.ReqID, started: h.env.Now()}
+	t := h.newTxn(txn{kind: txInvAll, requester: m.Src, reqType: m.Type, reqID: m.ReqID})
 	e.busy = t
 	t.acksLeft = h.sendInvalidations(e, m.Src)
 	if t.acksLeft == 0 {
@@ -751,7 +842,7 @@ func (h *HomeCtrl) sendInvalidations(e *DirEntry, skip int) int {
 				continue // Dir_iCV_r: the node's region held no sharer
 			}
 			h.Stats.Invalidations.Inc()
-			h.send(node, PortL1, &Msg{Type: MsgInv, Line: e.Line})
+			h.send(node, PortL1, Msg{Type: MsgInv, Line: e.Line})
 			n++
 		}
 		return n
@@ -761,7 +852,7 @@ func (h *HomeCtrl) sendInvalidations(e *DirEntry, skip int) int {
 			continue
 		}
 		h.Stats.Invalidations.Inc()
-		h.send(s, PortL1, &Msg{Type: MsgInv, Line: e.Line})
+		h.send(s, PortL1, Msg{Type: MsgInv, Line: e.Line})
 		n++
 	}
 	return n
@@ -777,7 +868,8 @@ func (h *HomeCtrl) finishInvAll(e *DirEntry) {
 	e.Broadcast = false
 	e.CoarseVec = 0
 	e.SharerApprox = 0
-	h.send(t.requester, PortL1, &Msg{Type: MsgDataM, Line: e.Line, ReqID: t.reqID, HasData: true, Words: e.Words})
+	h.send(t.requester, PortL1, Msg{Type: MsgDataM, Line: e.Line, ReqID: t.reqID, HasData: true, Words: e.Words})
+	h.freeTxn(t)
 	h.drainDeferred(e)
 }
 
@@ -861,25 +953,24 @@ func (h *HomeCtrl) serveOwned(e *DirEntry, m *Msg) {
 		return
 	}
 	if m.Type == MsgGetS {
-		e.busy = &txn{kind: txFwdGetS, requester: m.Src, reqID: m.ReqID, started: h.env.Now()}
-		h.send(e.Owner, PortL1, &Msg{Type: MsgFwdGetS, Line: e.Line, Requester: m.Src, ReqID: m.ReqID})
+		e.busy = h.newTxn(txn{kind: txFwdGetS, requester: m.Src, reqID: m.ReqID})
+		h.send(e.Owner, PortL1, Msg{Type: MsgFwdGetS, Line: e.Line, Requester: m.Src, ReqID: m.ReqID})
 		return
 	}
-	e.busy = &txn{kind: txFwdGetX, requester: m.Src, reqID: m.ReqID, started: h.env.Now()}
-	h.send(e.Owner, PortL1, &Msg{Type: MsgFwdGetX, Line: e.Line, Requester: m.Src, ReqID: m.ReqID})
+	e.busy = h.newTxn(txn{kind: txFwdGetX, requester: m.Src, reqID: m.ReqID})
+	h.send(e.Owner, PortL1, Msg{Type: MsgFwdGetX, Line: e.Line, Requester: m.Src, ReqID: m.ReqID})
 }
 
 // serveWireless handles wired requests against a W line (Table II W->W
-// cases 1 and 2).
-func (h *HomeCtrl) serveWireless(e *DirEntry, m *Msg) {
+// cases 1 and 2). It reports whether it kept the request.
+func (h *HomeCtrl) serveWireless(e *DirEntry, m *Msg) (kept bool) {
 	// An update for this line may be on the air right now; its merge is
 	// imminent and the WirUpgr data snapshot must include it. The
 	// directory's transceiver observes the channel, so defer the
 	// request past the in-flight transmission.
 	if h.env.WirelessActive(e.Line) {
-		mm := m
-		h.env.After(1, func(now uint64) { h.reprocess(now, mm) })
-		return
+		h.env.AfterRunner(1, h.later(m, false))
+		return true
 	}
 	if m.Type == MsgGetX && m.IsSharer {
 		// Table II W->W case 2: a stale upgrade from a cache that did
@@ -887,33 +978,36 @@ func (h *HomeCtrl) serveWireless(e *DirEntry, m *Msg) {
 		// informed it. Discard — with an explicit notification so a
 		// requester that lost its copy before the broadcast (and so
 		// could not resolve locally) re-requests as a non-sharer.
-		h.send(m.Src, PortL1, &Msg{Type: MsgWDiscard, Line: e.Line, ReqID: m.ReqID})
-		return
+		h.send(m.Src, PortL1, Msg{Type: MsgWDiscard, Line: e.Line, ReqID: m.ReqID})
+		return false
 	}
 	// Table II W->W case 1: add the sharer over the wired network while
 	// jamming wireless transactions on the line.
 	h.tracef(h.env.Now(), e.Line, "home %d: W add-sharer %d (count=%d)", h.id, m.Src, e.SharerCount)
-	t := &txn{kind: txWAddSharer, requester: m.Src, jammed: true, started: h.env.Now()}
+	t := h.newTxn(txn{kind: txWAddSharer, requester: m.Src, jammed: true})
 	e.busy = t
 	h.env.Jam(e.Line, h.id)
-	h.send(m.Src, PortL1, &Msg{
+	h.send(m.Src, PortL1, Msg{
 		Type: MsgWirUpgr, Line: e.Line, ReqID: m.ReqID, NeedAck: true, HasData: true, Words: e.Words,
 	})
+	return false
 }
 
 // startSToW runs Table II's S->W transition: broadcast BrWirUpgr, jam
 // the line, send the line to the requester over the wired NoC, and wait
 // for the ToneAck to complete.
 func (h *HomeCtrl) startSToW(e *DirEntry, m *Msg) {
-	h.tracef(h.env.Now(), e.Line, "home %d: S->W trigger by %d, sharers=%v", h.id, m.Src, e.Sharers)
+	if h.cfg.Log != nil {
+		h.tracef(h.env.Now(), e.Line, "home %d: S->W trigger by %d, sharers=%v", h.id, m.Src, e.Sharers)
+	}
 	h.Stats.SToW.Inc()
-	t := &txn{kind: txSToW, requester: m.Src, reqType: m.Type, jammed: true, started: h.env.Now()}
+	t := h.newTxn(txn{kind: txSToW, requester: m.Src, reqType: m.Type, jammed: true})
 	e.busy = t
 	h.env.Jam(e.Line, h.id)
 	newCount := e.sharerCountNow() + 1
 
 	h.env.TransmitWireless(h.id, e.Line, BrWirUpgr{Line: e.Line, Home: h.id}, true,
-		func(now uint64) {
+		txDone(func(now uint64) {
 			// Serialization point of the broadcast: every tone antenna
 			// (raised during delivery fan-out) is now active; wait for
 			// silence, then commit the transition.
@@ -941,13 +1035,14 @@ func (h *HomeCtrl) startSToW(e *DirEntry, m *Msg) {
 				e.CoarseVec = 0
 				e.SharerApprox = 0
 				h.env.Unjam(e.Line, h.id)
+				h.freeTxn(t)
 				h.drainDeferred(e)
 			})
-		}, nil)
+		}))
 
 	// Concurrently, the requester gets the line over the wired NoC; no
 	// WirUpgrAck is needed — its tone drop completes the handshake.
-	h.send(m.Src, PortL1, &Msg{
+	h.send(m.Src, PortL1, Msg{
 		Type: MsgWirUpgr, Line: e.Line, ReqID: m.ReqID, NeedAck: false, HasData: true, Words: e.Words,
 	})
 }
@@ -956,7 +1051,7 @@ func (h *HomeCtrl) startSToW(e *DirEntry, m *Msg) {
 // transceiver. The home merges WirUpd payloads into the LLC copy so the
 // slice always holds the current data for W lines.
 func (h *HomeCtrl) HandleWireless(now uint64, sender int, payload any) {
-	upd, ok := payload.(WirUpd)
+	upd, ok := payload.(*WirUpd)
 	if !ok {
 		return
 	}
@@ -983,20 +1078,23 @@ func (h *HomeCtrl) HandleWireless(now uint64, sender int, payload any) {
 }
 
 // processOrDefer queues puts while the entry is busy (except the PutW
-// cases a W->S downgrade must see immediately).
-func (h *HomeCtrl) processOrDefer(m *Msg) {
+// cases a W->S downgrade must see immediately). It reports whether it
+// kept m on the entry's deferred queue.
+func (h *HomeCtrl) processOrDefer(m *Msg) (kept bool) {
 	e := h.Entry(m.Line)
 	if e == nil {
 		h.ackPut(m)
-		return
+		return false
 	}
 	if e.Busy() {
 		if !h.consumeBusyPut(e, m) {
 			e.deferred = append(e.deferred, m)
+			return true
 		}
-		return
+		return false
 	}
 	h.processPut(e, m)
+	return false
 }
 
 // consumeBusyPut handles the put notices a busy entry must see
@@ -1034,7 +1132,9 @@ func (h *HomeCtrl) consumeBusyPut(e *DirEntry, m *Msg) bool {
 // leniently: stale notices (from states the line has since left) are
 // acknowledged and ignored.
 func (h *HomeCtrl) processPut(e *DirEntry, m *Msg) {
-	h.tracef(h.env.Now(), m.Line, "home %d: put %v from %d in state %v sharers=%v count=%d", h.id, m.Type, m.Src, e.State, e.Sharers, e.SharerCount)
+	if h.cfg.Log != nil {
+		h.tracef(h.env.Now(), m.Line, "home %d: put %v from %d in state %v sharers=%v count=%d", h.id, m.Type, m.Src, e.State, e.Sharers, e.SharerCount)
+	}
 	h.Stats.LLCAccesses.Inc()
 	defer h.ackPut(m)
 	switch e.State {
@@ -1101,7 +1201,7 @@ func (h *HomeCtrl) processPut(e *DirEntry, m *Msg) {
 }
 
 func (h *HomeCtrl) ackPut(m *Msg) {
-	h.send(m.Src, PortL1, &Msg{Type: MsgPutAck, Line: m.Line})
+	h.send(m.Src, PortL1, Msg{Type: MsgPutAck, Line: m.Line})
 }
 
 // startWToS runs Table II's W->S transition: broadcast WirDwgr and
@@ -1111,10 +1211,10 @@ func (h *HomeCtrl) ackPut(m *Msg) {
 func (h *HomeCtrl) startWToS(e *DirEntry) {
 	h.tracef(h.env.Now(), e.Line, "home %d: W->S start acksLeft=%d", h.id, e.SharerCount)
 	h.Stats.WToS.Inc()
-	t := &txn{kind: txWToS, acksLeft: e.SharerCount, jammed: true, started: h.env.Now()}
+	t := h.newTxn(txn{kind: txWToS, acksLeft: e.SharerCount, jammed: true})
 	e.busy = t
 	h.env.Jam(e.Line, h.id)
-	t.cancelTx = h.env.TransmitWireless(h.id, e.Line, WirDwgr{Line: e.Line, Home: h.id}, true, nil, nil)
+	t.cancelTx = h.env.TransmitWireless(h.id, e.Line, WirDwgr{Line: e.Line, Home: h.id}, true, nil)
 	if t.acksLeft == 0 {
 		h.maybeFinishWToS(e)
 	}
@@ -1129,10 +1229,12 @@ func (h *HomeCtrl) maybeFinishWToS(e *DirEntry) {
 	// WirDwgr even transmitted, withdraw the broadcast: letting it air
 	// later would downgrade (and collect acks from) a future wireless
 	// generation of the line.
-	if t.cancelTx != nil {
-		t.cancelTx()
+	if t.cancelTx != 0 {
+		h.env.CancelWireless(t.cancelTx)
 	}
-	h.tracef(h.env.Now(), e.Line, "home %d: W->S commit ackIDs=%v", h.id, t.ackIDs)
+	if h.cfg.Log != nil {
+		h.tracef(h.env.Now(), e.Line, "home %d: W->S commit ackIDs=%v", h.id, t.ackIDs)
+	}
 	if h.cfg.Trace != nil {
 		h.cfg.Trace.Emit(obs.Event{Cycle: h.env.Now(), Kind: obs.EvWDowngrade,
 			Node: int32(h.id), Other: obs.NoNode, Line: e.Line,
@@ -1141,6 +1243,7 @@ func (h *HomeCtrl) maybeFinishWToS(e *DirEntry) {
 	e.busy = nil
 	e.State = DirShared
 	e.Sharers = append(e.Sharers[:0], t.ackIDs...)
+	h.freeTxn(t)
 	e.SharerCount = 0
 	e.staleWired = e.staleWired[:0]
 	e.staleWiredAll = false
@@ -1192,6 +1295,7 @@ func (h *HomeCtrl) processAck(m *Msg) {
 		e.Sharers = append(e.Sharers[:0], oldOwner, t.requester)
 		e.Owner = 0
 		e.OwnerDirty = false
+		h.freeTxn(t)
 		h.drainDeferred(e)
 	case MsgXferAck:
 		if t.kind != txFwdGetX {
@@ -1204,6 +1308,7 @@ func (h *HomeCtrl) processAck(m *Msg) {
 		e.busy = nil
 		e.Owner = t.requester
 		e.OwnerDirty = true
+		h.freeTxn(t)
 		h.drainDeferred(e)
 	case MsgRecallAck:
 		if t.kind != txEvict {
@@ -1227,6 +1332,7 @@ func (h *HomeCtrl) processAck(m *Msg) {
 		e.busy = nil
 		e.SharerCount++
 		h.env.Unjam(e.Line, h.id)
+		h.freeTxn(t)
 		h.drainDeferred(e)
 	case MsgWirDwgrAck:
 		if t.kind != txWToS {
@@ -1253,14 +1359,16 @@ func (h *HomeCtrl) processMemData(m *Msg) {
 	e.HasData = true
 	e.Dirty = false
 	h.grantFromLLC(e, t.requester, t.reqType, t.reqID)
+	h.freeTxn(t)
 	h.drainDeferred(e)
 }
 
-// drainDeferred replays puts that arrived during the transaction.
-// Processing a put can itself start a new transaction (e.g. a PutW that
-// triggers the W->S downgrade); the remaining deferred puts are then
-// fed through the busy-aware path, so a stale eviction notice the new
-// transaction is waiting out is consumed rather than re-deferred.
+// drainDeferred replays puts that arrived during the transaction,
+// freeing each one it finishes with. Processing a put can itself start
+// a new transaction (e.g. a PutW that triggers the W->S downgrade); the
+// remaining deferred puts are then fed through the busy-aware path, so
+// a stale eviction notice the new transaction is waiting out is
+// consumed rather than re-deferred.
 //
 // The proto:stop below: the drained puts replay under their own
 // (deferred) events; attributing their effects to the ack that
@@ -1269,18 +1377,20 @@ func (h *HomeCtrl) processMemData(m *Msg) {
 //proto:stop
 func (h *HomeCtrl) drainDeferred(e *DirEntry) {
 	pending := e.deferred
-	e.deferred = nil
+	e.deferred = nil // a put started below finds an empty queue
 	for i, m := range pending {
-		if e.Busy() {
-			if h.consumeBusyPut(e, m) {
-				continue
-			}
-			// Keep m and everything after it deferred, in order.
-			e.deferred = append(e.deferred, pending[i:]...)
+		if !e.Busy() {
+			h.processPut(e, m)
+		} else if !h.consumeBusyPut(e, m) {
+			// Keep m and everything after it deferred, in order, in the
+			// same array.
+			e.deferred = append(pending[:0], pending[i:]...)
 			return
 		}
-		h.processPut(e, m)
+		h.env.FreeMsg(m)
+		pending[i] = nil
 	}
+	e.deferred = pending[:0]
 }
 
 func containsID(xs []int, v int) bool {

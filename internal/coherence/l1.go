@@ -59,12 +59,16 @@ type MemRequest struct {
 	obsSpan  uint64
 	obsClass obs.Class
 
-	// missStarts records the cycle of each L1 miss this request took
-	// (a requeued request can miss more than once); completion observes
-	// one MissLatency sample per entry and clears the list. Kept as a
-	// field rather than a Done-wrapping closure so request objects can
-	// be pooled and reused without chaining wrappers across lifetimes.
-	missStarts []uint64
+	// missStart records the cycle of the first L1 miss this request
+	// took and moreMisses those of later ones (a requeued request can
+	// miss more than once); completion observes one MissLatency sample
+	// per miss and clears them. Kept as fields rather than a
+	// Done-wrapping closure so request objects can be pooled and reused
+	// without chaining wrappers across lifetimes; the common single miss
+	// needs no slice.
+	missStart  uint64
+	missed     bool
+	moreMisses []uint64
 }
 
 type pendingKind uint8
@@ -98,15 +102,25 @@ type pendingReq struct {
 
 // wirelessWrite tracks a store or RMW waiting for the wireless data
 // channel (§IV-C: the write sits in the write buffer until the
-// transmission is guaranteed).
+// transmission is guaranteed). It is the transmission's TxCallback.
+// Records are pooled: one is released once the channel has reported the
+// outcome or a CancelWireless withdrew the transmission, since the
+// channel calls it no more after either.
 type wirelessWrite struct {
-	line    addrspace.Line
-	word    int
-	req     *MemRequest
-	oldVal  uint64 // RMW: value read at issue; aborted if line changes
-	cancel  func() bool
-	aborted bool
+	l      *L1Ctrl
+	line   addrspace.Line
+	word   int
+	req    *MemRequest
+	oldVal uint64 // RMW: value read at issue; aborted if line changes
+	upd    WirUpd // the payload; the broadcast carries a pointer to it
+	tx     uint64 // the transmission's channel handle
 }
+
+// TxDone implements TxCallback.
+func (ww *wirelessWrite) TxDone(now uint64) { ww.l.wirelessTxDone(ww) }
+
+// TxAborted implements TxCallback.
+func (ww *wirelessWrite) TxAborted(now uint64, jammed bool) { ww.l.wirelessTxAborted(ww, jammed) }
 
 // MissLatencyBins are the histogram edges (cycles) for the per-miss
 // completion-latency distribution: L1-adjacent, LLC-local, remote
@@ -160,10 +174,18 @@ type L1Ctrl struct {
 	victims lineTable[victimEntry]
 	wwFails lineTable[int] // consecutive fault-aborted sends per line
 
-	// compFree recycles completion events (see scheduleDone) and
-	// pendFree recycles pending-transaction entries (see newPending).
+	// compFree recycles completion events (see scheduleDone), pendFree
+	// pending-transaction entries (see newPending), and the rest the
+	// wireless-write records and the runners of this file.
 	compFree []*completion
 	pendFree []*pendingReq
+	wwFree   []*wirelessWrite
+	// wwRetired is the record whose broadcast may still be delivering
+	// (see retireWrite).
+	wwRetired *wirelessWrite
+	accFree   []*accessRunner
+	nackFree  []*nackRetry
+	parkFree  []*fillPark
 
 	// Checker hooks (nil outside tests): see machine.Checker.
 	OnSerializedWrite func(now uint64, a addrspace.Addr, v uint64)
@@ -271,16 +293,7 @@ func (l *L1Ctrl) fail(line addrspace.Line, format string, args ...any) {
 // this L1 for the age watchdog and Diagnose, or ok=false when quiet.
 // Selection is min-by (started, line), which no map order can perturb.
 func (l *L1Ctrl) OldestPending() (TxnInfo, bool) {
-	var best *pendingReq
-	// Min-by the unique (started, line) key; forEach order cannot
-	// perturb the winner.
-	l.pending.forEach(func(_ addrspace.Line, p *pendingReq) bool {
-		if best == nil || p.started < best.started ||
-			(p.started == best.started && p.line < best.line) {
-			best = p
-		}
-		return true
-	})
+	best := l.oldestPending()
 	if best == nil {
 		return TxnInfo{}, false
 	}
@@ -304,6 +317,30 @@ func (l *L1Ctrl) OldestPending() (TxnInfo, bool) {
 		State: state, Kind: kind, Started: best.started,
 		Waiting: []int{l.env.HomeOf(best.line)},
 	}, true
+}
+
+// OldestStart returns the start cycle of this L1's oldest outstanding
+// transaction without building its TxnInfo (the age watchdog's
+// allocation-free pre-check), or ok=false when quiet.
+func (l *L1Ctrl) OldestStart() (uint64, bool) {
+	if p := l.oldestPending(); p != nil {
+		return p.started, true
+	}
+	return 0, false
+}
+
+// oldestPending returns the entry with the least (started, line), or
+// nil; forEach order cannot perturb the winner.
+func (l *L1Ctrl) oldestPending() *pendingReq {
+	var best *pendingReq
+	l.pending.forEach(func(_ addrspace.Line, p *pendingReq) bool {
+		if best == nil || p.started < best.started ||
+			(p.started == best.started && p.line < best.line) {
+			best = p
+		}
+		return true
+	})
+	return best
 }
 
 // sortedLines returns the map's line keys in ascending order.
@@ -473,14 +510,17 @@ func (l *L1Ctrl) completeNow(r *MemRequest, v uint64) {
 
 // finish is the single completion point: it closes the observability
 // span, records miss latency for every miss the request took, and
-// fires Done. missStarts is drained most-recent-first, matching the
-// nesting order of the Done-wrapping closures it replaces.
+// fires Done. Misses are observed most-recent-first, matching the
+// nesting order of the Done-wrapping closures they replace.
 func (l *L1Ctrl) finish(r *MemRequest, now uint64, v uint64) {
 	l.endSpan(r, now)
-	for i := len(r.missStarts) - 1; i >= 0; i-- {
-		l.Stats.MissLatency.Observe(int(now - r.missStarts[i]))
+	for i := len(r.moreMisses) - 1; i >= 0; i-- {
+		l.Stats.MissLatency.Observe(int(now - r.moreMisses[i]))
 	}
-	r.missStarts = r.missStarts[:0]
+	if r.missed {
+		l.Stats.MissLatency.Observe(int(now - r.missStart))
+	}
+	r.moreMisses, r.missed = r.moreMisses[:0], false
 	r.Done(now, v)
 }
 
@@ -500,7 +540,11 @@ func (l *L1Ctrl) miss(line addrspace.Line, r *MemRequest, isSharer bool) {
 	}
 	// Record the miss completion latency (Access to Done).
 	if r.Done != nil {
-		r.missStarts = append(r.missStarts, l.env.Now())
+		if !r.missed {
+			r.missStart, r.missed = l.env.Now(), true
+		} else {
+			r.moreMisses = append(r.moreMisses, l.env.Now())
+		}
 	}
 	switch kind {
 	case pendLoad:
@@ -542,9 +586,7 @@ func (l *L1Ctrl) newPending(line addrspace.Line, kind pendingKind, r *MemRequest
 
 // releasePending returns a dissolved entry to the free list. Callers
 // must have removed it from the pending table AND be done with its
-// waiters slice (the backing array is reused); paths that hand the
-// waiters slice onward simply skip the release and let the GC take the
-// entry.
+// waiters slice (the backing array is reused; requeue copies it).
 func (l *L1Ctrl) releasePending(p *pendingReq) {
 	for i := range p.waiters {
 		p.waiters[i] = nil // drop request references for the GC
@@ -566,7 +608,7 @@ func (l *L1Ctrl) sendRequest(p *pendingReq, t MsgType) {
 			Node: int32(l.id), Other: int32(l.env.HomeOf(p.line)),
 			Line: p.line, A: sp, B: p.reqID})
 	}
-	l.env.SendWired(l.id, l.env.HomeOf(p.line), PortHome, &Msg{
+	l.env.SendWired(l.id, l.env.HomeOf(p.line), PortHome, Msg{
 		Type: t, Line: p.line, Src: l.id, Requester: l.id, ReqID: p.reqID,
 		IsSharer: p.isSharer,
 	})
@@ -619,27 +661,50 @@ func (l *L1Ctrl) wirelessStore(ln *cache.Line, r *MemRequest) {
 		l.complete(r, old)
 		return
 	}
-	l.tracef(l.env.Now(), line, "l1 %d: wirelessStore queued rmw=%v write=%v val=%d", l.id, r.IsRMW, r.IsWrite, r.Value)
+	if l.cfg.Log != nil {
+		l.tracef(l.env.Now(), line, "l1 %d: wirelessStore queued rmw=%v write=%v val=%d", l.id, r.IsRMW, r.IsWrite, r.Value)
+	}
 	if r.IsRMW {
 		l.beginSpan(r, line, obs.ClassWirelessRMW)
 	} else {
 		l.beginSpan(r, line, obs.ClassWirelessStore)
 	}
-	ww := &wirelessWrite{line: line, word: w, req: r}
+	var ww *wirelessWrite
+	if n := len(l.wwFree); n > 0 {
+		ww = l.wwFree[n-1]
+		l.wwFree = l.wwFree[:n-1]
+	} else {
+		ww = &wirelessWrite{l: l}
+	}
+	ww.line, ww.word, ww.req, ww.oldVal = line, w, r, 0
+	value := r.Value
 	if r.IsRMW {
 		ww.oldVal = ln.Words[w]
 		ln.NonEvict = true // pin between read and write (§IV-C)
-	}
-	l.wwrites.put(line, ww)
-	value := r.Value
-	if r.IsRMW {
 		value = r.RMW.Apply(ww.oldVal, r.Value, r.Expected)
 	}
-	upd := WirUpd{Line: line, Word: w, Value: value, Writer: l.id}
-	ww.cancel = l.env.TransmitWireless(l.id, line, upd, false,
-		func(now uint64) { l.wirelessTxDone(ww, upd) },
-		func(now uint64, jammed bool) { l.wirelessTxAborted(ww, jammed) },
-	)
+	l.wwrites.put(line, ww)
+	ww.upd = WirUpd{Line: line, Word: w, Value: value, Writer: l.id}
+	ww.tx = l.env.TransmitWireless(l.id, line, &ww.upd, false, ww)
+}
+
+// freeWrite recycles a wireless-write record the channel no longer
+// references.
+func (l *L1Ctrl) freeWrite(ww *wirelessWrite) {
+	ww.req = nil
+	l.wwFree = append(l.wwFree, ww)
+}
+
+// retireWrite recycles the record of this L1's previous serialized
+// write and holds on to ww instead: the channel delivers ww's payload
+// right after TxDone returns, and it serializes one broadcast at a
+// time, so by this L1's next TxDone that delivery is over.
+func (l *L1Ctrl) retireWrite(ww *wirelessWrite) {
+	if l.wwRetired != nil {
+		l.freeWrite(l.wwRetired)
+	}
+	ww.req = nil
+	l.wwRetired = ww
 }
 
 // wirelessTxDone runs at the serialization point of this node's WirUpd.
@@ -648,40 +713,43 @@ func (l *L1Ctrl) wirelessStore(ln *cache.Line, r *MemRequest) {
 // own copy of the line was evicted while the transmission was queued.
 //
 //proto:stop
-func (l *L1Ctrl) wirelessTxDone(ww *wirelessWrite, upd WirUpd) {
-	if ww.aborted {
-		return
-	}
-	l.wwrites.del(ww.line)
-	l.wwFails.del(ww.line) // the medium delivered; reset the backoff
-	ln := l.data.Lookup(ww.line)
+func (l *L1Ctrl) wirelessTxDone(ww *wirelessWrite) {
+	line := ww.line
+	defer l.retireWrite(ww)
+	l.wwrites.del(line)
+	l.wwFails.del(line) // the medium delivered; reset the backoff
+	ln := l.data.Lookup(line)
 	if ww.req.IsRMW && (ln == nil || ln.State != cache.Wireless) {
 		// RMW lines are pinned (NonEvict) and every invalidating path
 		// cancels the queued transmission first.
-		l.fail(ww.line, "wireless RMW serialized without its line")
+		l.fail(line, "wireless RMW serialized without its line")
 		return
 	}
 	if ln != nil && ln.State == cache.Wireless {
 		ln.NonEvict = false
-		ln.Words[ww.word] = upd.Value
+		ln.Words[ww.word] = ww.upd.Value
 		ln.UpdateCount = 0
 	}
 	l.Stats.WirelessWrites.Inc()
 	if l.cfg.Trace != nil {
 		l.cfg.Trace.Emit(obs.Event{Cycle: l.env.Now(), Kind: obs.EvWirUpd,
-			Node: int32(l.id), Other: obs.NoNode, Line: ww.line,
+			Node: int32(l.id), Other: obs.NoNode, Line: line,
 			A: ww.req.obsSpan, B: uint64(ww.word)})
 	}
-	l.tracef(l.env.Now(), ww.line, "l1 %d: WirUpd serialized word=%d val=%d rmw=%v", l.id, ww.word, upd.Value, ww.req.IsRMW)
-	l.serializeWrite(ww.line.WordAddr(ww.word), upd.Value)
+	if l.cfg.Log != nil {
+		l.tracef(l.env.Now(), line, "l1 %d: WirUpd serialized word=%d val=%d rmw=%v", l.id, ww.word, ww.upd.Value, ww.req.IsRMW)
+	}
+	l.serializeWrite(line.WordAddr(ww.word), ww.upd.Value)
 	if ww.req.IsRMW {
-		l.tracef(l.env.Now(), ww.line, "l1 %d: RMW complete old=%d new=%d", l.id, ww.oldVal, upd.Value)
-		l.observeRead(ww.line.WordAddr(ww.word), ww.oldVal)
+		if l.cfg.Log != nil {
+			l.tracef(l.env.Now(), line, "l1 %d: RMW complete old=%d new=%d", l.id, ww.oldVal, ww.upd.Value)
+		}
+		l.observeRead(line.WordAddr(ww.word), ww.oldVal)
 		l.completeNow(ww.req, ww.oldVal)
 	} else {
-		l.completeNow(ww.req, upd.Value)
+		l.completeNow(ww.req, ww.upd.Value)
 	}
-	l.drainWaitersFor(ww.line)
+	l.drainWaitersFor(line)
 }
 
 // wirelessTxAborted runs when the transmission could not deliver:
@@ -695,11 +763,8 @@ func (l *L1Ctrl) wirelessTxDone(ww *wirelessWrite, upd WirUpd) {
 //
 //proto:stop
 func (l *L1Ctrl) wirelessTxAborted(ww *wirelessWrite, jammed bool) {
-	if ww.aborted {
-		return
-	}
+	defer l.freeWrite(ww)
 	l.wwrites.del(ww.line)
-	ww.aborted = true
 	ln := l.data.Lookup(ww.line)
 	if ln != nil {
 		ln.NonEvict = false
@@ -712,13 +777,11 @@ func (l *L1Ctrl) wirelessTxAborted(ww *wirelessWrite, jammed bool) {
 		l.wwFails.put(ww.line, fails)
 		delay <<= uint(min(fails, 5))
 	}
-	l.tracef(l.env.Now(), ww.line, "l1 %d: wireless tx aborted (jammed=%v), requeue after %d", l.id, jammed, delay)
-	reqs := append([]*MemRequest{ww.req}, l.absorbShim(ww.line)...)
-	l.env.After(delay, func(now uint64) {
-		for _, r := range reqs {
-			l.Access(r) // re-dispatch; state decides wired vs wireless
-		}
-	})
+	if l.cfg.Log != nil {
+		l.tracef(l.env.Now(), ww.line, "l1 %d: wireless tx aborted (jammed=%v), requeue after %d", l.id, jammed, delay)
+	}
+	// Re-dispatch; the line's state then decides wired vs wireless.
+	l.requeueShim(delay, ww.req, ww.line)
 }
 
 // drainWaitersFor re-dispatches accesses that queued behind a completed
@@ -755,11 +818,13 @@ func (l *L1Ctrl) observeRead(a addrspace.Addr, v uint64) {
 	}
 }
 
-// HandleWired dispatches a wired message delivered to this L1.
-func (l *L1Ctrl) HandleWired(now uint64, m *Msg) {
+// HandleWired dispatches a wired message delivered to this L1. It
+// reports whether the L1 kept m (see Env): only a fill parked behind a
+// fully pinned set is kept.
+func (l *L1Ctrl) HandleWired(now uint64, m *Msg) (kept bool) {
 	switch m.Type {
 	case MsgDataS, MsgDataE, MsgDataM, MsgDataOwnerS, MsgDataOwnerM, MsgWirUpgr:
-		l.handleDataResponse(now, m)
+		return l.handleDataResponse(now, m)
 	case MsgNACK:
 		l.handleNACK(m)
 	case MsgWDiscard:
@@ -777,21 +842,51 @@ func (l *L1Ctrl) HandleWired(now uint64, m *Msg) {
 	default:
 		l.fail(m.Line, "L1 cannot handle %v from %d", m.Type, m.Src)
 	}
+	return false
+}
+
+// fillPark retries a parked fill (see handleDataResponse) a cycle
+// later, and frees it once it is no longer parked.
+type fillPark struct {
+	l *L1Ctrl
+	m *Msg
+}
+
+// Run implements engine.Runner.
+func (r *fillPark) Run(now uint64) {
+	l, m := r.l, r.m
+	r.m = nil
+	l.parkFree = append(l.parkFree, r)
+	if !l.handleDataResponse(now, m) {
+		l.env.FreeMsg(m)
+	}
+}
+
+func (l *L1Ctrl) park(m *Msg) *fillPark {
+	var r *fillPark
+	if n := len(l.parkFree); n > 0 {
+		r = l.parkFree[n-1]
+		l.parkFree = l.parkFree[:n-1]
+	} else {
+		r = &fillPark{l: l}
+	}
+	r.m = m
+	return r
 }
 
 // handleDataResponse applies a data grant. A grant whose ReqID matches
 // the line's outstanding request completes it; any other grant answers
 // an abandoned request and is installed idempotently (the directory has
-// already committed the state change), completing nothing.
-func (l *L1Ctrl) handleDataResponse(now uint64, m *Msg) {
+// already committed the state change), completing nothing. It reports
+// whether it kept m, parked for a retry.
+func (l *L1Ctrl) handleDataResponse(now uint64, m *Msg) (kept bool) {
 	// If the target set is entirely pinned (RMW windows, in-flight
 	// upgrades), the fill waits at the network interface; pins clear
 	// within a bounded number of cycles.
 	if l.data.Lookup(m.Line) == nil {
 		if _, ok := l.data.Victim(m.Line); !ok {
-			mm := m
-			l.env.After(1, func(now uint64) { l.handleDataResponse(now, mm) })
-			return
+			l.env.AfterRunner(1, l.park(m))
+			return true
 		}
 	}
 	p, _ := l.pending.get(m.Line)
@@ -818,7 +913,7 @@ func (l *L1Ctrl) handleDataResponse(now uint64, m *Msg) {
 		st = cache.Wireless
 	default:
 		l.fail(m.Line, "handleDataResponse dispatched a non-grant %v from %d", m.Type, m.Src)
-		return
+		return false
 	}
 	wirelessGrant := m.Type == MsgWirUpgr
 	if toneHeld && st == cache.Shared && !p.invalidated {
@@ -841,7 +936,7 @@ func (l *L1Ctrl) handleDataResponse(now uint64, m *Msg) {
 	// must install: the directory has committed us as owner.
 	if !matches && st == cache.Shared {
 		l.tracef(now, m.Line, "l1 %d: dropping stale %v", l.id, m.Type)
-		return
+		return false
 	}
 	// A matching Shared fill that an invalidation passed in flight is
 	// consumed use-once: serve the load from the message data without
@@ -854,21 +949,21 @@ func (l *L1Ctrl) handleDataResponse(now uint64, m *Msg) {
 		l.completeNow(p.req, v)
 		l.redispatch(p.waiters)
 		l.releasePending(p)
-		return
+		return false
 	}
 
 	// A queued wireless write cannot survive a non-W install (the line
 	// is leaving W); pull it back and re-dispatch it after the install.
 	if st != cache.Wireless {
-		if ww := l.cancelQueuedWrite(m.Line); ww != nil {
-			l.requeue(append([]*MemRequest{ww.req}, l.absorbShim(m.Line)...))
+		if r := l.cancelQueuedWrite(m.Line); r != nil {
+			l.requeueShim(1, r, m.Line)
 		}
 	}
 
 	l.tracef(now, m.Line, "l1 %d: response %v -> install %v (matches=%v tone=%v)", l.id, m.Type, st, matches, toneHeld)
 	ln := l.install(m.Line, st, m.Words)
 	if ln == nil {
-		return // install failed a protocol check; the error is latched
+		return false // install failed a protocol check; the error is latched
 	}
 	if l.cfg.Trace != nil {
 		l.cfg.Trace.Emit(obs.Event{Cycle: now, Kind: obs.EvL1Fill,
@@ -885,20 +980,20 @@ func (l *L1Ctrl) handleDataResponse(now uint64, m *Msg) {
 	if m.Type == MsgDataOwnerM {
 		// Ownership arrived from the old owner; tell the home so it can
 		// record us and unblock the entry.
-		l.env.SendWired(l.id, l.env.HomeOf(m.Line), PortHome, &Msg{
+		l.env.SendWired(l.id, l.env.HomeOf(m.Line), PortHome, Msg{
 			Type: MsgXferAck, Line: m.Line, Src: l.id,
 		})
 	}
 	if m.Type == MsgWirUpgr {
 		ln.UpdateCount = 0
 		if m.NeedAck {
-			l.env.SendWired(l.id, l.env.HomeOf(m.Line), PortHome, &Msg{
+			l.env.SendWired(l.id, l.env.HomeOf(m.Line), PortHome, Msg{
 				Type: MsgWirUpgrAck, Line: m.Line, Src: l.id,
 			})
 		}
 	}
 	if !matches {
-		return
+		return false
 	}
 
 	if wirelessGrant {
@@ -916,7 +1011,7 @@ func (l *L1Ctrl) handleDataResponse(now uint64, m *Msg) {
 		}
 		l.redispatch(p.waiters)
 		l.releasePending(p)
-		return
+		return false
 	}
 
 	// Wired grant: complete the access.
@@ -943,16 +1038,33 @@ func (l *L1Ctrl) handleDataResponse(now uint64, m *Msg) {
 	}
 	l.redispatch(p.waiters)
 	l.releasePending(p)
+	return false
 }
 
-// redispatch re-enters queued accesses now that the line is resident.
+// redispatch re-enters queued accesses now that the line is resident,
+// one event each.
 //
 //proto:stop
 func (l *L1Ctrl) redispatch(waiters []*MemRequest) {
 	for _, r := range waiters {
-		req := r
-		l.env.After(0, func(now uint64) { l.Access(req) })
+		l.requeue(0, r, nil)
 	}
+}
+
+// accessRunner re-dispatches accesses through Access, in order.
+type accessRunner struct {
+	l    *L1Ctrl
+	reqs []*MemRequest
+}
+
+// Run implements engine.Runner.
+func (r *accessRunner) Run(now uint64) {
+	for i, req := range r.reqs {
+		r.reqs[i] = nil
+		r.l.Access(req)
+	}
+	r.reqs = r.reqs[:0]
+	r.l.accFree = append(r.l.accFree, r)
 }
 
 // handleNACK retries the bounced request after a jittered delay. Stale
@@ -974,31 +1086,53 @@ func (l *L1Ctrl) handleNACK(m *Msg) {
 	}
 	p.retries++
 	delay := l.retryJitter() * uint64(min(p.retries, 4))
-	gen := p.gen
-	l.env.After(delay, func(now uint64) {
-		// The generation check rejects a recycled entry that landed on
-		// the same line again: same pointer, different transaction.
-		if pp, ok := l.pending.get(m.Line); !ok || pp != p || p.gen != gen {
-			return
-		}
-		if ln := l.data.Lookup(m.Line); ln != nil && l.satisfies(ln, p) {
-			l.pending.del(m.Line)
-			ln.NonEvict = false
-			l.requeue(append([]*MemRequest{p.req}, p.waiters...))
-			l.releasePending(p)
-			return
-		}
-		t := MsgGetS
-		if p.kind != pendLoad {
-			t = MsgGetX
-		}
-		p.isSharer = false
-		if ln := l.data.Lookup(m.Line); ln != nil && ln.State == cache.Shared {
-			p.isSharer = true
-			ln.NonEvict = true
-		}
-		l.sendRequest(p, t)
-	})
+	var r *nackRetry
+	if n := len(l.nackFree); n > 0 {
+		r = l.nackFree[n-1]
+		l.nackFree = l.nackFree[:n-1]
+	} else {
+		r = &nackRetry{l: l}
+	}
+	r.p, r.gen, r.line = p, p.gen, m.Line
+	l.env.AfterRunner(delay, r)
+}
+
+// nackRetry is the pooled retry timer of a NACKed request. It copies
+// the line, so the NACK itself is not kept.
+type nackRetry struct {
+	l    *L1Ctrl
+	p    *pendingReq
+	gen  uint64
+	line addrspace.Line
+}
+
+// Run implements engine.Runner.
+func (r *nackRetry) Run(now uint64) {
+	l, p, gen, line := r.l, r.p, r.gen, r.line
+	r.p = nil
+	l.nackFree = append(l.nackFree, r)
+	// The generation check rejects a recycled entry that landed on the
+	// same line again: same pointer, different transaction.
+	if pp, ok := l.pending.get(line); !ok || pp != p || p.gen != gen {
+		return
+	}
+	if ln := l.data.Lookup(line); ln != nil && l.satisfies(ln, p) {
+		l.pending.del(line)
+		ln.NonEvict = false
+		l.requeue(1, p.req, p.waiters)
+		l.releasePending(p)
+		return
+	}
+	t := MsgGetS
+	if p.kind != pendLoad {
+		t = MsgGetX
+	}
+	p.isSharer = false
+	if ln := l.data.Lookup(line); ln != nil && ln.State == cache.Shared {
+		p.isSharer = true
+		ln.NonEvict = true
+	}
+	l.sendRequest(p, t)
 }
 
 // satisfies reports whether the resident line can serve the pending
@@ -1030,7 +1164,7 @@ func (l *L1Ctrl) handleWDiscard(m *Msg) {
 	if ln := l.data.Lookup(m.Line); ln != nil && l.satisfies(ln, p) {
 		l.pending.del(m.Line)
 		ln.NonEvict = false
-		l.requeue(append([]*MemRequest{p.req}, p.waiters...))
+		l.requeue(1, p.req, p.waiters)
 		l.releasePending(p)
 		return
 	}
@@ -1042,34 +1176,37 @@ func (l *L1Ctrl) handleWDiscard(m *Msg) {
 	l.sendRequest(p, t)
 }
 
-// requeue re-dispatches requests through Access on the next cycle, in
-// order, so nothing is stranded behind a dissolved transaction.
+// requeue re-dispatches first and then rest through Access after
+// delay, in order, so nothing is stranded behind a dissolved
+// transaction. rest is copied; the caller may reuse it.
 //
 //proto:stop
-func (l *L1Ctrl) requeue(reqs []*MemRequest) {
-	if len(reqs) == 0 {
-		return
+func (l *L1Ctrl) requeue(delay uint64, first *MemRequest, rest []*MemRequest) {
+	var r *accessRunner
+	if n := len(l.accFree); n > 0 {
+		r = l.accFree[n-1]
+		l.accFree = l.accFree[:n-1]
+	} else {
+		r = &accessRunner{l: l}
 	}
-	l.env.After(1, func(now uint64) {
-		for _, r := range reqs {
-			if r != nil {
-				l.Access(r)
-			}
-		}
-	})
+	r.reqs = append(append(r.reqs, first), rest...)
+	l.env.AfterRunner(delay, r)
 }
 
-// absorbShim removes the shim entry (accesses queued behind a wireless
-// write) and returns its waiters for requeueing.
-func (l *L1Ctrl) absorbShim(line addrspace.Line) []*MemRequest {
+// requeueShim requeues the request of a withdrawn wireless write
+// together with the accesses queued behind the write on its line (the
+// shim entry, which it dissolves).
+//
+//proto:stop
+func (l *L1Ctrl) requeueShim(delay uint64, first *MemRequest, line addrspace.Line) {
 	p, ok := l.pending.get(line)
 	if !ok || p.req != nil {
-		return nil
+		l.requeue(delay, first, nil)
+		return
 	}
 	l.pending.del(line)
-	// The entry is not released: the returned slice aliases its waiters
-	// array, so the caller keeps it and the GC reclaims the entry.
-	return p.waiters
+	l.requeue(delay, first, p.waiters)
+	l.releasePending(p)
 }
 
 // handleInv invalidates a (possibly absent) Shared copy and always
@@ -1093,7 +1230,7 @@ func (l *L1Ctrl) handleInv(m *Msg) {
 			// Lookup never returns an Invalid line; nothing to drop.
 		}
 	}
-	l.env.SendWired(l.id, m.Src, PortHome, &Msg{Type: MsgInvAck, Line: m.Line, Src: l.id})
+	l.env.SendWired(l.id, m.Src, PortHome, Msg{Type: MsgInvAck, Line: m.Line, Src: l.id})
 }
 
 // ownerCopy fetches the line from the cache or the victim buffer for a
@@ -1122,10 +1259,10 @@ func (l *L1Ctrl) handleFwdGetS(m *Msg) {
 		ln.State = cache.Shared
 		ln.Dirty = false
 	}
-	l.env.SendWired(l.id, m.Requester, PortL1, &Msg{
+	l.env.SendWired(l.id, m.Requester, PortL1, Msg{
 		Type: MsgDataOwnerS, Line: m.Line, Src: l.id, ReqID: m.ReqID, HasData: true, Words: words,
 	})
-	l.env.SendWired(l.id, m.Src, PortHome, &Msg{
+	l.env.SendWired(l.id, m.Src, PortHome, Msg{
 		Type: MsgCopyBack, Line: m.Line, Src: l.id, Requester: m.Requester,
 		HasData: true, NeedAck: dirty, Words: words,
 	})
@@ -1141,21 +1278,19 @@ func (l *L1Ctrl) handleFwdGetX(m *Msg) {
 	if ln != nil {
 		l.data.Invalidate(m.Line)
 	}
-	l.env.SendWired(l.id, m.Requester, PortL1, &Msg{
+	l.env.SendWired(l.id, m.Requester, PortL1, Msg{
 		Type: MsgDataOwnerM, Line: m.Line, Src: l.id, ReqID: m.ReqID, HasData: true, Words: words,
 	})
 }
 
 // handleRecall: home is evicting our owned line's directory entry.
 func (l *L1Ctrl) handleRecall(m *Msg) {
-	var resp *Msg
+	resp := Msg{Type: MsgRecallAck, Line: m.Line, Src: l.id}
 	if ln := l.data.Lookup(m.Line); ln != nil {
-		resp = &Msg{Type: MsgRecallAck, Line: m.Line, Src: l.id, HasData: ln.Dirty, Words: ln.Words}
+		resp.HasData, resp.Words = ln.Dirty, ln.Words
 		l.data.Invalidate(m.Line)
 	} else if v, ok := l.victims.get(m.Line); ok {
-		resp = &Msg{Type: MsgRecallAck, Line: m.Line, Src: l.id, HasData: v.dirty, Words: v.words}
-	} else {
-		resp = &Msg{Type: MsgRecallAck, Line: m.Line, Src: l.id}
+		resp.HasData, resp.Words = v.dirty, v.words
 	}
 	l.env.SendWired(l.id, m.Src, PortHome, resp)
 }
@@ -1201,10 +1336,10 @@ func (l *L1Ctrl) evict(ln *cache.Line) {
 	// wired path. If the transmission is already on the air it will
 	// serialize coherently (everyone else merges it) and its completion
 	// handler copes with the missing local line.
-	if ww, ok := l.wwrites.get(line); ok && ww.cancel() {
-		ww.aborted = true
+	if ww, ok := l.wwrites.get(line); ok && l.env.CancelWireless(ww.tx) {
 		l.wwrites.del(line)
-		l.requeue(append([]*MemRequest{ww.req}, l.absorbShim(line)...))
+		l.requeueShim(1, ww.req, line)
+		l.freeWrite(ww)
 	}
 	home := l.env.HomeOf(line)
 	var t MsgType
@@ -1225,7 +1360,7 @@ func (l *L1Ctrl) evict(ln *cache.Line) {
 		l.fail(line, "evicting a line in state %v", ln.State)
 		return
 	}
-	msg := &Msg{Type: t, Line: line, Src: l.id, HasData: hasData}
+	msg := Msg{Type: t, Line: line, Src: l.id, HasData: hasData}
 	if hasData {
 		msg.Words = ln.Words
 	}
@@ -1239,9 +1374,9 @@ func (l *L1Ctrl) HandleWireless(now uint64, sender int, payload any) {
 	switch p := payload.(type) {
 	case BrWirUpgr:
 		l.handleBrWirUpgr(p)
-	case WirUpd:
+	case *WirUpd:
 		if sender != l.id {
-			l.handleRemoteUpdate(p)
+			l.handleRemoteUpdate(*p)
 		}
 	case WirDwgr:
 		l.handleWirDwgr(p)
@@ -1270,10 +1405,9 @@ func (l *L1Ctrl) handleBrWirUpgr(p BrWirUpgr) {
 			// the line is W now, issue the write wirelessly.
 			l.pending.del(p.Line)
 			ln.NonEvict = false
-			req := pend.req
-			waiters := pend.waiters
-			l.wirelessStore(ln, req)
-			l.redispatch(waiters)
+			l.wirelessStore(ln, pend.req)
+			l.redispatch(pend.waiters)
+			l.releasePending(pend)
 			return
 		}
 		return
@@ -1306,20 +1440,15 @@ func (l *L1Ctrl) handleRemoteUpdate(p WirUpd) {
 			// §IV-C: an incoming update to the line between the RMW's
 			// read and the guaranteed transmission of its write fails
 			// the write; the whole RMW retries.
-			if !ww.cancel() {
+			if !l.env.CancelWireless(ww.tx) {
 				l.fail(p.Line, "remote update delivered while the local transmission is active")
 				return
 			}
-			ww.aborted = true
 			l.wwrites.del(p.Line)
 			ln.NonEvict = false
 			l.Stats.RMWRetries.Inc()
-			reqs := append([]*MemRequest{ww.req}, l.absorbShim(p.Line)...)
-			l.env.After(l.retryJitter(), func(now uint64) {
-				for _, r := range reqs {
-					l.Access(r)
-				}
-			})
+			l.requeueShim(l.retryJitter(), ww.req, p.Line)
+			l.freeWrite(ww)
 		}
 		return
 	}
@@ -1339,28 +1468,28 @@ func (l *L1Ctrl) handleRemoteUpdate(p WirUpd) {
 	}
 	l.Stats.SelfInvalidations.Inc()
 	l.data.Invalidate(p.Line)
-	l.env.SendWired(l.id, l.env.HomeOf(p.Line), PortHome, &Msg{Type: MsgPutW, Line: p.Line, Src: l.id})
+	l.env.SendWired(l.id, l.env.HomeOf(p.Line), PortHome, Msg{Type: MsgPutW, Line: p.Line, Src: l.id})
 }
 
 // cancelQueuedWrite pulls back a queued (never active — a broadcast
-// delivery implies the medium just freed) wireless write for the line
-// and re-dispatches its request; it returns the canceled write, or nil
-// when none was queued.
-func (l *L1Ctrl) cancelQueuedWrite(line addrspace.Line) *wirelessWrite {
+// delivery implies the medium just freed) wireless write for the line;
+// it returns the canceled write's request, or nil when none was queued.
+func (l *L1Ctrl) cancelQueuedWrite(line addrspace.Line) *MemRequest {
 	ww, ok := l.wwrites.get(line)
 	if !ok {
 		return nil
 	}
-	if !ww.cancel() {
+	if !l.env.CancelWireless(ww.tx) {
 		l.fail(line, "wireless delivery overlaps an active local transmission")
 		return nil
 	}
-	ww.aborted = true
 	l.wwrites.del(line)
 	if ln := l.data.Lookup(line); ln != nil {
 		ln.NonEvict = false
 	}
-	return ww
+	r := ww.req
+	l.freeWrite(ww)
+	return r
 }
 
 // handleWirDwgr moves our W copy back to Shared and identifies
@@ -1374,27 +1503,27 @@ func (l *L1Ctrl) handleWirDwgr(p WirDwgr) {
 	l.tracef(l.env.Now(), p.Line, "l1 %d: WirDwgr state=%v", l.id, st)
 	// A queued wireless write can no longer serialize in W; convert it
 	// to a wired access after the downgrade.
-	if ww := l.cancelQueuedWrite(p.Line); ww != nil {
-		l.requeue(append([]*MemRequest{ww.req}, l.absorbShim(p.Line)...))
+	if r := l.cancelQueuedWrite(p.Line); r != nil {
+		l.requeueShim(1, r, p.Line)
 	}
 	if ln == nil || ln.State != cache.Wireless {
 		return
 	}
 	ln.State = cache.Shared
 	ln.Dirty = false
-	l.env.SendWired(l.id, p.Home, PortHome, &Msg{Type: MsgWirDwgrAck, Line: p.Line, Src: l.id})
+	l.env.SendWired(l.id, p.Home, PortHome, Msg{Type: MsgWirDwgrAck, Line: p.Line, Src: l.id})
 }
 
 // handleWirInv drops the line because the home evicted its entry; a
 // pending wireless write is squashed and retried on the wired path
 // (Table I W->I, §IV-C).
 func (l *L1Ctrl) handleWirInv(p WirInv) {
-	if ww := l.cancelQueuedWrite(p.Line); ww != nil {
+	if r := l.cancelQueuedWrite(p.Line); r != nil {
 		l.data.Invalidate(p.Line)
-		if ww.req.IsRMW {
+		if r.IsRMW {
 			l.Stats.RMWRetries.Inc()
 		}
-		l.requeue(append([]*MemRequest{ww.req}, l.absorbShim(p.Line)...))
+		l.requeueShim(1, r, p.Line)
 		return
 	}
 	ln := l.data.Lookup(p.Line)

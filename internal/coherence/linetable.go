@@ -19,20 +19,17 @@ import (
 // already fixes. Unordered iteration (forEach) is therefore reproducible
 // across runs — unlike Go map ranges — but ordered dumps still go
 // through sortedKeys so they stay stable across table-sizing changes.
+//
+// Deletion shifts the rest of the probe chain back instead of leaving
+// a tombstone, so a table that churns at a steady size never rebuilds:
+// its arrays are reallocated only when it doubles.
 type lineTable[V any] struct {
 	keys []addrspace.Line
-	meta []uint8 // slotEmpty, slotLive or slotDead (tombstone)
+	live []bool
 	vals []V
 	mask uint64
-	live int // live slots
-	used int // live + tombstones: probe-chain occupancy
+	n    int // live slots
 }
-
-const (
-	slotEmpty uint8 = iota
-	slotLive
-	slotDead
-)
 
 const lineTableMinCap = 16
 
@@ -46,34 +43,42 @@ func hashLine(l addrspace.Line) uint64 {
 }
 
 func (t *lineTable[V]) grow(n int) {
-	oldKeys, oldMeta, oldVals := t.keys, t.meta, t.vals
+	oldKeys, oldLive, oldVals := t.keys, t.live, t.vals
 	t.keys = make([]addrspace.Line, n)
-	t.meta = make([]uint8, n)
+	t.live = make([]bool, n)
 	t.vals = make([]V, n)
 	t.mask = uint64(n - 1)
-	t.used = t.live
-	for i, m := range oldMeta {
-		if m != slotLive {
+	for i, ok := range oldLive {
+		if !ok {
 			continue
 		}
 		j := hashLine(oldKeys[i]) & t.mask
-		for t.meta[j] == slotLive {
+		for t.live[j] {
 			j = (j + 1) & t.mask
 		}
 		t.keys[j] = oldKeys[i]
-		t.meta[j] = slotLive
+		t.live[j] = true
 		t.vals[j] = oldVals[i]
 	}
 }
 
+// find returns the slot holding the line, or -1.
+func (t *lineTable[V]) find(l addrspace.Line) int {
+	if t.live == nil {
+		return -1
+	}
+	for i := hashLine(l) & t.mask; t.live[i]; i = (i + 1) & t.mask {
+		if t.keys[i] == l {
+			return int(i)
+		}
+	}
+	return -1
+}
+
 // get returns the value stored for the line, or the zero V.
 func (t *lineTable[V]) get(l addrspace.Line) (V, bool) {
-	if t.meta != nil {
-		for i := hashLine(l) & t.mask; t.meta[i] != slotEmpty; i = (i + 1) & t.mask {
-			if t.meta[i] == slotLive && t.keys[i] == l {
-				return t.vals[i], true
-			}
-		}
+	if i := t.find(l); i >= 0 {
+		return t.vals[i], true
 	}
 	var zero V
 	return zero, false
@@ -81,74 +86,61 @@ func (t *lineTable[V]) get(l addrspace.Line) (V, bool) {
 
 // put inserts or replaces the value for the line.
 func (t *lineTable[V]) put(l addrspace.Line, v V) {
-	if t.meta == nil {
+	if t.live == nil {
 		t.grow(lineTableMinCap)
-	} else if (t.used+1)*4 >= len(t.meta)*3 {
-		// Keep probe chains short: tombstones extend chains exactly like
-		// live slots, so they count toward the load factor. Double only
-		// when genuinely half full; otherwise rebuild at the same size
-		// to purge tombstones.
-		n := len(t.meta)
-		if t.live*2 >= n {
-			n <<= 1
-		}
-		t.grow(n)
+	} else if (t.n+1)*4 >= len(t.live)*3 {
+		t.grow(len(t.live) << 1) // keep probe chains short
 	}
-	free := -1
-	for i := hashLine(l) & t.mask; ; i = (i + 1) & t.mask {
-		switch t.meta[i] {
-		case slotEmpty:
-			if free < 0 {
-				free = int(i)
-				t.used++ // claiming a virgin slot; tombstones were already counted
-			}
-			t.keys[free] = l
-			t.meta[free] = slotLive
-			t.vals[free] = v
-			t.live++
+	i := hashLine(l) & t.mask
+	for ; t.live[i]; i = (i + 1) & t.mask {
+		if t.keys[i] == l {
+			t.vals[i] = v
 			return
-		case slotDead:
-			if free < 0 {
-				free = int(i) // remember, but keep probing for a live match
-			}
-		case slotLive:
-			if t.keys[i] == l {
-				t.vals[i] = v
-				return
-			}
 		}
 	}
+	t.keys[i] = l
+	t.live[i] = true
+	t.vals[i] = v
+	t.n++
 }
 
 // del removes the line's entry, reporting whether it was present. The
-// vacated slot becomes a tombstone so probe chains passing through it
-// stay intact; rebuilds reclaim tombstones.
+// entries after it in its probe chain move back into the hole whenever
+// their home slot allows, so every chain stays unbroken without
+// tombstones (linear probing's backward-shift deletion).
 func (t *lineTable[V]) del(l addrspace.Line) bool {
-	if t.meta == nil {
+	hole := t.find(l)
+	if hole < 0 {
 		return false
 	}
-	for i := hashLine(l) & t.mask; t.meta[i] != slotEmpty; i = (i + 1) & t.mask {
-		if t.meta[i] == slotLive && t.keys[i] == l {
-			t.meta[i] = slotDead
-			var zero V
-			t.vals[i] = zero // drop references so the GC can reclaim them
-			t.live--
-			return true
+	i := uint64(hole)
+	for j := (i + 1) & t.mask; t.live[j]; j = (j + 1) & t.mask {
+		// The entry at j may fill the hole at i only if its home slot
+		// does not lie cyclically in (i, j]: otherwise a lookup would
+		// start past the hole and miss it.
+		if home := hashLine(t.keys[j]) & t.mask; (j-home)&t.mask < (j-i)&t.mask {
+			continue
 		}
+		t.keys[i], t.vals[i] = t.keys[j], t.vals[j]
+		i = j
 	}
-	return false
+	t.live[i] = false
+	var zero V
+	t.vals[i] = zero // drop references so the GC can reclaim them
+	t.n--
+	return true
 }
 
 // length returns the number of live entries.
-func (t *lineTable[V]) length() int { return t.live }
+func (t *lineTable[V]) length() int { return t.n }
 
 // forEach visits live entries in slot order. The order is deterministic
 // (a pure function of the call history) but not sorted; callers that
 // render output use sortedKeys instead, and order-independent scans
 // (any-of, min-by-unique-key) may use forEach directly.
 func (t *lineTable[V]) forEach(fn func(addrspace.Line, V) bool) {
-	for i, m := range t.meta {
-		if m == slotLive && !fn(t.keys[i], t.vals[i]) {
+	for i, ok := range t.live {
+		if ok && !fn(t.keys[i], t.vals[i]) {
 			return
 		}
 	}
@@ -157,9 +149,9 @@ func (t *lineTable[V]) forEach(fn func(addrspace.Line, V) bool) {
 // sortedKeys returns the live lines in ascending order, for dumps and
 // diagnostics that must be byte-identical across runs and refactors.
 func (t *lineTable[V]) sortedKeys() []addrspace.Line {
-	lines := make([]addrspace.Line, 0, t.live)
-	for i, m := range t.meta {
-		if m == slotLive {
+	lines := make([]addrspace.Line, 0, t.n)
+	for i, ok := range t.live {
+		if ok {
 			lines = append(lines, t.keys[i])
 		}
 	}

@@ -168,7 +168,9 @@ type BrWirUpgr struct {
 	Home int
 }
 
-// WirUpd is a fine-grain wireless write: one word of one line.
+// WirUpd is a fine-grain wireless write: one word of one line. It
+// travels as a *WirUpd that points into the sender's pooled write
+// record, so a wireless write boxes no payload.
 type WirUpd struct {
 	Line   addrspace.Line
 	Word   int
@@ -201,20 +203,48 @@ const (
 	PortMC
 )
 
+// TxCallback receives the outcome of a wireless transmission (the
+// machine hands it to the wireless channel). TxDone fires at the
+// serialization point, TxAborted on a jam (jammed=true) or when the
+// channel gives up after fault retries.
+type TxCallback interface {
+	TxDone(now uint64)
+	TxAborted(now uint64, jammed bool)
+}
+
+// txDone adapts a serialization-point closure to TxCallback for the
+// directory's own broadcasts, which are privileged and so are never
+// aborted.
+type txDone func(now uint64)
+
+func (f txDone) TxDone(now uint64)      { f(now) }
+func (f txDone) TxAborted(uint64, bool) {}
+
 // Env is the machine context the controllers run in: time, the two
 // networks, address mapping, and delayed self-calls. The machine
 // implements it.
+//
+// Wired messages have one owner at a time. SendWired copies m into a
+// message the machine takes from its free list; the machine delivers
+// that message to HandleWired and frees it when the handler returns,
+// unless the handler reports that it kept the message. A controller
+// that keeps a message owns it and returns it with FreeMsg once it is
+// done with it.
 type Env interface {
 	// Now returns the current cycle.
 	Now() uint64
-	// SendWired injects a wired message; bytes sizes the packet.
-	SendWired(src, dst int, port PortKind, m *Msg)
-	// TransmitWireless queues a broadcast; done fires at the
-	// serialization point, abort on a jam. Privileged transmissions (a
-	// directory's own protocol broadcasts) pass through jamming.
-	// Returns a cancel function that removes the request if it has not
-	// yet serialized.
-	TransmitWireless(sender int, line addrspace.Line, payload any, privileged bool, done func(now uint64), abort func(now uint64, jammed bool)) (cancel func() bool)
+	// SendWired injects a wired message; its size sizes the packet.
+	SendWired(src, dst int, port PortKind, m Msg)
+	// FreeMsg returns a message a handler kept to the machine.
+	FreeMsg(m *Msg)
+	// TransmitWireless queues a broadcast and returns its handle for
+	// CancelWireless; cb (nil for none) learns the outcome. Privileged
+	// transmissions (a directory's own protocol broadcasts) pass
+	// through jamming.
+	TransmitWireless(sender int, line addrspace.Line, payload any, privileged bool, cb TxCallback) (tx uint64)
+	// CancelWireless withdraws a queued broadcast; it reports false
+	// when the transmission has already serialized or finished.
+	CancelWireless(tx uint64) bool
 	// WirelessActive reports an in-flight (guaranteed) transmission
 	// concerning the line; directories defer data snapshots past it.
 	WirelessActive(l addrspace.Line) bool
@@ -227,11 +257,8 @@ type Env interface {
 	RaiseTone()
 	LowerTone()
 	WaitToneSilent(fn func(now uint64))
-	// After schedules fn at Now()+delay.
-	After(delay uint64, fn func(now uint64))
-	// AfterRunner schedules r.Run at Now()+delay in the same ordering
-	// domain as After; controllers use it with pooled runner structs to
-	// keep steady-state completion paths allocation-free.
+	// AfterRunner schedules r.Run at Now()+delay. Controllers pass
+	// pooled runner structs, so scheduling allocates nothing.
 	AfterRunner(delay uint64, r engine.Runner)
 	// HomeOf / MCOf map lines to their home slice and memory controller.
 	HomeOf(l addrspace.Line) int

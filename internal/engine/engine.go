@@ -6,35 +6,24 @@
 // mesh's in-flight packets.
 package engine
 
-// Runner is the pooled alternative to a closure callback: callers that
-// fire the same kind of event repeatedly implement Run on a recycled
-// struct, so scheduling allocates nothing. An interface holding a
-// pointer does not escape-allocate the way a fresh closure does.
+// Runner is a scheduled callback. Callers that fire the same kind of
+// event repeatedly implement Run on a recycled struct, so scheduling
+// allocates nothing: an interface holding a pointer does not
+// escape-allocate the way a fresh closure does.
 type Runner interface {
 	Run(now uint64)
 }
 
-// event is a scheduled callback: either a closure or a Runner.
-type event struct {
-	fn func(now uint64)
-	r  Runner
-}
-
-// Queue is the event queue: a Wheel of callbacks. The zero value is
+// Queue is the event queue: a Wheel of Runners. The zero value is
 // ready to use. Execution order is exactly (cycle, seq) — see Wheel
 // for the layout and the ordering argument.
 type Queue struct {
-	w Wheel[event]
+	w Wheel[Runner]
 }
 
-// At schedules fn to run at the given cycle. Events scheduled for the
-// same cycle run in scheduling order.
-func (q *Queue) At(cycle uint64, fn func(now uint64)) { q.w.Push(cycle, event{fn: fn}) }
-
-// AtRunner schedules r.Run at the given cycle, sharing the same
-// (cycle, seq) ordering domain as At — a Runner and a closure
-// scheduled back-to-back for one cycle run in scheduling order.
-func (q *Queue) AtRunner(cycle uint64, r Runner) { q.w.Push(cycle, event{r: r}) }
+// At schedules r.Run at the given cycle. Events scheduled for the same
+// cycle run in scheduling order.
+func (q *Queue) At(cycle uint64, r Runner) { q.w.Push(cycle, r) }
 
 // RunDue runs every event with at <= now, in (cycle, seq) order. Events
 // scheduled during execution for cycles <= now also run; a late event
@@ -44,15 +33,11 @@ func (q *Queue) AtRunner(cycle uint64, r Runner) { q.w.Push(cycle, event{r: r}) 
 func (q *Queue) RunDue(now uint64) int {
 	ran := 0
 	for {
-		e, ok := q.w.PopDue(now)
+		r, ok := q.w.PopDue(now)
 		if !ok {
 			return ran
 		}
-		if e.r != nil {
-			e.r.Run(now)
-		} else {
-			e.fn(now)
-		}
+		r.Run(now)
 		ran++
 	}
 }

@@ -8,47 +8,87 @@ import (
 	"repro/internal/workload"
 )
 
-// TestSteadyStateCycleAllocBudget pins the per-cycle allocation
-// budget of the warm cycle loop, on BenchmarkMachineCycle's machine
-// (barnes x0.1, 16 cores, WiDir, seed 11). The hot path pools every
-// steady-state object — event-queue nodes, mesh packets, MemRequests,
-// L1 completions and pending entries, directory entries — so the only
-// remaining allocations are the coherence Msg constructions in the
-// protocol controllers (about 3 per cycle on this machine, and
-// deliberately not pooled: a NACKed response can be retained across
-// an asynchronous NIC-wait retry, so recycling them would need
-// reference counting). The budget is that steady state plus slack for
-// step-to-step variance; it catches the hot path regressing to
-// per-cycle map/closure/envelope churn. The window must end with cores
-// still running: on a drained machine every Step is idle and the
-// budget could never fail.
+// TestSteadyStateCycleAllocBudget pins the per-cycle allocation budget
+// of the warm cycle loop at zero on two machines, both 16 cores under
+// WiDir with seed 11: BenchmarkMachineCycle's (barnes x0.1), and
+// hotLocks, which is heavy on NACK retries, lock RMWs, wireless writes,
+// jams and aborts — paths barnes x0.1 barely exercises. The hot path
+// pools every steady-state object: event-queue nodes, mesh packets,
+// wired messages (single owner, freed after delivery), transaction
+// records, wireless requests and writes, the controllers' runners,
+// MemRequests, completions, and pending and directory entries.
+// testing.AllocsPerRun truncates to whole objects per run, so the
+// budget of 0 admits less than one object per cycle on average; what
+// a window still allocates is first-touch growth (new directory
+// entries, tables and pools reaching their peak size) and the
+// per-transition closures and boxed broadcasts of the directory's S->W,
+// W->S and W eviction, about 0.4 and 0.5 objects per cycle on the two
+// machines. One allocation per cycle or per wired message breaks it.
+// Each window must end with cores still running (on a drained machine
+// every Step is idle and the budget could never fail), and the
+// hotLocks window must see NACKs, jams and wireless writes.
 func TestSteadyStateCycleAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-runtime bookkeeping allocates nondeterministically")
 	}
-	prof, ok := workload.ByName("barnes")
+	barnes, ok := workload.ByName("barnes")
 	if !ok {
 		t.Fatal("unknown app barnes")
 	}
-	sys, err := NewSystem(DefaultConfig(16, coherence.WiDir), workload.Program(prof.Scale(0.1), 16, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Step(500) // warm every pool past its start-up growth
-	const steps = 2_000
-	avg := testing.AllocsPerRun(steps, func() { sys.Step(1) })
-	running := 0
-	for _, c := range sys.cores {
-		if !c.Done() {
-			running++
+	for _, tc := range []struct {
+		name  string
+		prof  workload.Profile
+		heavy bool
+	}{
+		{"barnes", barnes.Scale(0.1), false},
+		{"hotLocks", hotLocks, true},
+	} {
+		sys, err := NewSystem(DefaultConfig(16, coherence.WiDir), workload.Program(tc.prof, 16, 11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Step(500) // warm every pool past its start-up growth
+		nacks, jams, writes := sys.retryCounts()
+		const steps = 2_000
+		avg := testing.AllocsPerRun(steps, func() { sys.Step(1) })
+		running := 0
+		for _, c := range sys.cores {
+			if !c.Done() {
+				running++
+			}
+		}
+		if running == 0 {
+			t.Fatalf("%s: every core finished by cycle %d: the window measured an idle machine", tc.name, sys.Cycle())
+		}
+		if n, j, w := sys.retryCounts(); tc.heavy && (n == nacks || j == jams || w == writes) {
+			t.Fatalf("%s: the window saw %d NACKs, %d jams and %d wireless writes; it must see all three",
+				tc.name, n-nacks, j-jams, w-writes)
+		}
+		if avg > 0 {
+			t.Errorf("%s: steady-state cycle loop allocates %.2f objects/cycle, budget 0", tc.name, avg)
 		}
 	}
-	if running == 0 {
-		t.Fatalf("every core finished by cycle %d: the window measured an idle machine", sys.Cycle())
+}
+
+// hotLocks is the retry-heavy budget machine: hot lines every core
+// writes, group-shared lines, and a lock critical section every 40
+// steps, which keep directories busy (NACKs), lines jammed and wireless
+// RMWs aborting.
+var hotLocks = workload.Profile{
+	Name: "hotLocks", Steps: 1500, ComputePerMem: 2,
+	HotLines: 8, HotAccessFrac: 0.3, HotWriteFrac: 0.2,
+	MidLines: 32, MidSharers: 8, MidAccessFrac: 0.2, MidWriteFrac: 0.1,
+	ReuseLines: 16, PrivateWriteFrac: 0.3, StreamFrac: 0.01,
+	LockEvery: 40, Locks: 4, CritAccesses: 2, BarrierEvery: 500,
+}
+
+// retryCounts sums the NACKs, wireless jams and wireless writes so far.
+func (s *System) retryCounts() (nacks, jams, writes uint64) {
+	for _, l := range s.l1s {
+		nacks += l.Stats.NACKs.Value()
+		writes += l.Stats.WirelessWrites.Value()
 	}
-	if avg > 3.5 {
-		t.Errorf("steady-state cycle loop allocates %.2f objects/cycle, budget 3.5", avg)
-	}
+	return nacks, s.wchan.Jams.Value(), writes
 }
 
 // TestSimFastForwardAllocBudget puts a ceiling on the allocations of
@@ -58,8 +98,8 @@ func TestSteadyStateCycleAllocBudget(t *testing.T) {
 // exactly deterministic: the sim's maps draw a random hash seed per
 // instance, so their growth allocations jitter by a few objects
 // between identical runs. Each ceiling is the maximum seen plus the
-// spread seen over 440 runs in 23 processes (-count=20 or 10) on
-// linux/amd64 with go1.24: WiDir 8,099–8,104, Baseline 7,708–7,715.
+// spread seen over 880 runs in 44 processes of -count=20 on
+// linux/amd64 with go1.24: WiDir 1,343–1,348, Baseline 998–1,003.
 // Another Go release may allocate differently; re-measure there. One
 // extra allocation per cycle or per coherence message overshoots the
 // ceiling by thousands.
@@ -71,8 +111,8 @@ func TestSimFastForwardAllocBudget(t *testing.T) {
 		p       coherence.Protocol
 		ceiling uint64
 	}{
-		{coherence.WiDir, 8_104 + 5},
-		{coherence.Baseline, 7_715 + 7},
+		{coherence.WiDir, 1_348 + 5},
+		{coherence.Baseline, 1_003 + 5},
 	} {
 		if n := fastForwardRunAllocs(t, tc.p); n > tc.ceiling {
 			t.Errorf("%v: one run allocates %d objects, ceiling %d", tc.p, n, tc.ceiling)

@@ -254,7 +254,25 @@ type System struct {
 	protoErr *coherence.ProtocolError
 
 	running int // cores not yet finished
+
+	// msgFree recycles wired messages (see coherence.Env for who owns a
+	// message when) and memFree the memory controllers' response
+	// runners. Both grow on demand.
+	msgFree []*coherence.Msg
+	memFree []*memResponse
+
+	// poisonMsgs, set only by this package's tests, scribbles every
+	// freed message (poisonType, poisonLine) and never reuses it, so a
+	// read after free sees the poison and a second free panics.
+	poisonMsgs bool
 }
+
+// The scribble of a freed message under System.poisonMsgs: no handler
+// accepts the type, and no line lives at the address.
+const (
+	poisonType = coherence.MsgType(0xff)
+	poisonLine = addrspace.Line(0xdead_dead_dead)
+)
 
 // NewSystem builds a machine. Sources supplies each core's instruction
 // stream (len must equal cfg.Nodes).
@@ -357,17 +375,26 @@ func NewSystem(cfg Config, sources []cpu.InstrSource) (*System, error) {
 // Now returns the current cycle.
 func (s *System) Now() uint64 { return s.cycle }
 
-// SendWired injects a coherence message into the mesh.
-func (s *System) SendWired(src, dst int, port coherence.PortKind, m *coherence.Msg) {
+// SendWired copies a coherence message into one from the free list and
+// injects it into the mesh; the machine owns it until delivery.
+func (s *System) SendWired(src, dst int, port coherence.PortKind, msg coherence.Msg) {
 	if port == coherence.PortMC {
 		// Messages to a memory controller are addressed by MC index.
-		dst = s.mcNodes[s.space.MCOf(m.Line)]
+		dst = s.mcNodes[s.space.MCOf(msg.Line)]
 	}
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Emit(obs.Event{Cycle: s.cycle, Kind: obs.EvMsgSend,
-			Node: int32(src), Other: int32(dst), Line: m.Line,
-			A: uint64(m.Type), B: m.ReqID})
+			Node: int32(src), Other: int32(dst), Line: msg.Line,
+			A: uint64(msg.Type), B: msg.ReqID})
 	}
+	var m *coherence.Msg
+	if n := len(s.msgFree); n > 0 {
+		m = s.msgFree[n-1]
+		s.msgFree = s.msgFree[:n-1]
+	} else {
+		m = new(coherence.Msg)
+	}
+	*m = msg
 	m.Port = port
 	s.mesh.Send(s.cycle, mesh.Packet{
 		Src: src, Dst: dst,
@@ -376,10 +403,25 @@ func (s *System) SendWired(src, dst int, port coherence.PortKind, m *coherence.M
 	})
 }
 
-// TransmitWireless queues a broadcast on the data channel.
-func (s *System) TransmitWireless(sender int, line addrspace.Line, payload any, privileged bool, done func(uint64), abort func(uint64, bool)) func() bool {
-	return s.wchan.Transmit(wireless.Message{Sender: sender, Line: line, Payload: payload, Privileged: privileged}, done, abort)
+// FreeMsg returns a delivered message to the free list.
+func (s *System) FreeMsg(m *coherence.Msg) {
+	if s.poisonMsgs {
+		if m.Type == poisonType {
+			panic(fmt.Sprintf("machine: message freed twice (%+v)", *m))
+		}
+		m.Type, m.Line = poisonType, poisonLine
+		return
+	}
+	s.msgFree = append(s.msgFree, m)
 }
+
+// TransmitWireless queues a broadcast on the data channel.
+func (s *System) TransmitWireless(sender int, line addrspace.Line, payload any, privileged bool, cb coherence.TxCallback) uint64 {
+	return s.wchan.Transmit(wireless.Message{Sender: sender, Line: line, Payload: payload, Privileged: privileged}, cb)
+}
+
+// CancelWireless withdraws a queued broadcast.
+func (s *System) CancelWireless(tx uint64) bool { return s.wchan.Cancel(tx) }
 
 // WirelessActive reports an in-flight transmission for the line.
 func (s *System) WirelessActive(l addrspace.Line) bool { return s.wchan.ActiveOn(l) }
@@ -413,11 +455,8 @@ func (s *System) LowerTone() {
 // WaitToneSilent registers a ToneAck completion callback.
 func (s *System) WaitToneSilent(fn func(uint64)) { s.wchan.WaitToneSilent(fn) }
 
-// After schedules fn at Now()+delay.
-func (s *System) After(delay uint64, fn func(uint64)) { s.events.At(s.cycle+delay, fn) }
-
 // AfterRunner schedules a pooled runner at Now()+delay.
-func (s *System) AfterRunner(delay uint64, r engine.Runner) { s.events.AtRunner(s.cycle+delay, r) }
+func (s *System) AfterRunner(delay uint64, r engine.Runner) { s.events.At(s.cycle+delay, r) }
 
 // HomeOf maps a line to its home slice.
 func (s *System) HomeOf(l addrspace.Line) int { return s.space.HomeOf(l) }
@@ -445,13 +484,17 @@ func (s *System) deliverWired(now uint64, pkt mesh.Packet) {
 			Node: int32(pkt.Dst), Other: int32(pkt.Src), Line: m.Line,
 			A: uint64(m.Type), B: m.ReqID})
 	}
+	kept := false
 	switch m.Port {
 	case coherence.PortL1:
-		s.l1s[pkt.Dst].HandleWired(now, m)
+		kept = s.l1s[pkt.Dst].HandleWired(now, m)
 	case coherence.PortHome:
-		s.homes[pkt.Dst].HandleWired(now, m)
+		kept = s.homes[pkt.Dst].HandleWired(now, m)
 	case coherence.PortMC:
-		s.handleMC(now, pkt.Src, m)
+		s.handleMC(now, m)
+	}
+	if !kept {
+		s.FreeMsg(m)
 	}
 }
 
@@ -466,7 +509,7 @@ func (s *System) deliverWireless(now uint64, msg wireless.Message) {
 
 // handleMC models the off-chip memory: a service queue per controller
 // with the Table III round-trip latency.
-func (s *System) handleMC(now uint64, src int, m *coherence.Msg) {
+func (s *System) handleMC(now uint64, m *coherence.Msg) {
 	mc := s.space.MCOf(m.Line)
 	s.memAccesses.Inc()
 	start := s.mcFree[mc]
@@ -476,15 +519,15 @@ func (s *System) handleMC(now uint64, src int, m *coherence.Msg) {
 	s.mcFree[mc] = start + s.cfg.MemServiceInterval
 	switch m.Type {
 	case coherence.MsgMemRead:
-		line := m.Line
-		dst := m.Requester
-		s.events.At(start+s.cfg.MemLatency, func(at uint64) {
-			resp := &coherence.Msg{
-				Type: coherence.MsgMemData, Line: line, HasData: true,
-				Words: s.memory.ReadLine(line),
-			}
-			s.SendWired(s.mcNodes[mc], dst, coherence.PortHome, resp)
-		})
+		var r *memResponse
+		if n := len(s.memFree); n > 0 {
+			r = s.memFree[n-1]
+			s.memFree = s.memFree[:n-1]
+		} else {
+			r = &memResponse{s: s}
+		}
+		r.line, r.dst, r.mc = m.Line, m.Requester, mc
+		s.events.At(start+s.cfg.MemLatency, r)
 	case coherence.MsgMemWrite:
 		// Data already committed to the MemoryImage by the home (so a
 		// racing read can never see stale contents); the message models
@@ -492,6 +535,24 @@ func (s *System) handleMC(now uint64, src int, m *coherence.Msg) {
 	default:
 		panic(fmt.Sprintf("machine: MC port received non-memory message %v", m.Type))
 	}
+}
+
+// memResponse is the pooled event that answers a MemRead once the
+// memory latency has passed; the line is read at that time.
+type memResponse struct {
+	s       *System
+	line    addrspace.Line
+	dst, mc int
+}
+
+// Run implements engine.Runner.
+func (r *memResponse) Run(now uint64) {
+	s := r.s
+	s.memFree = append(s.memFree, r)
+	s.SendWired(s.mcNodes[r.mc], r.dst, coherence.PortHome, coherence.Msg{
+		Type: coherence.MsgMemData, Line: r.line, HasData: true,
+		Words: s.memory.ReadLine(r.line),
+	})
 }
 
 // --- run loop ---
@@ -703,10 +764,23 @@ func (s *System) Run() (*Result, error) {
 // Config.TxnAgeLimit. Unlike the MaxCycles watchdog it names the
 // culprit line and its full transaction state.
 func (s *System) checkTxnAges() {
-	info, ok := s.oldestTxn()
-	if !ok || info.Age(s.cycle) <= s.cfg.TxnAgeLimit {
+	// The common case, nothing stuck, is decided from start cycles
+	// alone; only a report builds the TxnInfo.
+	oldest := never
+	for _, h := range s.homes {
+		if st, ok := h.OldestStart(); ok && st < oldest {
+			oldest = st
+		}
+	}
+	for _, l1 := range s.l1s {
+		if st, ok := l1.OldestStart(); ok && st < oldest {
+			oldest = st
+		}
+	}
+	if oldest == never || s.cycle-oldest <= s.cfg.TxnAgeLimit {
 		return
 	}
+	info, _ := s.oldestTxn()
 	s.ReportProtocolError(&coherence.ProtocolError{
 		Cycle: s.cycle,
 		Node:  info.Node,

@@ -109,25 +109,23 @@ func (w *walker) resolveStateValue(rhs ast.Expr, c *ctx) string {
 	return "?"
 }
 
-// resolveBusyValue resolves rhs to a busy:<kind> display name: either
-// a &txn{kind: ...} literal or a tracked transaction variable.
+// resolveBusyValue resolves rhs to a busy:<kind> display name: a
+// &txn{kind: ...} literal, a call that builds the record from a
+// txn{kind: ...} literal argument (a pooled constructor), or a tracked
+// transaction variable.
 func (w *walker) resolveBusyValue(rhs ast.Expr, c *ctx) (string, bool) {
 	me := w.me
 	if u, ok := ast.Unparen(rhs).(*ast.UnaryExpr); ok {
 		if cl, ok := u.X.(*ast.CompositeLit); ok && w.isBusyStructPtr(w.info().TypeOf(rhs)) {
-			kind := "none"
-			for _, elt := range cl.Elts {
-				kv, ok := elt.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				if key, ok := kv.Key.(*ast.Ident); ok && key.Name == me.cfg.Busy.KindField {
-					if name, ok := w.enumConst(kv.Value, me.kinds); ok {
-						kind = name
-					}
-				}
+			return w.busyKind(cl), true
+		}
+	}
+	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && w.isBusyStructPtr(w.info().TypeOf(rhs)) {
+		for _, arg := range call.Args {
+			cl, ok := ast.Unparen(arg).(*ast.CompositeLit)
+			if ok && w.isBusyStructPtr(types.NewPointer(w.info().TypeOf(cl))) {
+				return w.busyKind(cl), true
 			}
-			return me.cfg.Busy.Prefix + kind, true
 		}
 	}
 	if id, ok := ast.Unparen(rhs).(*ast.Ident); ok {
@@ -138,6 +136,24 @@ func (w *walker) resolveBusyValue(rhs ast.Expr, c *ctx) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// busyKind reads the kind field of a transaction literal.
+func (w *walker) busyKind(cl *ast.CompositeLit) string {
+	me := w.me
+	kind := "none"
+	for _, elt := range cl.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			continue
+		}
+		if key, ok := kv.Key.(*ast.Ident); ok && key.Name == me.cfg.Busy.KindField {
+			if name, ok := w.enumConst(kv.Value, me.kinds); ok {
+				kind = name
+			}
+		}
+	}
+	return me.cfg.Busy.Prefix + kind
 }
 
 // isBusyField reports whether lhs is the entry's transaction field.
@@ -212,6 +228,14 @@ func (w *walker) walkExpr(e ast.Expr, c *ctx) {
 // into same-package functions.
 func (w *walker) handleCall(call *ast.CallExpr, c *ctx) {
 	me := w.me
+	// A pooled engine.Runner handed to a call is a continuation, like a
+	// function literal argument: its Run method is walked here, under
+	// the caller's context.
+	for _, arg := range call.Args {
+		if fi := w.runnerOf(arg); fi != nil {
+			w.walkFunc(fi, *c, nil)
+		}
+	}
 	switch fn := call.Fun.(type) {
 	case *ast.Ident:
 		obj := w.info().ObjectOf(fn)
@@ -260,6 +284,22 @@ func (w *walker) handleCall(call *ast.CallExpr, c *ctx) {
 			w.walkFunc(fi, *c, w.bindArgs(fi, call, c))
 		}
 	}
+}
+
+// runnerOf returns the Run method of arg's type when that type is a
+// pointer to a package type with one (a pooled engine.Runner).
+func (w *walker) runnerOf(arg ast.Expr) *funcInfo {
+	t := w.info().TypeOf(arg)
+	named := namedOf(t)
+	if _, isPtr := t.(*types.Pointer); !isPtr || named == nil || named.Obj().Pkg() != w.me.x.pkg.Types {
+		return nil
+	}
+	obj, _, _ := types.LookupFieldOrMethod(t, true, named.Obj().Pkg(), "Run")
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return nil
+	}
+	return w.me.x.funcs[fn]
 }
 
 // matchesTarget reports whether the function is <pkg>.<recv>.<method>.

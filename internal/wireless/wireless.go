@@ -44,22 +44,27 @@ type Message struct {
 // called once per transmission; the machine fans it out.
 type BroadcastFunc func(now uint64, msg Message)
 
-// TxDoneFunc tells the sender its transmission is guaranteed to succeed
-// (the collision-detect cycle passed clean). Per §IV-C this is the
-// serialization point: local state changes only happen here.
-type TxDoneFunc func(now uint64)
-
-// TxAbortFunc tells the sender its transmission was jammed; the sender
-// decides whether to keep retrying or fall back to the wired path.
-type TxAbortFunc func(now uint64, jammed bool)
+// Callback receives the outcome of one transmission. Senders pass a
+// pooled record that implements it, so queueing a broadcast allocates
+// no closures.
+type Callback interface {
+	// TxDone tells the sender its transmission is guaranteed to succeed
+	// (the collision-detect cycle passed clean). Per §IV-C this is the
+	// serialization point: local state changes only happen here. The
+	// broadcast is delivered right after TxDone returns.
+	TxDone(now uint64)
+	// TxAborted tells the sender its transmission was jammed
+	// (jammed=true) or abandoned after its fault retries; the sender
+	// decides whether to retry or fall back to the wired path.
+	TxAborted(now uint64, jammed bool)
+}
 
 type txRequest struct {
 	msg     Message
-	done    TxDoneFunc
-	abort   TxAbortFunc
+	cb      Callback
 	retryAt uint64 // earliest cycle this node may attempt again
 	tries   int
-	seq     uint64
+	seq     uint64 // the handle Transmit returned; unique per request
 }
 
 // MAC selects the medium-access protocol of the data channel.
@@ -98,6 +103,7 @@ type Channel struct {
 	queue     []*txRequest // pending requests across all nodes
 	seq       uint64
 	starters  []*txRequest // Tick scratch: same-cycle starters, queue order
+	reqFree   []*txRequest // finished requests, recycled by Transmit
 
 	// Active transmission (already started, completes at busyUntil).
 	active *txRequest
@@ -107,11 +113,14 @@ type Channel struct {
 	// collision-detect cycle exactly as if a collision occurred — except
 	// transmissions by the jamming node itself (the directory's own
 	// protocol broadcasts must get through).
-	jammed map[addrspace.Line]*jamInfo
+	jammed map[addrspace.Line]jamInfo
 
 	// Tone channel: count of nodes currently holding the tone.
+	// toneSpare is the second buffer Tick swaps in while it fires the
+	// waiters, so registering waiters allocates nothing once warm.
 	toneHolds   int
-	toneWaiters []toneWaiter
+	toneWaiters []func(now uint64)
+	toneSpare   []func(now uint64)
 
 	// Trace receives MAC-level events (slot grants, collisions, jams,
 	// tone silence); nil disables emission.
@@ -149,42 +158,51 @@ type Channel struct {
 	TxFailures stats.Counter // senders that exhausted their retries
 }
 
-type toneWaiter struct {
-	fn  func(now uint64)
-	seq uint64
-}
-
 // NewChannel returns an idle channel using rng for backoff draws.
 func NewChannel(rng *xrand.Source) *Channel {
 	return &Channel{
 		rng:      rng,
-		jammed:   make(map[addrspace.Line]*jamInfo),
+		jammed:   make(map[addrspace.Line]jamInfo),
 		MaxTries: 8,
 	}
 }
 
-// Transmit queues a broadcast from a node. done fires when the
-// transmission is guaranteed to succeed (the serialization point);
-// abort fires if the message is jammed (collisions retry internally and
-// are invisible to the caller). The returned cancel function withdraws
-// the request; it reports false when the transmission has already won
-// the medium (or completed), in which case it will deliver.
-func (c *Channel) Transmit(msg Message, done TxDoneFunc, abort TxAbortFunc) (cancel func() bool) {
+// Transmit queues a broadcast from a node and returns its handle for
+// Cancel. cb (nil for none) learns when the transmission is guaranteed
+// to succeed (the serialization point) or is aborted; collisions retry
+// internally and are invisible to the sender.
+func (c *Channel) Transmit(msg Message, cb Callback) (tx uint64) {
 	c.seq++
-	req := &txRequest{msg: msg, done: done, abort: abort, seq: c.seq}
-	c.queue = append(c.queue, req)
-	return func() bool {
-		if c.active == req {
-			return false
-		}
-		for i, q := range c.queue {
-			if q == req {
-				c.queue = append(c.queue[:i], c.queue[i+1:]...)
-				return true
-			}
-		}
-		return false
+	var req *txRequest
+	if n := len(c.reqFree); n > 0 {
+		req = c.reqFree[n-1]
+		c.reqFree = c.reqFree[:n-1]
+	} else {
+		req = new(txRequest)
 	}
+	*req = txRequest{msg: msg, cb: cb, seq: c.seq}
+	c.queue = append(c.queue, req)
+	return req.seq
+}
+
+// Cancel withdraws the queued request with handle tx. It reports false
+// when the transmission has already won the medium (it will deliver)
+// or has finished.
+func (c *Channel) Cancel(tx uint64) bool {
+	for i, q := range c.queue {
+		if q.seq == tx {
+			c.queue = append(c.queue[:i], c.queue[i+1:]...)
+			c.release(q)
+			return true
+		}
+	}
+	return false
+}
+
+// release recycles a request the channel no longer references.
+func (c *Channel) release(r *txRequest) {
+	*r = txRequest{}
+	c.reqFree = append(c.reqFree, r)
 }
 
 // SetBroadcast registers the delivery fan-out callback.
@@ -201,33 +219,37 @@ type jamInfo struct {
 // Jam needs an Unjam. Only one owner may protect a line at a time,
 // which holds by construction — a line has one home directory.
 func (c *Channel) Jam(l addrspace.Line, owner int) {
-	j := c.jammed[l]
-	if j == nil {
-		c.jammed[l] = &jamInfo{owner: owner, refs: 1}
+	j, ok := c.jammed[l]
+	if !ok {
+		c.jammed[l] = jamInfo{owner: owner, refs: 1}
 		return
 	}
 	if j.owner != owner {
 		panic("wireless: line jammed by two owners")
 	}
 	j.refs++
+	c.jammed[l] = j
 }
 
 // Unjam releases one jamming reference for the line.
 func (c *Channel) Unjam(l addrspace.Line, owner int) {
-	j := c.jammed[l]
-	if j == nil || j.owner != owner {
+	j, ok := c.jammed[l]
+	if !ok || j.owner != owner {
 		panic("wireless: unjam of line that is not jammed by this owner")
 	}
 	j.refs--
 	if j.refs == 0 {
 		delete(c.jammed, l)
+		return
 	}
+	c.jammed[l] = j
 }
 
 // JammedFor reports whether an unprivileged transmission for the line
 // would be rejected.
 func (c *Channel) JammedFor(l addrspace.Line) bool {
-	return c.jammed[l] != nil
+	_, ok := c.jammed[l]
+	return ok
 }
 
 // RaiseTone adds one tone holder (a node that has not finished its part
@@ -249,8 +271,7 @@ func (c *Channel) ToneHolds() int { return c.toneHolds }
 // tone channel next falls silent (or immediately next Tick if already
 // silent). Used by the initiating directory in a ToneAck operation.
 func (c *Channel) WaitToneSilent(fn func(now uint64)) {
-	c.seq++
-	c.toneWaiters = append(c.toneWaiters, toneWaiter{fn: fn, seq: c.seq})
+	c.toneWaiters = append(c.toneWaiters, fn)
 }
 
 // Busy reports whether the data channel is occupied at cycle now.
@@ -362,12 +383,13 @@ func (c *Channel) Tick(now uint64) {
 			c.corrupt(now, req)
 		} else {
 			c.Successes.Inc()
-			if req.done != nil {
-				req.done(now)
+			if req.cb != nil {
+				req.cb.TxDone(now)
 			}
 			if c.onAir != nil {
 				c.onAir(now, req.msg)
 			}
+			c.release(req)
 		}
 	}
 
@@ -375,15 +397,17 @@ func (c *Channel) Tick(now uint64) {
 	// "fires on the Tick after silence is observed".
 	if c.toneHolds == 0 && len(c.toneWaiters) > 0 {
 		ws := c.toneWaiters
-		c.toneWaiters = nil
+		c.toneWaiters = c.toneSpare[:0]
 		if c.Trace != nil {
 			c.Trace.Emit(obs.Event{Cycle: now, Kind: obs.EvToneQuiet,
 				Node: obs.NoNode, Other: obs.NoNode, Line: obs.NoLine,
 				A: uint64(len(ws))})
 		}
-		for _, w := range ws {
-			w.fn(now)
+		for i, fn := range ws {
+			ws[i] = nil
+			fn(now)
 		}
+		c.toneSpare = ws[:0]
 	}
 
 	// Try to start a new transmission.
@@ -449,9 +473,10 @@ queue:
 		}
 		c.busyUntil = now + AbortCycles
 		c.removeRequest(winner)
-		if winner.abort != nil {
-			winner.abort(now+AbortCycles, true)
+		if winner.cb != nil {
+			winner.cb.TxAborted(now+AbortCycles, true)
 		}
+		c.release(winner)
 		return
 	}
 	// Clean start: transmission occupies transfer + detect cycles.
@@ -468,7 +493,7 @@ queue:
 // corrupt handles a transmission lost to an injected channel fault.
 // The transfer occupied the medium but no receiver accepted it, so the
 // serialization point (done) never fires. An unprivileged sender that
-// has burned MaxTries attempts gives up with abort(now, false) — the
+// has burned MaxTries attempts gives up with TxAborted(now, false) — the
 // jammed=false discriminates a fault abort from a jam — otherwise the
 // request re-queues behind an exponential backoff and contends again.
 func (c *Channel) corrupt(now uint64, req *txRequest) {
@@ -489,9 +514,10 @@ func (c *Channel) corrupt(now uint64, req *txRequest) {
 	}
 	if exhausted {
 		c.TxFailures.Inc()
-		if req.abort != nil {
-			req.abort(now, false)
+		if req.cb != nil {
+			req.cb.TxAborted(now, false)
 		}
+		c.release(req)
 		return
 	}
 	req.retryAt = now + c.backoff(req.tries)
@@ -554,9 +580,10 @@ func (c *Channel) tickToken(now uint64) {
 			}
 			c.busyUntil = now + AbortCycles
 			c.removeRequest(winner)
-			if winner.abort != nil {
-				winner.abort(now+AbortCycles, true)
+			if winner.cb != nil {
+				winner.cb.TxAborted(now+AbortCycles, true)
 			}
+			c.release(winner)
 			return
 		}
 		c.removeRequest(winner)

@@ -14,6 +14,24 @@ func newTestChannel() (*Channel, *[]Message) {
 	return c, &got
 }
 
+// cbs adapts test closures (either may be nil) to Callback.
+type cbs struct {
+	done  func(now uint64)
+	abort func(now uint64, jammed bool)
+}
+
+func (f cbs) TxDone(now uint64) {
+	if f.done != nil {
+		f.done(now)
+	}
+}
+
+func (f cbs) TxAborted(now uint64, jammed bool) {
+	if f.abort != nil {
+		f.abort(now, jammed)
+	}
+}
+
 func pump(c *Channel, from, to uint64) uint64 {
 	for now := from; now <= to; now++ {
 		c.Tick(now)
@@ -25,7 +43,7 @@ func TestSingleTransmission(t *testing.T) {
 	c, got := newTestChannel()
 	doneAt := uint64(0)
 	c.Transmit(Message{Sender: 1, Line: 10, Payload: "x"},
-		func(now uint64) { doneAt = now }, nil)
+		cbs{done: func(now uint64) { doneAt = now }})
 	pump(c, 1, 20)
 	if len(*got) != 1 {
 		t.Fatalf("deliveries = %d", len(*got))
@@ -45,7 +63,7 @@ func TestSingleTransmission(t *testing.T) {
 func TestCollisionThenBackoffResolves(t *testing.T) {
 	c, got := newTestChannel()
 	for i := 0; i < 4; i++ {
-		c.Transmit(Message{Sender: i, Line: addrspace.Line(i), Payload: i}, nil, nil)
+		c.Transmit(Message{Sender: i, Line: addrspace.Line(i), Payload: i}, nil)
 	}
 	pump(c, 1, 500)
 	if len(*got) != 4 {
@@ -66,7 +84,7 @@ func TestSerialization(t *testing.T) {
 	var times []uint64
 	c.SetBroadcast(func(now uint64, msg Message) { times = append(times, now) })
 	for i := 0; i < 6; i++ {
-		c.Transmit(Message{Sender: i, Line: 5, Payload: i}, nil, nil)
+		c.Transmit(Message{Sender: i, Line: 5, Payload: i}, nil)
 	}
 	pump(c, 1, 2000)
 	if len(times) != 6 {
@@ -84,8 +102,8 @@ func TestJamAbortsUnprivileged(t *testing.T) {
 	c.Jam(10, 3)
 	aborted := false
 	jammedFlag := false
-	c.Transmit(Message{Sender: 1, Line: 10, Payload: "x"}, nil,
-		func(now uint64, jammed bool) { aborted, jammedFlag = true, jammed })
+	c.Transmit(Message{Sender: 1, Line: 10, Payload: "x"},
+		cbs{abort: func(now uint64, jammed bool) { aborted, jammedFlag = true, jammed }})
 	pump(c, 1, 50)
 	if !aborted || !jammedFlag {
 		t.Fatal("jammed transmission was not aborted")
@@ -101,8 +119,8 @@ func TestJamAbortsUnprivileged(t *testing.T) {
 func TestJamPassesPrivileged(t *testing.T) {
 	c, got := newTestChannel()
 	c.Jam(10, 3)
-	c.Transmit(Message{Sender: 3, Line: 10, Payload: "dir", Privileged: true}, nil,
-		func(uint64, bool) { t.Fatal("privileged broadcast aborted") })
+	c.Transmit(Message{Sender: 3, Line: 10, Payload: "dir", Privileged: true},
+		cbs{abort: func(uint64, bool) { t.Fatal("privileged broadcast aborted") }})
 	pump(c, 1, 50)
 	if len(*got) != 1 {
 		t.Fatal("privileged broadcast did not deliver")
@@ -112,8 +130,8 @@ func TestJamPassesPrivileged(t *testing.T) {
 func TestJamOtherLinePasses(t *testing.T) {
 	c, got := newTestChannel()
 	c.Jam(10, 3)
-	c.Transmit(Message{Sender: 1, Line: 11, Payload: "y"}, nil,
-		func(uint64, bool) { t.Fatal("unrelated line aborted") })
+	c.Transmit(Message{Sender: 1, Line: 11, Payload: "y"},
+		cbs{abort: func(uint64, bool) { t.Fatal("unrelated line aborted") }})
 	pump(c, 1, 50)
 	if len(*got) != 1 {
 		t.Fatal("unrelated line did not deliver")
@@ -200,10 +218,10 @@ func TestToneUnderflowPanics(t *testing.T) {
 func TestCancelQueued(t *testing.T) {
 	c, got := newTestChannel()
 	// Occupy the medium so the second request stays queued.
-	c.Transmit(Message{Sender: 0, Line: 1, Payload: "a"}, nil, nil)
-	cancel := c.Transmit(Message{Sender: 1, Line: 2, Payload: "b"}, nil, nil)
+	c.Transmit(Message{Sender: 0, Line: 1, Payload: "a"}, nil)
+	tx := c.Transmit(Message{Sender: 1, Line: 2, Payload: "b"}, nil)
 	c.Tick(1) // first becomes active
-	if !cancel() {
+	if !c.Cancel(tx) {
 		t.Fatal("cancel of queued request failed")
 	}
 	pump(c, 2, 100)
@@ -214,9 +232,9 @@ func TestCancelQueued(t *testing.T) {
 
 func TestCancelActiveFails(t *testing.T) {
 	c, got := newTestChannel()
-	cancel := c.Transmit(Message{Sender: 0, Line: 1, Payload: "a"}, nil, nil)
+	tx := c.Transmit(Message{Sender: 0, Line: 1, Payload: "a"}, nil)
 	c.Tick(1) // becomes active
-	if cancel() {
+	if c.Cancel(tx) {
 		t.Fatal("cancel of active transmission succeeded")
 	}
 	pump(c, 2, 20)
@@ -227,7 +245,7 @@ func TestCancelActiveFails(t *testing.T) {
 
 func TestActiveOn(t *testing.T) {
 	c, _ := newTestChannel()
-	c.Transmit(Message{Sender: 0, Line: 42, Payload: "a"}, nil, nil)
+	c.Transmit(Message{Sender: 0, Line: 42, Payload: "a"}, nil)
 	c.Tick(1)
 	if !c.ActiveOn(42) {
 		t.Fatal("ActiveOn missed the active line")
@@ -246,7 +264,7 @@ func TestIdle(t *testing.T) {
 	if !c.Idle() {
 		t.Fatal("fresh channel not idle")
 	}
-	c.Transmit(Message{Sender: 0, Line: 1}, nil, nil)
+	c.Transmit(Message{Sender: 0, Line: 1}, nil)
 	if c.Idle() {
 		t.Fatal("queued channel idle")
 	}
@@ -263,7 +281,7 @@ func TestIdle(t *testing.T) {
 
 func TestBusyCyclesCounted(t *testing.T) {
 	c, _ := newTestChannel()
-	c.Transmit(Message{Sender: 0, Line: 1}, nil, nil)
+	c.Transmit(Message{Sender: 0, Line: 1}, nil)
 	pump(c, 1, 20)
 	if c.BusyCycles.Value() == 0 {
 		t.Fatal("busy cycles not counted")
@@ -274,7 +292,7 @@ func TestManyContendersAllDeliver(t *testing.T) {
 	c, got := newTestChannel()
 	const n = 32
 	for i := 0; i < n; i++ {
-		c.Transmit(Message{Sender: i, Line: addrspace.Line(i % 4), Payload: i}, nil, nil)
+		c.Transmit(Message{Sender: i, Line: addrspace.Line(i % 4), Payload: i}, nil)
 	}
 	pump(c, 1, 20000)
 	if len(*got) != n {
@@ -297,7 +315,7 @@ func TestTokenMACDeliversWithoutCollisions(t *testing.T) {
 	var got []Message
 	c.SetBroadcast(func(now uint64, msg Message) { got = append(got, msg) })
 	for i := 0; i < 8; i++ {
-		c.Transmit(Message{Sender: i, Line: addrspace.Line(i), Payload: i}, nil, nil)
+		c.Transmit(Message{Sender: i, Line: addrspace.Line(i), Payload: i}, nil)
 	}
 	pump(c, 1, 2000)
 	if len(got) != 8 {
@@ -316,8 +334,8 @@ func TestTokenMACRespectsJam(t *testing.T) {
 	c.SetBroadcast(func(now uint64, msg Message) { got = append(got, msg) })
 	c.Jam(10, 2)
 	aborted := false
-	c.Transmit(Message{Sender: 1, Line: 10, Payload: "x"}, nil,
-		func(uint64, bool) { aborted = true })
+	c.Transmit(Message{Sender: 1, Line: 10, Payload: "x"},
+		cbs{abort: func(uint64, bool) { aborted = true }})
 	pump(c, 1, 100)
 	if !aborted || len(got) != 0 {
 		t.Fatal("token MAC ignored jamming")
@@ -342,7 +360,7 @@ func TestFaultCorruptRetriesThenDelivers(t *testing.T) {
 	}
 	doneCount := 0
 	c.Transmit(Message{Sender: 1, Line: 10, Payload: "x"},
-		func(uint64) { doneCount++ }, nil)
+		cbs{done: func(uint64) { doneCount++ }})
 	pump(c, 1, 500)
 	if len(*got) != 1 || doneCount != 1 {
 		t.Fatalf("deliveries = %d, done = %d, want 1/1", len(*got), doneCount)
@@ -369,9 +387,10 @@ func TestFaultExhaustionAborts(t *testing.T) {
 		}
 	}
 	aborted, jammedFlag := false, true
-	c.Transmit(Message{Sender: 1, Line: 10, Payload: "x"},
-		func(uint64) { t.Fatal("done fired on a corrupted transmission") },
-		func(now uint64, jammed bool) { aborted, jammedFlag = true, jammed })
+	c.Transmit(Message{Sender: 1, Line: 10, Payload: "x"}, cbs{
+		done:  func(uint64) { t.Fatal("done fired on a corrupted transmission") },
+		abort: func(now uint64, jammed bool) { aborted, jammedFlag = true, jammed },
+	})
 	pump(c, 1, 2000)
 	if !aborted {
 		t.Fatal("sender never gave up")
@@ -395,8 +414,8 @@ func TestFaultPrivilegedRetriesUnbounded(t *testing.T) {
 	c, got := newTestChannel()
 	c.MaxTries = 2
 	c.FaultCorrupt = corruptFirstN(10) // well past MaxTries
-	c.Transmit(Message{Sender: 3, Line: 10, Payload: "dir", Privileged: true}, nil,
-		func(uint64, bool) { t.Fatal("privileged broadcast gave up") })
+	c.Transmit(Message{Sender: 3, Line: 10, Payload: "dir", Privileged: true},
+		cbs{abort: func(uint64, bool) { t.Fatal("privileged broadcast gave up") }})
 	pump(c, 1, 5000)
 	if len(*got) != 1 {
 		t.Fatal("privileged broadcast never delivered through faults")
@@ -409,7 +428,7 @@ func TestFaultPrivilegedRetriesUnbounded(t *testing.T) {
 func TestFaultRequeuedCancelWorks(t *testing.T) {
 	c, got := newTestChannel()
 	c.FaultCorrupt = corruptFirstN(1)
-	cancel := c.Transmit(Message{Sender: 1, Line: 10, Payload: "x"}, nil, nil)
+	tx := c.Transmit(Message{Sender: 1, Line: 10, Payload: "x"}, nil)
 	// Run until the corruption re-queues the request, then withdraw it.
 	for now := uint64(1); c.Corrupted.Value() == 0; now++ {
 		c.Tick(now)
@@ -417,7 +436,7 @@ func TestFaultRequeuedCancelWorks(t *testing.T) {
 			t.Fatal("corruption never drawn")
 		}
 	}
-	if !cancel() {
+	if !c.Cancel(tx) {
 		t.Fatal("cancel of a fault-requeued request failed")
 	}
 	pump(c, 101, 300)
@@ -486,16 +505,17 @@ func TestFaultCollisionJamInteraction(t *testing.T) {
 	c.FaultCorrupt = corruptFirstN(3)
 	c.Jam(99, 7)
 	jamAborts := 0
-	c.Transmit(Message{Sender: 0, Line: 99, Payload: "jammed"}, nil,
-		func(now uint64, jammed bool) {
+	c.Transmit(Message{Sender: 0, Line: 99, Payload: "jammed"}, cbs{
+		abort: func(now uint64, jammed bool) {
 			if !jammed {
 				t.Fatal("jam abort flagged as fault")
 			}
 			jamAborts++
-		})
+		},
+	})
 	for i := 1; i <= 4; i++ {
-		c.Transmit(Message{Sender: i, Line: addrspace.Line(i), Payload: i}, nil,
-			func(uint64, bool) { t.Fatal("clean-line sender aborted") })
+		c.Transmit(Message{Sender: i, Line: addrspace.Line(i), Payload: i},
+			cbs{abort: func(uint64, bool) { t.Fatal("clean-line sender aborted") }})
 	}
 	pump(c, 1, 5000)
 	if jamAborts != 1 {
@@ -530,7 +550,7 @@ func TestTokenMACRoundRobinFair(t *testing.T) {
 	c.SetBroadcast(func(now uint64, msg Message) { order = append(order, msg.Sender) })
 	// All four nodes queue; the token visits them in index order.
 	for i := 0; i < 4; i++ {
-		c.Transmit(Message{Sender: i, Line: addrspace.Line(i), Payload: i}, nil, nil)
+		c.Transmit(Message{Sender: i, Line: addrspace.Line(i), Payload: i}, nil)
 	}
 	pump(c, 1, 200)
 	if len(order) != 4 {
@@ -540,5 +560,23 @@ func TestTokenMACRoundRobinFair(t *testing.T) {
 		if order[i] != (order[0]+i)%4 {
 			t.Fatalf("token order not round-robin: %v", order)
 		}
+	}
+}
+
+// TestCancelStaleHandle pins the handle semantics of recycled
+// requests: once a transmission has delivered, its handle cancels
+// nothing, even after the request record is reused for a later
+// broadcast that is still queued.
+func TestCancelStaleHandle(t *testing.T) {
+	c, got := newTestChannel()
+	first := c.Transmit(Message{Sender: 0, Line: 1, Payload: "a"}, nil)
+	pump(c, 1, 20)
+	c.Transmit(Message{Sender: 0, Line: 2, Payload: "b"}, nil) // reuses the record
+	if c.Cancel(first) {
+		t.Fatal("a delivered transmission's handle canceled a later request")
+	}
+	pump(c, 21, 40)
+	if len(*got) != 2 {
+		t.Fatalf("deliveries = %d, want 2", len(*got))
 	}
 }
