@@ -51,8 +51,9 @@ mcheck:
 # the timing wheel under the event queue and the mesh with
 # Push/PopDue/Next sequences and checks it against a sorted reference
 # list, then five seconds each of the -fault-links parser (FuzzParseLinks),
-# the .widirspec parser (FuzzParseSpec) and the result cache's entry
-# decoding (FuzzCacheGet). The seed corpora under each package's
+# the .widirspec parser (FuzzParseSpec), the result cache's entry
+# decoding (FuzzCacheGet) and the core's compute drain against a core
+# that ticks through every cycle (FuzzCoreDrain). The seed corpora under each package's
 # testdata/fuzz run in `make test` already. -fuzzminimizetime caps the
 # minimization of each new input at 100 runs: Go's 60 s default spends
 # a short window minimizing instead of fuzzing.
@@ -61,5 +62,6 @@ fuzz-smoke:
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseLinks$$' -fuzztime 5s -fuzzminimizetime 100x
 	$(GO) test ./internal/protomodel -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s -fuzzminimizetime 100x
 	$(GO) test ./internal/exp -run '^$$' -fuzz '^FuzzCacheGet$$' -fuzztime 5s -fuzzminimizetime 100x
+	$(GO) test ./internal/cpu -run '^$$' -fuzz '^FuzzCoreDrain$$' -fuzztime 5s -fuzzminimizetime 100x
 
 check: build vet lint model mcheck test race

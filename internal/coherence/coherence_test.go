@@ -135,7 +135,7 @@ func (e *mockEnv) pumpN(n int) {
 func (e *mockEnv) complete(t *testing.T, core int, r *MemRequest) uint64 {
 	t.Helper()
 	var got *uint64
-	r.Done = func(now uint64, v uint64) { vv := v; got = &vv }
+	r.Done = func(_ *MemRequest, now uint64, v uint64) { vv := v; got = &vv }
 	e.l1s[core].Access(r)
 	for i := 0; i < 10000 && got == nil; i++ {
 		e.pump()
@@ -577,12 +577,12 @@ func TestWirInvSquashesPendingWrite(t *testing.T) {
 	var got *uint64
 	e.l1s[2].Access(&MemRequest{
 		IsWrite: true, Addr: a, Value: 777,
-		Done: func(now uint64, v uint64) { vv := v; got = &vv },
+		Done: func(_ *MemRequest, now uint64, v uint64) { vv := v; got = &vv },
 	})
 	// Force the home to evict the W entry (WirInv) before the write
 	// can serialize, by touching another line with the same home.
 	b := addrspace.Line(8).Base()
-	e.l1s[1].Access(&MemRequest{Addr: b, Done: func(uint64, uint64) {}})
+	e.l1s[1].Access(&MemRequest{Addr: b, Done: func(*MemRequest, uint64, uint64) {}})
 	for i := 0; i < 5000 && got == nil; i++ {
 		e.pump()
 	}
@@ -634,7 +634,7 @@ func TestToneHeldDuringSToW(t *testing.T) {
 	// is mid-flight when BrWirUpgr broadcasts and must hold the tone.
 	done := 0
 	for core := 3; core < 5; core++ {
-		e.l1s[core].Access(&MemRequest{Addr: a, Done: func(uint64, uint64) { done++ }})
+		e.l1s[core].Access(&MemRequest{Addr: a, Done: func(*MemRequest, uint64, uint64) { done++ }})
 	}
 	sawTone := false
 	for i := 0; i < 5000 && done < 2; i++ {
@@ -687,7 +687,7 @@ func TestAccessQueuesBehindPending(t *testing.T) {
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		e.l1s[1].Access(&MemRequest{Addr: a + addrspace.Addr(8*i), Done: func(uint64, uint64) { order = append(order, i) }})
+		e.l1s[1].Access(&MemRequest{Addr: a + addrspace.Addr(8*i), Done: func(*MemRequest, uint64, uint64) { order = append(order, i) }})
 	}
 	if !e.l1s[1].HasPending() || !e.l1s[1].PendingLine(8) {
 		t.Fatal("pending not tracked")
@@ -756,8 +756,8 @@ func TestForwardServedFromVictimBuffer(t *testing.T) {
 	// the PutM stays unacknowledged (the victim buffer must serve).
 	// We emulate the freeze by issuing the conflicting fills and the
 	// remote read in the same pump window.
-	e.l1s[1].Access(&MemRequest{Addr: (a + addrspace.Line(sets)).Base(), Done: func(uint64, uint64) {}})
-	e.l1s[1].Access(&MemRequest{Addr: (a + addrspace.Line(2*sets)).Base(), Done: func(uint64, uint64) {}})
+	e.l1s[1].Access(&MemRequest{Addr: (a + addrspace.Line(sets)).Base(), Done: func(*MemRequest, uint64, uint64) {}})
+	e.l1s[1].Access(&MemRequest{Addr: (a + addrspace.Line(2*sets)).Base(), Done: func(*MemRequest, uint64, uint64) {}})
 	if v := e.complete(t, 2, &MemRequest{Addr: a.Base()}); v != 42 {
 		t.Fatalf("read after eviction race = %d, want 42", v)
 	}
@@ -788,7 +788,7 @@ func TestRecallFromOwnerAndAbsent(t *testing.T) {
 func TestHasBusyAndDescribe(t *testing.T) {
 	e := newMockEnv(4)
 	a := addrspace.Line(8).Base()
-	e.l1s[1].Access(&MemRequest{Addr: a, Done: func(uint64, uint64) {}})
+	e.l1s[1].Access(&MemRequest{Addr: a, Done: func(*MemRequest, uint64, uint64) {}})
 	// Memory fetch in flight: the home entry is busy at some point.
 	sawBusy := false
 	for i := 0; i < 200; i++ {
@@ -911,7 +911,7 @@ func TestStaleGrantThenNACKLocalSatisfy(t *testing.T) {
 	var got *uint64
 	e.l1s[1].Access(&MemRequest{
 		IsWrite: true, Addr: a, Value: 5,
-		Done: func(now uint64, v uint64) { vv := v; got = &vv },
+		Done: func(_ *MemRequest, now uint64, v uint64) { vv := v; got = &vv },
 	})
 	// Intercept and drop the outgoing GetX so the home never replies.
 	if len(e.wired) != 1 || e.wired[0].m.Type != MsgGetX {
@@ -950,7 +950,7 @@ func TestWDiscardResend(t *testing.T) {
 	var got *uint64
 	e.l1s[1].Access(&MemRequest{
 		IsWrite: true, Addr: a, Value: 9,
-		Done: func(now uint64, v uint64) { vv := v; got = &vv },
+		Done: func(_ *MemRequest, now uint64, v uint64) { vv := v; got = &vv },
 	})
 	if len(e.wired) != 1 {
 		t.Fatalf("expected one request, have %d", len(e.wired))
@@ -981,9 +981,9 @@ func TestNACKRetryResends(t *testing.T) {
 	a := addrspace.Line(8).Base()
 	// Keep the entry busy with a memory fetch that never resolves:
 	// strip every MC-bound message before each pump round.
-	e.l1s[2].Access(&MemRequest{Addr: a, Done: func(uint64, uint64) {}})
+	e.l1s[2].Access(&MemRequest{Addr: a, Done: func(*MemRequest, uint64, uint64) {}})
 	var got *uint64
-	e.l1s[1].Access(&MemRequest{Addr: a, Done: func(now uint64, v uint64) { vv := v; got = &vv }})
+	e.l1s[1].Access(&MemRequest{Addr: a, Done: func(_ *MemRequest, now uint64, v uint64) { vv := v; got = &vv }})
 	for i := 0; i < 300 && e.l1s[1].Stats.NACKs.Value() == 0; i++ {
 		var kept []wiredMsg
 		for _, wm := range e.wired {

@@ -151,7 +151,7 @@ func TestOldestPendingNamesStuckRequest(t *testing.T) {
 		t.Fatal("quiet L1 reported a pending transaction")
 	}
 	e.now = 7
-	e.l1s[1].Access(&MemRequest{Addr: addrspace.Line(8).Base(), Done: func(uint64, uint64) {}})
+	e.l1s[1].Access(&MemRequest{Addr: addrspace.Line(8).Base(), Done: func(*MemRequest, uint64, uint64) {}})
 	info, ok := e.l1s[1].OldestPending()
 	if !ok {
 		t.Fatal("outstanding miss not reported")

@@ -48,9 +48,13 @@ type MemRequest struct {
 	Value    uint64 // store value / RMW operand
 	Expected uint64 // RMWCompareSwap comparand
 	RMW      RMWKind
-	// Done fires when the operation completes. Loads receive the value
-	// read; RMWs receive the old value; stores receive the stored value.
-	Done func(now uint64, value uint64)
+	// Tag is the issuer's own: the L1 never reads it. It lets one Done
+	// shared by many requests tell them apart.
+	Tag int32
+	// Done fires when the operation completes, with the request itself.
+	// Loads receive the value read; RMWs receive the old value; stores
+	// receive the stored value.
+	Done func(r *MemRequest, now uint64, value uint64)
 
 	// obsSpan is the request's open observability span id (0 = none).
 	// A request keeps one span across NACK retries, wireless aborts and
@@ -521,7 +525,7 @@ func (l *L1Ctrl) finish(r *MemRequest, now uint64, v uint64) {
 		l.Stats.MissLatency.Observe(int(now - r.missStart))
 	}
 	r.moreMisses, r.missed = r.moreMisses[:0], false
-	r.Done(now, v)
+	r.Done(r, now, v)
 }
 
 // miss sends the wired request to the home directory.

@@ -95,14 +95,18 @@ func (c *Config) Fill() {
 	}
 }
 
+// robEntry is one ROB ring slot. A compute entry stands for count
+// consecutive compute instructions (see pushCompute); every other kind
+// stands for one instruction. Memory operands live in the slot's
+// request (Core.slotReqs), not here.
 type robEntry struct {
 	kind       InstrKind
-	done       bool
-	issuedMem  bool
-	count      int // instructions this entry stands for (KCompute batches)
-	issueCycle uint64
-	readyAt    uint64 // compute completion
-	ins        Instr
+	done       bool // load/RMW: Done has fired
+	issuedMem  bool // RMW: launched at the ROB head
+	wantResult bool // load/RMW: hand the value to the source at retire
+	count      int32
+	issueCycle uint64 // loads, stores, RMWs and pauses
+	readyAt    uint64 // pauses
 	value      uint64 // load/RMW result once done
 }
 
@@ -114,8 +118,8 @@ const never = ^uint64(0)
 // storeToken carries one retired store through the memory hierarchy.
 // The ROB slot is recycled the cycle the store retires, so the request
 // cannot live in the slot; tokens are pooled per core and returned to
-// the free list by their own completion callback, keeping the store
-// drain path allocation-free.
+// the free list on completion, keeping the store drain path
+// allocation-free.
 type storeToken struct {
 	req   coherence.MemRequest
 	start uint64
@@ -145,11 +149,13 @@ type Core struct {
 	robHead int
 	robTail int
 	// robCount counts instructions (the architectural ROB occupancy);
-	// entryCount counts ring slots. They differ because back-to-back
-	// compute instructions issued in the same cycle share one entry —
-	// they carry identical readyAt timestamps, so batch retirement is
-	// indistinguishable from retiring them one by one. entryCount <=
-	// robCount always, so the ring cannot overflow.
+	// entryCount counts ring slots. They differ because consecutive
+	// compute instructions share one entry: a compute instruction
+	// issued at t is ready at t+1 and retirement runs before issue, so
+	// every compute instruction retirement reaches is ready, and
+	// retiring a merged entry is indistinguishable from retiring its
+	// instructions one by one. entryCount <= robCount always, so the
+	// ring cannot overflow.
 	robCount   int
 	entryCount int
 
@@ -160,7 +166,8 @@ type Core struct {
 	awaiting      *robEntry // WantResult instruction we owe a value from
 	haveResult    bool
 	lastResult    uint64
-	loadsInFlight int
+	loadsInFlight int // loads in the ROB (the load queue's occupancy)
+	memPending    int // loads and launched RMWs whose Done has not fired
 	wbInFlight    int
 
 	finished bool
@@ -177,18 +184,30 @@ type Core struct {
 	// arrived since the last Tick; lastTick lets Tick catch up the
 	// analytic stall accounting for skipped cycles; sleepStall caches
 	// whether a skipped cycle counts as a memory stall (the verdict is
-	// state-dependent and the state cannot change while asleep).
+	// state-dependent and the state cannot change while asleep);
+	// drainTo is the last cycle of a compute drain still to be settled
+	// (see computeJump).
 	wake       uint64
 	extEvent   bool
 	lastTick   uint64
 	sleepStall bool
+	drainTo    uint64
+
+	// noDrain turns the compute drain off, so a core ticks through
+	// every cycle the drain would settle. Only the package's tests set
+	// it, to check the drain against the cycles it replaces.
+	noDrain bool
 
 	// Allocation-free memory requests: slotReqs[i] is the request for
 	// ROB slot i (loads and RMWs complete before their slot retires, so
-	// the request is never live across a slot reuse); storeFree pools
-	// the tokens that carry retired stores through the write buffer.
+	// the request is never live across a slot reuse); tokens carry
+	// retired stores through the write buffer and storeFree lists the
+	// idle ones. Every request completes through memDone, which finds
+	// the slot or token from the request's Tag.
 	slotReqs  []coherence.MemRequest
-	storeFree []*storeToken
+	tokens    []*storeToken
+	storeFree []int32
+	memDone   func(r *coherence.MemRequest, at, v uint64)
 
 	Stats Stats
 }
@@ -205,16 +224,13 @@ func New(id int, cfg Config, src InstrSource, mem MemPort) *Core {
 		rob:      make([]robEntry, cfg.ROBSize),
 		slotReqs: make([]coherence.MemRequest, cfg.ROBSize),
 	}
-	// One completion closure per ROB slot, built once: the rob and
-	// slotReqs arrays are never reallocated, so slot pointers are
-	// stable and the steady-state load/RMW path allocates nothing.
+	// One completion callback per core: the rob and slotReqs arrays
+	// are never reallocated, so a slot's index names it for the whole
+	// run, and the steady-state memory path allocates nothing.
+	c.memDone = c.complete
 	for i := range c.slotReqs {
-		e := &c.rob[i]
-		c.slotReqs[i].Done = func(at uint64, v uint64) {
-			e.done = true
-			e.value = v
-			c.extEvent = true
-		}
+		c.slotReqs[i].Tag = int32(i)
+		c.slotReqs[i].Done = c.memDone
 	}
 	return c
 }
@@ -226,13 +242,21 @@ func (c *Core) ID() int { return c.id }
 // operations have drained.
 func (c *Core) Done() bool { return c.finished }
 
-// Describe renders the core's stall state for diagnostics.
+// Describe renders the core's stall state for diagnostics. A compute
+// head has no age: it never blocks retirement, and a merged entry has
+// no single issue cycle.
 func (c *Core) Describe() string {
 	head := "empty"
 	if c.robCount > 0 {
 		h := &c.rob[c.robHead]
-		head = fmt.Sprintf("kind=%d done=%v issuedMem=%v addr=%#x age=%d",
-			h.kind, h.done, h.issuedMem, h.ins.Addr, c.Stats.Cycles-h.issueCycle)
+		var addr addrspace.Addr
+		if h.kind != KCompute && h.kind != KPause {
+			addr = c.slotReqs[c.robHead].Addr
+		}
+		head = fmt.Sprintf("kind=%d done=%v issuedMem=%v addr=%#x", h.kind, h.done, h.issuedMem, addr)
+		if h.kind != KCompute {
+			head += fmt.Sprintf(" age=%d", c.Stats.Cycles-h.issueCycle)
+		}
 	}
 	return fmt.Sprintf("rob=%d head={%s} loadsInFlight=%d wb=%d awaiting=%v srcDone=%v",
 		c.robCount, head, c.loadsInFlight, c.wbInFlight, c.awaiting != nil, c.srcDone)
@@ -240,9 +264,10 @@ func (c *Core) Describe() string {
 
 // Tick advances the core one cycle: retire, then issue (retire-first
 // frees ROB slots the same cycle, a common simplification). Ticks may
-// skip cycles in which the core provably cannot make progress (see
-// NeedsTick); the gap's stall accounting is settled analytically here,
-// so a skipping schedule is byte-identical to a cycle-by-cycle one.
+// skip cycles in which the core provably cannot make progress, or
+// whose progress it has settled analytically (see NeedsTick); the
+// gap's accounting is settled here, so a skipping schedule is
+// byte-identical to a cycle-by-cycle one.
 func (c *Core) Tick(now uint64) {
 	if c.finished {
 		return
@@ -250,6 +275,9 @@ func (c *Core) Tick(now uint64) {
 	if now > c.lastTick {
 		c.catchUp(now - 1)
 	}
+	// A Tick inside a drain (a caller not honouring NeedsTick) plays
+	// this cycle itself; computeJump below may start a new drain.
+	c.drainTo = 0
 	c.lastTick = now
 	c.Stats.Cycles = now
 	c.extEvent = false
@@ -288,7 +316,7 @@ func (c *Core) Tick(now uint64) {
 	} else if c.wake == now+1 {
 		if k := c.computeJump(now); k > 0 {
 			c.wake = now + 1 + k
-			c.sleepStall = false // every jumped cycle retires; none stall
+			c.sleepStall = false // every drained cycle retires; none stall
 		}
 	}
 }
@@ -297,52 +325,96 @@ func (c *Core) Tick(now uint64) {
 // scan that validates it.
 const minComputeJump = 4
 
-// computeJump detects the pure-compute steady state — every ROB entry
-// is a ready compute batch, no memory operation is in flight, and the
-// front end is feeding from an open compute run — and drains it
-// analytically. In that state each upcoming cycle is fully determined:
-// retirement takes exactly IssueWidth instructions off the head and
-// issue refills exactly IssueWidth from the run, with nothing
-// observable outside the core. computeJump settles k such cycles at
-// once (Retired += k*width, computeRun -= k*width) and returns k so
-// Tick can sleep through them; the machine's quiescence fast-forward
-// then skips the cycles entirely. The ROB ring is left untouched: its
-// entries stand for different (but indistinguishable) compute
-// instructions of the same run, and their readyAt stamps are already
-// in the past, which retirement treats identically. k leaves at least
-// one width's worth of run behind, so the drain endgame — the final
-// partial retire and the fetch of the next instruction — always plays
-// out cycle-by-cycle, exactly as an unjumped run would.
+// computeJump detects the compute steady state — the front end is
+// feeding from an open compute run, no memory request is outstanding,
+// and the ROB head holds ready compute and completed loads — and
+// drains it analytically. In that state each upcoming cycle is fully
+// determined: retirement takes exactly IssueWidth instructions off the
+// head (robCount >= IssueWidth, every one of them ready) and issue
+// refills exactly IssueWidth from the run, with nothing observable
+// outside the core. The drain is bounded by the first instruction
+// that cannot retire at full width unaided (a store, an RMW, a pause;
+// loads are complete because memPending is 0, and none wants its
+// result because awaiting is nil), and it leaves at least one width's
+// worth of run behind, so the endgame — the partial retire at that
+// instruction and the fetch of the next one — plays out cycle by
+// cycle, exactly as an undrained run would. computeJump records the k
+// drained cycles in drainTo and returns k so Tick can sleep through
+// them; catchUp settles them (see drain) when the core next wakes or
+// is caught up for a diagnostic.
 func (c *Core) computeJump(now uint64) uint64 {
 	width := c.cfg.IssueWidth
-	if c.computeRun < width*(minComputeJump+1) || c.robCount < width ||
-		c.loadsInFlight > 0 || c.wbInFlight > 0 || c.awaiting != nil || c.hasFetched {
+	if c.noDrain || c.computeRun < width*(minComputeJump+1) || c.robCount < width ||
+		c.memPending > 0 || c.wbInFlight > 0 || c.awaiting != nil || c.hasFetched {
 		return 0
 	}
+	k := c.computeRun/width - 1
 	i := c.robHead
-	for n := 0; n < c.entryCount; n++ {
-		if e := &c.rob[i]; e.kind != KCompute || e.readyAt > now+1 {
-			return 0
+	for n, d := 0, 0; n < c.entryCount && d < k*width; n++ {
+		switch e := &c.rob[i]; e.kind {
+		case KCompute:
+			d += int(e.count)
+		case KLoad:
+			d++
+		default:
+			k = min(k, d/width)
 		}
 		if i++; i == c.cfg.ROBSize {
 			i = 0
 		}
 	}
-	k := c.computeRun/width - 1
-	c.computeRun -= k * width
-	c.Stats.Retired += uint64(k) * uint64(width)
+	if k < minComputeJump {
+		return 0
+	}
+	c.drainTo = now + uint64(k)
 	return uint64(k)
 }
 
+// drain settles m drained cycles starting at cycle from. Instruction
+// pos (counted from the head) retires in cycle from+pos/IssueWidth,
+// which is what a completed load is charged; the m*IssueWidth
+// instructions issued from the run join the compute tail, less those
+// that retired within the same m cycles (a small ROB turns over).
+func (c *Core) drain(from uint64, m int) {
+	width := c.cfg.IssueWidth
+	n := m * width
+	pos := 0
+	for pos < n && c.robCount > 0 {
+		h := &c.rob[c.robHead]
+		if h.kind == KCompute {
+			take := min(n-pos, int(h.count))
+			h.count -= int32(take)
+			c.robCount -= take
+			pos += take
+			if h.count > 0 {
+				break
+			}
+		} else { // a completed load: computeJump admits nothing else
+			c.Stats.LoadROBLatency += from + uint64(pos/width) - h.issueCycle
+			c.loadsInFlight--
+			c.robCount--
+			pos++
+		}
+		c.advanceHead()
+	}
+	c.pushCompute(from+uint64(m)-1, pos)
+	c.computeRun -= n
+	c.Stats.Retired += uint64(n)
+}
+
 // catchUp settles the analytic per-cycle accounting for the skipped
-// cycles (lastTick, upto]: while asleep the core retires nothing and
-// its state is frozen, so each skipped cycle contributes sleepStall to
-// the memory-stall counter. With tracing on, a stall episode that
-// begins inside the gap is opened retroactively at its true start
-// cycle; opening emits nothing, so traced event order is unchanged.
+// cycles (lastTick, upto]: the drained ones (drainTo) retire and issue
+// as drain computes, and in the others the core retires nothing and
+// its state is frozen, so each contributes sleepStall to the
+// memory-stall counter. With tracing on, a stall episode that begins
+// inside the gap is opened retroactively at its true start cycle;
+// opening emits nothing, so traced event order is unchanged.
 func (c *Core) catchUp(upto uint64) {
 	if upto <= c.lastTick {
 		return
+	}
+	if c.drainTo > c.lastTick {
+		c.drain(c.lastTick+1, int(min(upto, c.drainTo)-c.lastTick))
 	}
 	k := upto - c.lastTick
 	if c.sleepStall {
@@ -355,10 +427,10 @@ func (c *Core) catchUp(upto uint64) {
 	c.Stats.Cycles = upto
 }
 
-// CatchUp brings a sleeping core's per-cycle statistics up to date
-// without advancing its pipeline, so diagnostics rendered mid-run
-// (watchdog dumps) read exactly as they would under a cycle-by-cycle
-// schedule. A core that ticked at now is unaffected.
+// CatchUp brings a sleeping core's per-cycle statistics and pipeline
+// up to date, so diagnostics rendered mid-run (watchdog dumps) read
+// exactly as they would under a cycle-by-cycle schedule. A core that
+// ticked at now is unaffected.
 func (c *Core) CatchUp(now uint64) {
 	if c.finished {
 		return
@@ -388,7 +460,7 @@ func (c *Core) NextWake() uint64 {
 
 // nextWake computes the wake-up cycle after a Tick at now. The default
 // for any state where progress is possible (or merely not provably
-// impossible) is now+1; readyAt timers sleep until they expire; states
+// impossible) is now+1; pause timers sleep until they expire; states
 // blocked purely on memory responses or write-buffer drain return
 // never and rely on the completion callbacks setting extEvent.
 func (c *Core) nextWake(now uint64) uint64 {
@@ -399,7 +471,9 @@ func (c *Core) nextWake(now uint64) uint64 {
 	if c.robCount > 0 {
 		h := &c.rob[c.robHead]
 		switch h.kind {
-		case KCompute, KPause:
+		case KCompute:
+			return now + 1
+		case KPause:
 			if h.readyAt <= now {
 				return now + 1
 			}
@@ -469,18 +543,12 @@ func (c *Core) retire(now uint64) int {
 		h := &c.rob[c.robHead]
 		switch h.kind {
 		case KCompute:
-			if h.readyAt > now {
-				return n
-			}
-			// Batch: every instruction in the entry shares readyAt, so
-			// retire as many as the width allows in one step.
-			take := width - n
-			if take > h.count {
-				take = h.count
-			}
+			// Always ready (see robCount): retire as many of the
+			// entry's instructions as the width allows in one step.
+			take := min(width-n, int(h.count))
 			c.Stats.Retired += uint64(take)
 			c.robCount -= take
-			h.count -= take
+			h.count -= int32(take)
 			n += take
 			if h.count > 0 {
 				return n // retire width exhausted mid-batch
@@ -513,9 +581,9 @@ func (c *Core) retire(now uint64) int {
 				return n // write buffer full: retirement stalls
 			}
 			c.Stats.StoreROBLatency += now - h.issueCycle
-			c.issueStore(now, h)
+			c.issueStore(now, c.robHead)
 		}
-		if (h.kind == KLoad || h.kind == KRMW) && h.ins.WantResult {
+		if h.wantResult {
 			c.lastResult = h.value
 			c.haveResult = true
 			c.awaiting = nil
@@ -538,37 +606,39 @@ func (c *Core) advanceHead() {
 
 // issue brings up to IssueWidth new instructions into the ROB.
 func (c *Core) issue(now uint64) {
-	for i := 0; i < c.cfg.IssueWidth; i++ {
-		if c.robCount >= c.cfg.ROBSize {
+	left := c.cfg.IssueWidth
+	for left > 0 {
+		room := c.cfg.ROBSize - c.robCount
+		if room == 0 {
 			return
 		}
-		// Continue an open compute run without consulting the source.
+		// Continue an open compute run without consulting the source,
+		// as many instructions as the width and the ROB allow at once.
 		if c.computeRun > 0 {
-			c.pushCompute(now)
-			c.computeRun--
+			n := min(left, room, c.computeRun)
+			c.pushCompute(now, n)
+			c.computeRun -= n
+			left -= n
 			continue
 		}
 		if !c.ensureFetched() {
 			return
 		}
-		ins := c.fetched
+		ins := &c.fetched
 		switch ins.Kind {
 		case KCompute:
-			if ins.N <= 0 {
-				c.hasFetched = false
-				i-- // zero-length run consumes no slot
-				continue
-			}
-			c.computeRun = ins.N - 1
+			// Opens the run the next iteration issues from; a
+			// zero-length run consumes no slot.
 			c.hasFetched = false
-			c.pushCompute(now)
+			c.computeRun = max(ins.N, 0)
+			continue
 		case KPause:
 			n := uint64(ins.N)
 			if n == 0 {
 				n = 1
 			}
 			c.hasFetched = false
-			c.pushTimed(KPause, now, now+n)
+			c.pushTimed(KPause, now, now+n, 1)
 		case KLoad:
 			if c.loadsInFlight >= c.cfg.LoadQueue {
 				return
@@ -582,6 +652,7 @@ func (c *Core) issue(now uint64) {
 			c.hasFetched = false
 			c.pushRMW(now, ins)
 		}
+		left--
 	}
 }
 
@@ -609,85 +680,90 @@ func (c *Core) ensureFetched() bool {
 	return true
 }
 
-func (c *Core) push(e robEntry) *robEntry {
-	e.count = 1
-	slot := &c.rob[c.robTail]
-	*slot = e
-	c.robTail = (c.robTail + 1) % c.cfg.ROBSize
-	c.robCount++
-	c.entryCount++
-	return slot
-}
-
-// pushTimed appends a compute or pause entry by writing only the
-// fields those kinds (and the diagnostics dump) ever read, instead of
-// copying a whole zeroed robEntry through push — compute runs are the
-// bulk of the instruction stream, and the full-struct store was the
-// issue loop's largest cost.
-func (c *Core) pushTimed(kind InstrKind, now, readyAt uint64) {
+// pushTimed appends a compute or pause entry of n instructions by
+// writing only the fields those kinds (and the diagnostics dump) ever
+// read.
+func (c *Core) pushTimed(kind InstrKind, now, readyAt uint64, n int) {
 	slot := &c.rob[c.robTail]
 	slot.kind = kind
 	slot.done = false
 	slot.issuedMem = false
-	slot.count = 1
+	slot.wantResult = false
+	slot.count = int32(n)
 	slot.readyAt = readyAt
 	slot.issueCycle = now
-	slot.ins.Addr = 0
+	c.robTail++
+	if c.robTail == c.cfg.ROBSize {
+		c.robTail = 0
+	}
+	c.robCount += n
+	c.entryCount++
+}
+
+// pushCompute appends n compute instructions, folding them into the
+// tail entry when that is a compute entry, whatever cycle it was
+// issued in: retirement cannot tell the difference (see robCount).
+func (c *Core) pushCompute(now uint64, n int) {
+	if c.entryCount > 0 {
+		i := c.robTail - 1
+		if i < 0 {
+			i = c.cfg.ROBSize - 1
+		}
+		if t := &c.rob[i]; t.kind == KCompute {
+			t.count += int32(n)
+			c.robCount += n
+			return
+		}
+	}
+	c.pushTimed(KCompute, now, now+1, n)
+}
+
+// pushMem appends a load, store or RMW entry and writes its operands
+// into the slot's request, where the RMW launch, the store's write
+// buffer entry and Describe read them.
+func (c *Core) pushMem(kind InstrKind, now uint64, ins *Instr) *robEntry {
+	e := &c.rob[c.robTail]
+	*e = robEntry{kind: kind, count: 1, issueCycle: now}
+	r := &c.slotReqs[c.robTail]
+	r.IsWrite, r.IsRMW = false, kind == KRMW
+	r.Addr, r.Value, r.Expected, r.RMW = ins.Addr, ins.Value, ins.Expected, ins.RMW
 	c.robTail++
 	if c.robTail == c.cfg.ROBSize {
 		c.robTail = 0
 	}
 	c.robCount++
 	c.entryCount++
+	return e
 }
 
-// pushCompute appends one compute instruction, folding it into the
-// tail entry when that entry is a compute batch issued this same cycle
-// (identical readyAt — retirement cannot tell the difference).
-func (c *Core) pushCompute(now uint64) {
-	if c.entryCount > 0 {
-		i := c.robTail - 1
-		if i < 0 {
-			i = c.cfg.ROBSize - 1
-		}
-		if t := &c.rob[i]; t.kind == KCompute && t.readyAt == now+1 {
-			t.count++
-			c.robCount++
-			return
-		}
-	}
-	c.pushTimed(KCompute, now, now+1)
-}
-
-func (c *Core) pushLoad(now uint64, ins Instr) {
+func (c *Core) pushLoad(now uint64, ins *Instr) {
 	c.Stats.Loads++
-	idx := c.robTail
-	e := c.push(robEntry{kind: KLoad, issueCycle: now, ins: ins})
+	r := &c.slotReqs[c.robTail]
+	e := c.pushMem(KLoad, now, ins)
 	if ins.WantResult {
+		e.wantResult = true
 		c.awaiting = e
 	}
 	c.loadsInFlight++
-	r := &c.slotReqs[idx]
-	r.IsWrite, r.IsRMW = false, false
-	r.Addr = ins.Addr
+	c.memPending++
 	c.mem.Access(r)
 }
 
-func (c *Core) pushStore(now uint64, ins Instr) {
+func (c *Core) pushStore(now uint64, ins *Instr) {
 	c.Stats.Stores++
-	e := c.push(robEntry{kind: KStore, issueCycle: now, ins: ins, done: true})
+	c.pushMem(KStore, now, ins).done = true
 	if ins.WantResult {
 		// A store's "result" is its own value, known at issue.
-		e.value = ins.Value
 		c.lastResult = ins.Value
 		c.haveResult = true
 	}
 }
 
-func (c *Core) pushRMW(now uint64, ins Instr) {
+func (c *Core) pushRMW(now uint64, ins *Instr) {
 	c.Stats.RMWs++
-	e := c.push(robEntry{kind: KRMW, issueCycle: now, ins: ins})
+	e := c.pushMem(KRMW, now, ins)
 	if ins.WantResult {
+		e.wantResult = true
 		c.awaiting = e
 	}
 }
@@ -695,42 +771,49 @@ func (c *Core) pushRMW(now uint64, ins Instr) {
 // issueRMW launches the atomic once the RMW reaches the ROB head.
 func (c *Core) issueRMW(e *robEntry, idx int) {
 	e.issuedMem = true
-	r := &c.slotReqs[idx]
-	r.IsWrite, r.IsRMW = false, true
-	r.RMW = e.ins.RMW
-	r.Addr = e.ins.Addr
-	r.Value = e.ins.Value
-	r.Expected = e.ins.Expected
-	c.mem.Access(r)
+	c.memPending++
+	c.mem.Access(&c.slotReqs[idx])
 }
 
-// issueStore moves a retiring store into the write buffer; completion
-// frees the slot asynchronously. Stores outlive their ROB slot, so
-// they draw from the storeToken pool instead of the per-slot request
-// array; the token's Done closure recycles it.
-func (c *Core) issueStore(now uint64, e *robEntry) {
+// issueStore moves the retiring store in ROB slot idx into the write
+// buffer; completion frees the buffer entry asynchronously. Stores
+// outlive their ROB slot, so they travel in a pooled storeToken.
+func (c *Core) issueStore(now uint64, idx int) {
 	c.wbInFlight++
 	t := c.takeStoreToken()
 	t.start = now
-	t.req.IsWrite, t.req.IsRMW = true, false
-	t.req.Addr = e.ins.Addr
-	t.req.Value = e.ins.Value
+	t.req.Addr = c.slotReqs[idx].Addr
+	t.req.Value = c.slotReqs[idx].Value
 	c.mem.Access(&t.req)
 }
 
 func (c *Core) takeStoreToken() *storeToken {
 	if n := len(c.storeFree); n > 0 {
-		t := c.storeFree[n-1]
-		c.storeFree[n-1] = nil
+		t := c.tokens[c.storeFree[n-1]]
 		c.storeFree = c.storeFree[:n-1]
 		return t
 	}
 	t := &storeToken{}
-	t.req.Done = func(at uint64, _ uint64) {
-		c.wbInFlight--
-		c.Stats.StoreDrainLat += at - t.start
-		c.extEvent = true
-		c.storeFree = append(c.storeFree, t)
-	}
+	t.req.IsWrite = true
+	t.req.Tag = int32(len(c.tokens))
+	t.req.Done = c.memDone
+	c.tokens = append(c.tokens, t)
 	return t
+}
+
+// complete is the Done of every request the core issues. A write is a
+// retired store whose Tag indexes tokens; anything else is a load or
+// RMW whose Tag is its ROB slot.
+func (c *Core) complete(r *coherence.MemRequest, at, v uint64) {
+	c.extEvent = true
+	if r.IsWrite {
+		c.wbInFlight--
+		c.Stats.StoreDrainLat += at - c.tokens[r.Tag].start
+		c.storeFree = append(c.storeFree, r.Tag)
+		return
+	}
+	e := &c.rob[r.Tag]
+	e.done = true
+	e.value = v
+	c.memPending--
 }

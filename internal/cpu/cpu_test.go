@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/addrspace"
 	"repro/internal/coherence"
+	"repro/internal/obs"
 )
 
 // scriptSource feeds a fixed instruction list.
@@ -28,13 +29,24 @@ func (s *scriptSource) Next(prev uint64, prevValid bool) (Instr, bool) {
 	return i, true
 }
 
-// fakeMem completes loads with a fixed latency and records traffic.
+// access is one request the core sent to memory.
+type access struct {
+	cycle      uint64
+	write, rmw bool
+	addr       addrspace.Addr
+	value      uint64
+}
+
+// fakeMem completes each request after a latency — the fixed latency,
+// or the next of lats when set — and records traffic.
 type fakeMem struct {
 	now      *uint64
 	latency  uint64
-	pending  []func()
+	lats     []uint64
+	pending  []*coherence.MemRequest
 	pendAt   []uint64
 	values   map[addrspace.Addr]uint64
+	log      []access
 	accesses int
 	rmws     int
 }
@@ -44,353 +56,318 @@ func newFakeMem(now *uint64, lat uint64) *fakeMem {
 }
 
 func (f *fakeMem) Access(r *coherence.MemRequest) {
-	f.accesses++
-	at := *f.now + f.latency
-	req := r
-	fn := func() {
-		switch {
-		case req.IsRMW:
-			f.rmws++
-			old := f.values[req.Addr]
-			f.values[req.Addr] = req.RMW.Apply(old, req.Value, req.Expected)
-			req.Done(at, old)
-		case req.IsWrite:
-			f.values[req.Addr] = req.Value
-			req.Done(at, req.Value)
-		default:
-			req.Done(at, f.values[req.Addr])
-		}
+	lat := f.latency
+	if len(f.lats) > 0 {
+		lat = f.lats[f.accesses%len(f.lats)]
 	}
-	f.pending = append(f.pending, fn)
-	f.pendAt = append(f.pendAt, at)
+	f.accesses++
+	f.log = append(f.log, access{*f.now, r.IsWrite, r.IsRMW, r.Addr, r.Value})
+	f.pending = append(f.pending, r)
+	f.pendAt = append(f.pendAt, *f.now+lat)
 }
 
+// tick completes every request due by now, in issue order.
 func (f *fakeMem) tick() {
 	for i := 0; i < len(f.pending); {
-		if f.pendAt[i] <= *f.now {
-			fn := f.pending[i]
+		if at := f.pendAt[i]; at <= *f.now {
+			req := f.pending[i]
 			f.pending = append(f.pending[:i], f.pending[i+1:]...)
 			f.pendAt = append(f.pendAt[:i], f.pendAt[i+1:]...)
-			fn()
+			switch {
+			case req.IsRMW:
+				f.rmws++
+				old := f.values[req.Addr]
+				f.values[req.Addr] = req.RMW.Apply(old, req.Value, req.Expected)
+				req.Done(req, at, old)
+			case req.IsWrite:
+				f.values[req.Addr] = req.Value
+				req.Done(req, at, req.Value)
+			default:
+				req.Done(req, at, f.values[req.Addr])
+			}
 			continue
 		}
 		i++
 	}
 }
 
-// runCore drives the core to completion, returning the cycle count.
-func runCore(t *testing.T, src InstrSource, mem *fakeMem, now *uint64) uint64 {
-	t.Helper()
-	c := New(0, DefaultConfig(), src, mem)
-	for !c.Done() {
-		*now++
-		if *now > 1_000_000 {
-			t.Fatalf("core did not finish: %s", c.Describe())
-		}
-		mem.tick()
-		c.Tick(*now)
+// stallLog records the core's EvROBStall events.
+type stallLog []obs.Event
+
+func (l *stallLog) Emit(e obs.Event) { *l = append(*l, e) }
+
+// rig drives one core the way the machine does: each cycle, memory
+// completions are delivered first, and the core ticks only when
+// NeedsTick says the tick can change its state. A core that settles
+// cycles analytically (sleep, the compute drain) is therefore not
+// ticked through them, as in a machine run.
+type rig struct {
+	c     *Core
+	mem   *fakeMem
+	src   *scriptSource
+	now   uint64
+	ticks int
+}
+
+func newRig(cfg Config, lat uint64, ins ...Instr) *rig {
+	r := &rig{src: &scriptSource{ins: ins}}
+	r.mem = newFakeMem(&r.now, lat)
+	r.c = New(0, cfg, r.src, r.mem)
+	return r
+}
+
+// cycle advances the rig one cycle.
+func (r *rig) cycle() {
+	r.now++
+	r.mem.tick()
+	if r.c.NeedsTick(r.now) {
+		r.c.Tick(r.now)
+		r.ticks++
 	}
-	return *now
+}
+
+// run drives the core to completion and returns the cycle it finished
+// in.
+func (r *rig) run(t testing.TB) uint64 {
+	t.Helper()
+	for !r.c.Done() {
+		if r.now >= 1_000_000 {
+			t.Fatalf("core did not finish: %s", r.c.Describe())
+		}
+		r.cycle()
+	}
+	return r.now
+}
+
+// step advances n cycles and settles the core's statistics up to the
+// last of them.
+func (r *rig) step(n int) {
+	for i := 0; i < n; i++ {
+		r.cycle()
+	}
+	r.c.CatchUp(r.now)
 }
 
 func TestComputeThroughput(t *testing.T) {
-	var now uint64
-	mem := newFakeMem(&now, 2)
-	src := &scriptSource{ins: []Instr{{Kind: KCompute, N: 400}}}
-	cycles := runCore(t, src, mem, &now)
-	// 4-wide issue and retire: ~100 cycles for 400 instructions.
-	if cycles > 120 {
-		t.Fatalf("400 compute instructions took %d cycles", cycles)
+	r := newRig(DefaultConfig(), 2, Instr{Kind: KCompute, N: 400})
+	// 4-wide issue and retire: the first 4 issue in cycle 1, the last
+	// 4 in cycle 100 and retire in cycle 101.
+	if cycles := r.run(t); cycles != 101 {
+		t.Fatalf("400 compute instructions took %d cycles, want 101", cycles)
+	}
+	if r.c.Stats.Retired != 400 || r.c.Stats.Cycles != 101 {
+		t.Fatalf("retired %d by cycle %d", r.c.Stats.Retired, r.c.Stats.Cycles)
+	}
+	// The drain settles the middle of the run: the rig ticks the core
+	// in only a handful of the 101 cycles.
+	if r.ticks > 10 {
+		t.Fatalf("core ticked in %d of 101 cycles", r.ticks)
 	}
 }
 
 func TestRetiredCount(t *testing.T) {
-	var now uint64
-	mem := newFakeMem(&now, 2)
-	src := &scriptSource{ins: []Instr{
-		{Kind: KCompute, N: 10},
-		{Kind: KLoad, Addr: 0x40},
-		{Kind: KStore, Addr: 0x80, Value: 7},
-	}}
-	c := New(0, DefaultConfig(), src, mem)
-	for !c.Done() {
-		now++
-		mem.tick()
-		c.Tick(now)
+	r := newRig(DefaultConfig(), 2,
+		Instr{Kind: KCompute, N: 10},
+		Instr{Kind: KLoad, Addr: 0x40},
+		Instr{Kind: KStore, Addr: 0x80, Value: 7},
+	)
+	r.run(t)
+	if r.c.Stats.Retired != 12 {
+		t.Fatalf("retired = %d, want 12", r.c.Stats.Retired)
 	}
-	if c.Stats.Retired != 12 {
-		t.Fatalf("retired = %d, want 12", c.Stats.Retired)
-	}
-	if c.Stats.Loads != 1 || c.Stats.Stores != 1 {
-		t.Fatalf("loads=%d stores=%d", c.Stats.Loads, c.Stats.Stores)
+	if r.c.Stats.Loads != 1 || r.c.Stats.Stores != 1 {
+		t.Fatalf("loads=%d stores=%d", r.c.Stats.Loads, r.c.Stats.Stores)
 	}
 }
 
 func TestLoadBlocksRetirement(t *testing.T) {
-	var now uint64
-	mem := newFakeMem(&now, 200)
-	src := &scriptSource{ins: []Instr{{Kind: KLoad, Addr: 0x40}}}
-	cycles := runCore(t, src, mem, &now)
-	if cycles < 200 {
+	r := newRig(DefaultConfig(), 200, Instr{Kind: KLoad, Addr: 0x40})
+	if cycles := r.run(t); cycles < 200 {
 		t.Fatalf("load retired before memory responded: %d cycles", cycles)
 	}
 }
 
 func TestMemStallAttribution(t *testing.T) {
-	var now uint64
-	mem := newFakeMem(&now, 100)
-	src := &scriptSource{ins: []Instr{{Kind: KLoad, Addr: 0x40}}}
-	c := New(0, DefaultConfig(), src, mem)
-	for !c.Done() {
-		now++
-		mem.tick()
-		c.Tick(now)
-	}
-	if c.Stats.MemStallCycles < 90 {
-		t.Fatalf("memory stall cycles = %d, want ~100", c.Stats.MemStallCycles)
+	r := newRig(DefaultConfig(), 100, Instr{Kind: KLoad, Addr: 0x40})
+	r.run(t)
+	if r.c.Stats.MemStallCycles < 90 {
+		t.Fatalf("memory stall cycles = %d, want ~100", r.c.Stats.MemStallCycles)
 	}
 }
 
 func TestComputeNotMemStalled(t *testing.T) {
-	var now uint64
-	mem := newFakeMem(&now, 2)
-	src := &scriptSource{ins: []Instr{{Kind: KCompute, N: 100}}}
-	c := New(0, DefaultConfig(), src, mem)
-	for !c.Done() {
-		now++
-		mem.tick()
-		c.Tick(now)
-	}
-	if c.Stats.MemStallCycles > 2 {
-		t.Fatalf("pure compute charged %d memory-stall cycles", c.Stats.MemStallCycles)
+	r := newRig(DefaultConfig(), 2, Instr{Kind: KCompute, N: 100})
+	r.run(t)
+	if r.c.Stats.MemStallCycles > 2 {
+		t.Fatalf("pure compute charged %d memory-stall cycles", r.c.Stats.MemStallCycles)
 	}
 }
 
 func TestLoadsOverlap(t *testing.T) {
 	// Independent loads (no WantResult) must overlap: N loads at
 	// latency L should take ~L + N, not N*L.
-	var now uint64
-	mem := newFakeMem(&now, 100)
 	var ins []Instr
 	for i := 0; i < 20; i++ {
 		ins = append(ins, Instr{Kind: KLoad, Addr: addrspace.Addr(i * 64)})
 	}
-	src := &scriptSource{ins: ins}
-	cycles := runCore(t, src, mem, &now)
-	if cycles > 200 {
+	r := newRig(DefaultConfig(), 100, ins...)
+	if cycles := r.run(t); cycles > 200 {
 		t.Fatalf("independent loads did not overlap: %d cycles", cycles)
 	}
 }
 
 func TestWantResultSerializes(t *testing.T) {
 	// Dependent loads must serialize: each waits for the previous.
-	var now uint64
-	mem := newFakeMem(&now, 50)
 	var ins []Instr
 	for i := 0; i < 5; i++ {
 		ins = append(ins, Instr{Kind: KLoad, Addr: addrspace.Addr(i * 64), WantResult: true})
 	}
-	src := &scriptSource{ins: ins}
-	cycles := runCore(t, src, mem, &now)
-	if cycles < 5*50 {
+	r := newRig(DefaultConfig(), 50, ins...)
+	if cycles := r.run(t); cycles < 5*50 {
 		t.Fatalf("dependent loads overlapped: %d cycles", cycles)
 	}
 }
 
 func TestWantResultValueDelivered(t *testing.T) {
-	var now uint64
-	mem := newFakeMem(&now, 5)
-	mem.values[0x40] = 99
-	src := &scriptSource{ins: []Instr{
-		{Kind: KLoad, Addr: 0x40, WantResult: true},
-		{Kind: KCompute, N: 1},
-	}}
-	runCore(t, src, mem, &now)
-	if !src.lastPrevValid || src.lastPrev != 99 {
-		t.Fatalf("source received prev=%d valid=%v, want 99", src.lastPrev, src.lastPrevValid)
+	r := newRig(DefaultConfig(), 5,
+		Instr{Kind: KLoad, Addr: 0x40, WantResult: true},
+		Instr{Kind: KCompute, N: 1},
+	)
+	r.mem.values[0x40] = 99
+	r.run(t)
+	if !r.src.lastPrevValid || r.src.lastPrev != 99 {
+		t.Fatalf("source received prev=%d valid=%v, want 99", r.src.lastPrev, r.src.lastPrevValid)
 	}
 }
 
 func TestRMWExecutesAtHead(t *testing.T) {
-	var now uint64
-	mem := newFakeMem(&now, 10)
-	mem.values[0x40] = 5
-	src := &scriptSource{ins: []Instr{
-		{Kind: KRMW, RMW: coherence.RMWFetchAdd, Addr: 0x40, Value: 3, WantResult: true},
-		{Kind: KCompute, N: 1},
-	}}
-	runCore(t, src, mem, &now)
-	if mem.rmws != 1 {
-		t.Fatalf("rmws = %d", mem.rmws)
+	r := newRig(DefaultConfig(), 10,
+		Instr{Kind: KRMW, RMW: coherence.RMWFetchAdd, Addr: 0x40, Value: 3, WantResult: true},
+		Instr{Kind: KCompute, N: 1},
+	)
+	r.mem.values[0x40] = 5
+	r.run(t)
+	if r.mem.rmws != 1 {
+		t.Fatalf("rmws = %d", r.mem.rmws)
 	}
-	if mem.values[0x40] != 8 {
-		t.Fatalf("fetch-add result = %d", mem.values[0x40])
+	if r.mem.values[0x40] != 8 {
+		t.Fatalf("fetch-add result = %d", r.mem.values[0x40])
 	}
-	if src.lastPrev != 5 {
-		t.Fatalf("RMW old value = %d, want 5", src.lastPrev)
+	if r.src.lastPrev != 5 {
+		t.Fatalf("RMW old value = %d, want 5", r.src.lastPrev)
 	}
 }
 
 func TestStoresDrainThroughWriteBuffer(t *testing.T) {
-	var now uint64
-	mem := newFakeMem(&now, 30)
-	src := &scriptSource{ins: []Instr{
-		{Kind: KStore, Addr: 0x40, Value: 1},
-		{Kind: KCompute, N: 8},
-	}}
-	c := New(0, DefaultConfig(), src, mem)
-	for !c.Done() {
-		now++
-		mem.tick()
-		c.Tick(now)
-	}
-	if mem.values[0x40] != 1 {
+	r := newRig(DefaultConfig(), 30,
+		Instr{Kind: KStore, Addr: 0x40, Value: 1},
+		Instr{Kind: KCompute, N: 8},
+	)
+	cycles := r.run(t)
+	if r.mem.values[0x40] != 1 {
 		t.Fatal("store never reached memory")
 	}
 	// The store retires into the write buffer; compute continues while
 	// it drains, so total time is near the store latency, not beyond.
-	if now > 60 {
-		t.Fatalf("store drain serialized execution: %d cycles", now)
+	if cycles > 60 {
+		t.Fatalf("store drain serialized execution: %d cycles", cycles)
 	}
 }
 
 func TestWriteBufferCapacityStalls(t *testing.T) {
-	var now uint64
-	mem := newFakeMem(&now, 10_000) // stores never complete in time
 	cfg := DefaultConfig()
 	cfg.WriteBuffer = 4
 	var ins []Instr
 	for i := 0; i < 8; i++ {
 		ins = append(ins, Instr{Kind: KStore, Addr: addrspace.Addr(i * 64), Value: 1})
 	}
-	src := &scriptSource{ins: ins}
-	c := New(0, cfg, src, mem)
-	for i := 0; i < 2000; i++ {
-		now++
-		mem.tick()
-		c.Tick(now)
-	}
+	r := newRig(cfg, 10_000, ins...) // stores never complete in time
+	r.step(2000)
 	// Only 4 stores fit the write buffer; retirement must have stalled.
-	if c.Stats.Retired > 4 {
-		t.Fatalf("retired %d stores past a full write buffer", c.Stats.Retired)
+	if r.c.Stats.Retired > 4 {
+		t.Fatalf("retired %d stores past a full write buffer", r.c.Stats.Retired)
 	}
-	if c.Stats.MemStallCycles == 0 {
+	if r.c.Stats.MemStallCycles == 0 {
 		t.Fatal("write-buffer stall not attributed to memory")
 	}
 }
 
 func TestLoadQueueCapacity(t *testing.T) {
-	var now uint64
-	mem := newFakeMem(&now, 10_000)
 	cfg := DefaultConfig()
 	cfg.LoadQueue = 2
 	var ins []Instr
 	for i := 0; i < 6; i++ {
 		ins = append(ins, Instr{Kind: KLoad, Addr: addrspace.Addr(i * 64)})
 	}
-	src := &scriptSource{ins: ins}
-	c := New(0, cfg, src, mem)
-	for i := 0; i < 100; i++ {
-		now++
-		c.Tick(now)
-	}
-	if mem.accesses > 2 {
-		t.Fatalf("issued %d loads past the load queue", mem.accesses)
+	r := newRig(cfg, 10_000, ins...)
+	r.step(100)
+	if r.mem.accesses > 2 {
+		t.Fatalf("issued %d loads past the load queue", r.mem.accesses)
 	}
 }
 
 func TestROBCapacity(t *testing.T) {
-	var now uint64
-	mem := newFakeMem(&now, 10_000) // the first load never completes
 	cfg := DefaultConfig()
 	cfg.ROBSize = 8
-	src := &scriptSource{ins: []Instr{
-		{Kind: KLoad, Addr: 0x40},
-		{Kind: KCompute, N: 100},
-	}}
-	c := New(0, cfg, src, mem)
-	for i := 0; i < 100; i++ {
-		now++
-		c.Tick(now)
-	}
-	if c.Stats.Retired != 0 {
+	r := newRig(cfg, 10_000, // the first load never completes
+		Instr{Kind: KLoad, Addr: 0x40},
+		Instr{Kind: KCompute, N: 100},
+	)
+	r.step(100)
+	if r.c.Stats.Retired != 0 {
 		t.Fatal("retired past a blocked head")
 	}
-	// ROB holds at most 8 entries; the compute run must be throttled.
-	if got := c.Describe(); got == "" {
+	// The ROB holds at most 8 instructions; the compute run must be
+	// throttled behind the load.
+	if r.c.robCount != 8 || r.c.computeRun != 93 {
+		t.Fatalf("rob=%d computeRun=%d, want 8 and 93", r.c.robCount, r.c.computeRun)
+	}
+	if got := r.c.Describe(); got == "" {
 		t.Fatal("describe empty")
 	}
 }
 
 func TestDoneLifecycle(t *testing.T) {
-	var now uint64
-	mem := newFakeMem(&now, 2)
-	src := &scriptSource{}
-	c := New(0, DefaultConfig(), src, mem)
-	if c.Done() {
+	r := newRig(DefaultConfig(), 2)
+	if r.c.Done() {
 		t.Fatal("done before first tick")
 	}
-	now++
-	c.Tick(now)
-	if !c.Done() {
+	r.cycle()
+	if !r.c.Done() {
 		t.Fatal("empty program not done after a tick")
 	}
-	c.Tick(now + 1) // ticking a finished core is a no-op
+	r.c.Tick(r.now + 1) // ticking a finished core is a no-op
 }
 
 func TestZeroLengthComputeSkipped(t *testing.T) {
-	var now uint64
-	mem := newFakeMem(&now, 2)
-	src := &scriptSource{ins: []Instr{
-		{Kind: KCompute, N: 0},
-		{Kind: KStore, Addr: 0x40, Value: 9},
-	}}
-	c := New(0, DefaultConfig(), src, mem)
-	for !c.Done() {
-		now++
-		mem.tick()
-		c.Tick(now)
-		if now > 10000 {
-			t.Fatal("stuck on zero-length compute")
-		}
-	}
-	if mem.values[0x40] != 9 {
+	r := newRig(DefaultConfig(), 2,
+		Instr{Kind: KCompute, N: 0},
+		Instr{Kind: KStore, Addr: 0x40, Value: 9},
+	)
+	r.run(t)
+	if r.mem.values[0x40] != 9 {
 		t.Fatal("store after empty compute lost")
 	}
 }
 
 func TestFig7LatencyAccounting(t *testing.T) {
-	var now uint64
-	mem := newFakeMem(&now, 40)
-	src := &scriptSource{ins: []Instr{{Kind: KLoad, Addr: 0x40}}}
-	c := New(0, DefaultConfig(), src, mem)
-	for !c.Done() {
-		now++
-		mem.tick()
-		c.Tick(now)
-	}
-	if c.Stats.LoadROBLatency < 40 {
-		t.Fatalf("load ROB latency = %d, want >= 40", c.Stats.LoadROBLatency)
+	r := newRig(DefaultConfig(), 40, Instr{Kind: KLoad, Addr: 0x40})
+	r.run(t)
+	if r.c.Stats.LoadROBLatency < 40 {
+		t.Fatalf("load ROB latency = %d, want >= 40", r.c.Stats.LoadROBLatency)
 	}
 }
 
 func TestPauseOccupiesTimeNotInstructions(t *testing.T) {
-	var now uint64
-	mem := newFakeMem(&now, 2)
-	src := &scriptSource{ins: []Instr{{Kind: KPause, N: 50}}}
-	c := New(0, DefaultConfig(), src, mem)
-	for !c.Done() {
-		now++
-		mem.tick()
-		c.Tick(now)
+	r := newRig(DefaultConfig(), 2, Instr{Kind: KPause, N: 50})
+	cycles := r.run(t)
+	if r.c.Stats.Retired != 1 {
+		t.Fatalf("pause retired %d instructions, want 1", r.c.Stats.Retired)
 	}
-	if c.Stats.Retired != 1 {
-		t.Fatalf("pause retired %d instructions, want 1", c.Stats.Retired)
+	if cycles < 50 {
+		t.Fatalf("pause finished in %d cycles, want >= 50", cycles)
 	}
-	if now < 50 {
-		t.Fatalf("pause finished in %d cycles, want >= 50", now)
-	}
-	if c.Stats.MemStallCycles > 2 {
-		t.Fatalf("pause charged %d memory-stall cycles", c.Stats.MemStallCycles)
+	if r.c.Stats.MemStallCycles > 2 {
+		t.Fatalf("pause charged %d memory-stall cycles", r.c.Stats.MemStallCycles)
 	}
 }

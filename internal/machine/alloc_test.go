@@ -98,8 +98,8 @@ func (s *System) retryCounts() (nacks, jams, writes uint64) {
 // exactly deterministic: the sim's maps draw a random hash seed per
 // instance, so their growth allocations jitter by a few objects
 // between identical runs. Each ceiling is the maximum seen plus the
-// spread seen over 880 runs in 44 processes of -count=20 on
-// linux/amd64 with go1.24: WiDir 1,343–1,348, Baseline 998–1,003.
+// spread seen over 440 runs per protocol in 22 processes of -count=20
+// on linux/amd64 with go1.24: WiDir 1,327–1,332, Baseline 982–987.
 // Another Go release may allocate differently; re-measure there. One
 // extra allocation per cycle or per coherence message overshoots the
 // ceiling by thousands.
@@ -111,8 +111,8 @@ func TestSimFastForwardAllocBudget(t *testing.T) {
 		p       coherence.Protocol
 		ceiling uint64
 	}{
-		{coherence.WiDir, 1_348 + 5},
-		{coherence.Baseline, 1_003 + 5},
+		{coherence.WiDir, 1_332 + 5},
+		{coherence.Baseline, 987 + 5},
 	} {
 		if n := fastForwardRunAllocs(t, tc.p); n > tc.ceiling {
 			t.Errorf("%v: one run allocates %d objects, ceiling %d", tc.p, n, tc.ceiling)

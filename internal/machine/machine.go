@@ -66,10 +66,13 @@ type Config struct {
 	// instead of running into the blunt MaxCycles watchdog. 0 = default.
 	TxnAgeLimit uint64
 
-	// NoFastForward disables the quiescence fast-forward in Run/Step,
-	// forcing strictly cycle-by-cycle execution. The run result is
-	// byte-identical either way (the equivalence tests prove it); the
-	// flag exists for those tests and for debugging the horizon logic.
+	// NoFastForward disables the machine's quiescence fast-forward in
+	// Run/Step: the loop visits every cycle instead of jumping to the
+	// next horizon. It does not make cores tick every cycle; their own
+	// sleep and compute drain (cpu.Core.NeedsTick) still run. The run
+	// result is byte-identical either way (the equivalence tests prove
+	// it); the flag exists for those tests and for debugging the
+	// horizon logic.
 	NoFastForward bool
 
 	EnableChecker bool // value-coherence + SWMR invariant checking
