@@ -12,9 +12,11 @@ BENCHMARK.json the script runs
 
 in the order base, head, head, base, so a drift in host speed lands on
 both sides. It exits 1 if a head run reports correct: false, if the head
-fails more ops than the base, or if the head's median run_s or median
-peak_rss_mb exceeds the base's by more than that metric's bound in
-BENCHMARK.json.
+fails more ops than the base, or if the head's median run_s, setup_s
+or peak_rss_mb exceeds the base's by more than that metric's bound in
+BENCHMARK.json. setup_s is perfbench's median of at least 41 set-ups
+(workload.Program plus NewSystem, or mcheck.New) per run, so it is
+steady enough to gate at one second per run.
 """
 
 import json
@@ -27,7 +29,7 @@ import tempfile
 HEAD = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # The end-to-end metrics the gate holds, with the unit it prints.
-GATED = (("run_s", "s"), ("peak_rss_mb", "MB"))
+GATED = (("run_s", "s"), ("setup_s", "s"), ("peak_rss_mb", "MB"))
 
 
 def perfbench(tree, workload):
@@ -60,7 +62,7 @@ def main():
                     b_med = statistics.median(r["metrics"][metric]["value"] for r in b)
                     h_med = statistics.median(r["metrics"][metric]["value"] for r in h)
                     change, bound = h_med / b_med - 1, bounds[metric]
-                    line.append(f"{metric} base {b_med:.3f} {unit}, head {h_med:.3f} {unit} "
+                    line.append(f"{metric} base {b_med:.4g} {unit}, head {h_med:.4g} {unit} "
                                 f"({change:+.1%}, bound +{bound:.0%});")
                     if change > bound:
                         failures.append(f"{w}: head {metric} is {change:+.1%} over base, bound +{bound:.0%}")

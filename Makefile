@@ -52,9 +52,11 @@ mcheck:
 # Push/PopDue/Next sequences and checks it against a sorted reference
 # list, then five seconds each of the -fault-links parser (FuzzParseLinks),
 # the .widirspec parser (FuzzParseSpec), the result cache's entry
-# decoding (FuzzCacheGet) and the core's compute drain against a core
-# that ticks through every cycle (FuzzCoreDrain). The seed corpora under each package's
-# testdata/fuzz run in `make test` already. -fuzzminimizetime caps the
+# decoding (FuzzCacheGet), the core's compute drain against a core
+# that ticks through every cycle (FuzzCoreDrain), the L1 array against
+# the flat array it replaced (FuzzCacheArray) and widirsim's -config
+# loader through NewSystem (FuzzLoadConfig). The seed corpora under each
+# package's testdata/fuzz (or added in code) run in `make test` already. -fuzzminimizetime caps the
 # minimization of each new input at 100 runs: Go's 60 s default spends
 # a short window minimizing instead of fuzzing.
 fuzz-smoke:
@@ -63,5 +65,7 @@ fuzz-smoke:
 	$(GO) test ./internal/protomodel -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s -fuzzminimizetime 100x
 	$(GO) test ./internal/exp -run '^$$' -fuzz '^FuzzCacheGet$$' -fuzztime 5s -fuzzminimizetime 100x
 	$(GO) test ./internal/cpu -run '^$$' -fuzz '^FuzzCoreDrain$$' -fuzztime 5s -fuzzminimizetime 100x
+	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheArray$$' -fuzztime 5s -fuzzminimizetime 100x
+	$(GO) test ./cmd/widirsim -run '^$$' -fuzz '^FuzzLoadConfig$$' -fuzztime 5s -fuzzminimizetime 100x
 
 check: build vet lint model mcheck test race

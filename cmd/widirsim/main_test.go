@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/cpu"
 	"repro/internal/machine"
+	"repro/internal/workload"
 )
 
 // writeConfig stores data as a config file in a test directory.
@@ -52,6 +54,40 @@ func TestLoadConfigRejectsUnknownField(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "FlitLevelNoC") {
 		t.Fatalf("loadConfig error = %v, want an unknown-field error naming FlitLevelNoC", err)
 	}
+}
+
+// FuzzLoadConfig: whatever bytes a -config file holds, loadConfig over
+// the 16-core default and NewSystem on what it loads return an error or
+// a machine, never a panic. Configurations whose eager allocations would
+// swamp the fuzzer (more than 64 nodes, an L1 over 1 MiB, a core queue
+// over 1,024 entries, an LLC slice over 65,536 entries) are not built.
+func FuzzLoadConfig(f *testing.F) {
+	var dump bytes.Buffer
+	if err := dumpConfig(&dump, 16); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dump.Bytes())
+	f.Add(dump.Bytes()[:dump.Len()/2])
+	f.Add([]byte(strings.Replace(dump.String(), "{", "{\n  \"FlitLevelNoC\": true,", 1)))
+	f.Add([]byte(`{"L1SizeBytes": 384, "L1Ways": 2}`)) // 3 sets
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, err := loadConfig(writeConfig(t, data), machine.DefaultConfig(16, coherence.WiDir))
+		if err != nil {
+			return
+		}
+		k := cfg.Core
+		if cfg.Nodes > 64 || cfg.L1SizeBytes > 1<<20 || cfg.LLCEntriesPerSlice > 1<<16 ||
+			k.IssueWidth > 1024 || k.ROBSize > 1024 || k.LoadQueue > 1024 || k.WriteBuffer > 1024 {
+			return
+		}
+		var srcs []cpu.InstrSource
+		if cfg.Nodes > 0 {
+			srcs = workload.Program(workload.Profile{Name: "tiny", Steps: 4, ReuseLines: 2}, cfg.Nodes, 1)
+		}
+		if sys, err := machine.NewSystem(cfg, srcs); (sys == nil) == (err == nil) {
+			t.Fatalf("NewSystem returned system %v and error %v", sys != nil, err)
+		}
+	})
 }
 
 // runSim runs the command in-process and returns its exit code and

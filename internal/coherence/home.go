@@ -195,6 +195,9 @@ type HomeConfig struct {
 	FaultDirDelay func() uint64
 }
 
+// entryChunk is the number of directory entries one slab chunk holds.
+const entryChunk = 64
+
 // HomeCtrl is the directory controller of one node's LLC slice. It runs
 // the home side of the wired MESI protocol (Dir_3B) and of WiDir's
 // Table II transitions.
@@ -206,8 +209,11 @@ type HomeCtrl struct {
 	// entryFree recycles dead directory entries (with their Sharers and
 	// deferred scratch arrays), so steady-state allocate/evict churn
 	// stops hitting the allocator; txnFree and reqFree do the same for
-	// transaction records and request runners.
+	// transaction records and request runners. New entries are cut from
+	// entrySlab, a chunk of entryChunk entries that never moves, instead
+	// of one heap object each.
 	entryFree []*DirEntry
+	entrySlab []DirEntry
 	txnFree   []*txn
 	reqFree   []*requestRunner
 	lruTick   uint64
@@ -643,7 +649,12 @@ func (h *HomeCtrl) allocate(m *Msg) *DirEntry {
 			Sharers: e.Sharers[:0], staleWired: e.staleWired[:0],
 			deferred: e.deferred[:0]}
 	} else {
-		e = &DirEntry{Line: m.Line, gen: 1}
+		if len(h.entrySlab) == cap(h.entrySlab) {
+			h.entrySlab = make([]DirEntry, 0, entryChunk)
+		}
+		h.entrySlab = h.entrySlab[:len(h.entrySlab)+1]
+		e = &h.entrySlab[len(h.entrySlab)-1]
+		*e = DirEntry{Line: m.Line, gen: 1}
 	}
 	h.entries.put(m.Line, e)
 	return e

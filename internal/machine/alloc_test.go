@@ -97,9 +97,11 @@ func (s *System) retryCounts() (nacks, jams, writes uint64) {
 // count as in the benchmark, under both protocols. The count is not
 // exactly deterministic: the sim's maps draw a random hash seed per
 // instance, so their growth allocations jitter by a few objects
-// between identical runs. Each ceiling is the maximum seen plus the
-// spread seen over 440 runs per protocol in 22 processes of -count=20
-// on linux/amd64 with go1.24: WiDir 1,327–1,332, Baseline 982–987.
+// between identical runs, and a run after TestSteadyStateCycleAllocBudget
+// in the same process reads a few more. Each ceiling is the maximum
+// seen plus the spread seen over 880 runs per protocol in 44 processes
+// of -count=20, half with this package's other allocation tests, on
+// linux/amd64 with go1.24: WiDir 1,208–1,220, Baseline 887–892.
 // Another Go release may allocate differently; re-measure there. One
 // extra allocation per cycle or per coherence message overshoots the
 // ceiling by thousands.
@@ -111,8 +113,8 @@ func TestSimFastForwardAllocBudget(t *testing.T) {
 		p       coherence.Protocol
 		ceiling uint64
 	}{
-		{coherence.WiDir, 1_332 + 5},
-		{coherence.Baseline, 987 + 5},
+		{coherence.WiDir, 1_220 + 12},
+		{coherence.Baseline, 892 + 5},
 	} {
 		if n := fastForwardRunAllocs(t, tc.p); n > tc.ceiling {
 			t.Errorf("%v: one run allocates %d objects, ceiling %d", tc.p, n, tc.ceiling)
@@ -140,4 +142,38 @@ func fastForwardRunAllocs(t *testing.T, p coherence.Protocol) uint64 {
 	}
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
+}
+
+// TestNewSystemAllocBytes puts a ceiling on the bytes that building the
+// paper's 64-core WiDir machine allocates: workload.Program for barnes
+// plus NewSystem(DefaultConfig(64, WiDir)). L1 lines and directory
+// entries are allocated as a run touches them, so set-up holds the L1
+// way tables, the cores' ROBs and requests, and the controllers' empty
+// tables. The ceiling is the maximum seen plus the spread seen over 880
+// runs in 44 processes of -count=20 on linux/amd64 with go1.24:
+// 2,989,400–2,994,648 bytes, the top of the range from the first run in
+// a process. Building every L1 line eagerly, as before, allocated 8.62
+// MB.
+func TestNewSystemAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-runtime bookkeeping allocates nondeterministically")
+	}
+	const ceiling = 2_994_648 + 5_248
+	prof, ok := workload.ByName("barnes")
+	if !ok {
+		t.Fatal("unknown app barnes")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sys, err := NewSystem(DefaultConfig(64, coherence.WiDir), workload.Program(prof, 64, 1))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(sys)
+	n := after.TotalAlloc - before.TotalAlloc
+	t.Logf("set-up allocates %d bytes", n)
+	if n > ceiling {
+		t.Errorf("building the 64-core machine allocates %d bytes, ceiling %d", n, ceiling)
+	}
 }

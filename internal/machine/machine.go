@@ -120,7 +120,9 @@ func (c *Config) fill() error {
 	if c.MeshW == 0 || c.MeshH == 0 {
 		c.MeshW, c.MeshH = meshDims(c.Nodes)
 	}
-	if c.MeshW < 0 || c.MeshH < 0 || c.MeshW*c.MeshH != c.Nodes {
+	// Divide rather than multiply: a product can wrap around to Nodes
+	// (2^62+1 columns by 4 rows "is" 4 nodes).
+	if c.MeshW < 0 || c.MeshH < 0 || c.Nodes%c.MeshW != 0 || c.Nodes/c.MeshW != c.MeshH {
 		return fmt.Errorf("machine: mesh %dx%d is not a positive grid of %d nodes", c.MeshW, c.MeshH, c.Nodes)
 	}
 	if k := c.Core; k.IssueWidth < 0 || k.ROBSize < 0 || k.LoadQueue < 0 || k.WriteBuffer < 0 {

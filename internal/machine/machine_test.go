@@ -200,6 +200,7 @@ func TestNewSystemRejectsBadConfig(t *testing.T) {
 		{"MaxPointers=-1", func(c *Config) { c.MaxPointers = -1 }},
 		{"MemControllers=-1", func(c *Config) { c.MemControllers = -1 }},
 		{"Mesh=-4x-4", func(c *Config) { c.MeshW, c.MeshH = -4, -4 }},
+		{"Mesh=(2^62+1)x16", func(c *Config) { c.MeshW, c.MeshH = 1<<62+1, 16 }},
 		{"Core.ROBSize=-1", func(c *Config) { c.Core.ROBSize = -1 }},
 		{"Core.IssueWidth=-1", func(c *Config) { c.Core.IssueWidth = -1 }},
 		{"MaxWiredSharers=-1", func(c *Config) { c.MaxWiredSharers = -1 }},
