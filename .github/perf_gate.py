@@ -10,11 +10,15 @@ BENCHMARK.json the script runs
 
     python3 perfbench/run.py --workload W --seed 1 --seconds 1
 
-in the order base, head, head, base, so a drift in host speed lands on
-both sides. It exits 1 if a head run reports correct: false, if the head
-fails more ops than the base, or if the head's median run_s, setup_s
-or peak_rss_mb exceeds the base's by more than that metric's bound in
-BENCHMARK.json. setup_s is perfbench's median of at least 41 set-ups
+in two base-head-head-base blocks, four runs per side, so a drift in
+host speed lands on both sides and no one slow pass sets a median. At
+one second each run is a single pass. On a shared 2-vCPU host, one
+block read run_s up to +9% (paper-64) and +13% (compute-64) base
+against base; one two-block run read +1.1%, +5.2%, +15.4% and -7.0%
+(paper-64, hotshare-64, compute-64, mcheck-2l1). It exits 1 if a
+head run reports correct: false, if the head fails more ops than the
+base, or if the head's median run_s, setup_s or peak_rss_mb exceeds
+the base's by more than that metric's bound in BENCHMARK.json. setup_s is perfbench's median of at least 41 set-ups
 (workload.Program plus NewSystem, or mcheck.New) per run, so it is
 steady enough to gate at one second per run.
 """
@@ -54,7 +58,7 @@ def main():
         try:
             for w in (wl["name"] for wl in bench["workloads"]):
                 runs = {base: [], HEAD: []}
-                for tree in (base, HEAD, HEAD, base):
+                for tree in (base, HEAD, HEAD, base) * 2:
                     runs[tree].append(perfbench(tree, w))
                 b, h = runs[base], runs[HEAD]
                 line = [f"{w:12}"]

@@ -14,6 +14,10 @@
 // application, one core count and one threshold; when both protocols
 // run, file names get a -baseline / -widir suffix before the extension.
 //
+// With -trace-line, each run also streams that line's events (narrowed
+// by -core and -class) to stderr as JSONL in the -events schema, one
+// run after another in job order.
+//
 // Usage:
 //
 //	widirsim -app radiosity -cores 64 -protocol widir -scale 1.0
@@ -78,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallel  = fs.Int("parallel", 0, "simulation worker-pool width (0 = GOMAXPROCS)")
 		csv       = fs.Bool("csv", false, "print one CSV row per run instead of the table")
 		list      = fs.Bool("list", false, "list applications and exit")
-		traceLine = fs.Uint64("trace-line", 0, "dump protocol events for this cache-line number to stderr, and keep only its events in trace exports")
+		traceLine = fs.Uint64("trace-line", 0, "stream this cache-line number's events to stderr as JSONL, and keep only its events in trace exports")
 		latency   = fs.Bool("latency", false, "print the per-miss latency distribution after each run")
 		confPath  = fs.String("config", "", "load the machine configuration from a JSON file (overrides -cores/-maxwired)")
 		dumpConf  = fs.Bool("dump-config", false, "print the default machine configuration as JSON and exit")
@@ -227,12 +231,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	outs, _ := exp.Map(exp.NewRunner(*parallel), len(jobs), func(i int) (*outcome, error) {
 		j, o := jobs[i], &outcome{}
 		cfg := j.cfg
-		if *traceLine != 0 {
-			cfg.LineLog = &obs.LineLog{Line: addrspace.Line(*traceLine), W: &o.stderr}
-		}
 		if traced {
 			o.ring = obs.NewRingSink(*bufCap)
 			cfg.Trace = o.ring
+		}
+		if *traceLine != 0 {
+			stream := filter.Sink(obs.NewJSONLSink(&o.stderr))
+			if cfg.Trace != nil {
+				stream = obs.Tee{cfg.Trace, stream}
+			}
+			cfg.Trace = stream
 		}
 		sys, err := machine.NewSystem(cfg, workload.Program(j.app, cfg.Nodes, *seed))
 		if err != nil {

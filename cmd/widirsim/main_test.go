@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -132,7 +133,7 @@ func TestSweepIndependentOfParallelism(t *testing.T) {
 	}
 }
 
-// TestTraceLineIndependentOfParallelism: the -trace-line log of a
+// TestTraceLineIndependentOfParallelism: the -trace-line stream of a
 // two-protocol run prints in job order, so stderr is identical whether
 // the runs are serial or concurrent.
 func TestTraceLineIndependentOfParallelism(t *testing.T) {
@@ -143,6 +144,37 @@ func TestTraceLineIndependentOfParallelism(t *testing.T) {
 	}
 	if _, _, wide := runSim(t, append(args, "-parallel", "4")...); wide != serial {
 		t.Fatal("-trace-line stderr differs between -parallel 1 and -parallel 4")
+	}
+}
+
+// TestTraceLineStreamsLineEvents: -trace-line writes the traced line's
+// events to stderr in the -events JSONL schema and nothing else. Line
+// 0x40002 of fmm is shared by every core, so under WiDir its history
+// holds the wired messages, the S->W upgrade and the wireless updates.
+func TestTraceLineStreamsLineEvents(t *testing.T) {
+	code, _, stderr := runSim(t, "-app", "fmm", "-cores", "16", "-scale", "0.05", "-protocol", "widir", "-trace-line", "0x40002")
+	if code != 0 || stderr == "" {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	kinds := map[string]int{}
+	for _, ln := range strings.Split(strings.TrimSuffix(stderr, "\n"), "\n") {
+		var e struct {
+			Cycle *uint64
+			Kind  string
+			Line  string
+		}
+		if err := json.Unmarshal([]byte(ln), &e); err != nil || e.Cycle == nil {
+			t.Fatalf("stderr line %q is not a JSONL event (%v)", ln, err)
+		}
+		if e.Line != "0x40002" {
+			t.Fatalf("event %q is not on the traced line", ln)
+		}
+		kinds[e.Kind]++
+	}
+	for _, k := range []string{"msg-recv", "w-upgrade", "wir-upd"} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s event in the line's stream (kinds %v)", k, kinds)
+		}
 	}
 }
 

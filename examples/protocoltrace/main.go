@@ -4,13 +4,14 @@
 // handoffs, the S->W upgrade (BrWirUpgr + tone), the stream of WirUpd
 // broadcasts, and the eventual decay back to the wired protocol.
 //
-// The trace prints to stderr; pipe it through `head` to see the opening
-// transitions:
+// The line's events stream to stderr as JSONL (the schema of widirsim
+// -events); pipe them through `head` to see the opening transitions:
 //
 //	go run ./examples/protocoltrace 2>&1 | head -60
 package main
 
 import (
+	"bufio"
 	"fmt"
 	"log"
 	"os"
@@ -58,13 +59,19 @@ func main() {
 
 	const cores = 16
 	cfg := widir.DefaultConfig(cores, widir.WiDir)
-	cfg.LineLog = &obs.LineLog{Line: line, W: os.Stderr}
+	w := bufio.NewWriter(os.Stderr)
+	filter := obs.NewFilter()
+	filter.Line = line
+	cfg.Trace = filter.Sink(obs.NewJSONLSink(w))
 	sources := make([]widir.InstrSource, cores)
 	for i := range sources {
 		sources[i] = &phases{core: i, total: 600}
 	}
 	res, err := widir.RunCustom(cfg, sources)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := w.Flush(); err != nil { // a failed write also fails Flush
 		log.Fatal(err)
 	}
 	fmt.Printf("done: %d cycles, S->W=%d, wireless writes=%d, W->S=%d, self-invalidations=%d\n",

@@ -58,13 +58,13 @@ var GlobalMut = &Analyzer{
 
 // simStateExtra are sim-adjacent packages outside the determinism list
 // that still hold tick-path state: the seeded RNG streams, the
-// address-space mapper, and the facade package re-exporting the
-// controllers.
-var simStateExtra = []string{"xrand", "addrspace", "core"}
+// address-space mapper, and the free lists the tick path recycles
+// records through.
+var simStateExtra = []string{"xrand", "addrspace", "pool"}
 
 // IsSimStatePackage reports whether the import path is under the
 // globalmut contract: the deterministic sim packages plus
-// xrand/addrspace/core.
+// xrand/addrspace/pool.
 func IsSimStatePackage(path string) bool {
 	if IsDeterministicPackage(path) {
 		return true

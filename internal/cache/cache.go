@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"repro/internal/addrspace"
+	"repro/internal/pool"
 )
 
 // State is a cache-line coherence state as seen by the holding cache.
@@ -115,7 +116,7 @@ type Cache struct {
 	mask  uint64 // sets-1 when sets is a power of two, else 0
 	table []way  // sets*ways, set-major
 	chunk []Line // the chunk new lines are cut from
-	free  []*Line
+	free  pool.Free[Line]
 	clock uint64 // LRU stamp source
 
 	// Stats maintained by callers via Touch/Install; exposed for
@@ -274,9 +275,7 @@ func (c *Cache) Install(l addrspace.Line, st State, words [addrspace.WordsPerLin
 // used up. A cache with fewer ways than lineChunk gets a chunk of its
 // own size, which is all it ever needs.
 func (c *Cache) alloc() *Line {
-	if n := len(c.free); n > 0 {
-		ln := c.free[n-1]
-		c.free = c.free[:n-1]
+	if ln := c.free.Pop(); ln != nil {
 		return ln
 	}
 	if len(c.chunk) == cap(c.chunk) {
@@ -289,7 +288,7 @@ func (c *Cache) alloc() *Line {
 // release empties a way and puts its line on the free list. The line
 // keeps its stale contents until Install overwrites all of it.
 func (c *Cache) release(w *way) {
-	c.free = append(c.free, w.ln)
+	c.free.Put(w.ln)
 	w.tag, w.ln = noLine, nil
 }
 

@@ -1,14 +1,11 @@
 package coherence
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/addrspace"
 	"repro/internal/cache"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/wireless"
 	"repro/internal/xrand"
 )
@@ -862,31 +859,6 @@ func TestVictimHoldsAccessor(t *testing.T) {
 	e := newMockEnv(4)
 	if e.l1s[0].VictimHolds(99) {
 		t.Fatal("phantom victim")
-	}
-}
-
-// TestLineLogCapture drives one request with the per-machine line log
-// configured and asserts the legacy single-line dump format survives
-// the move off the old TraceLine package global.
-func TestLineLogCapture(t *testing.T) {
-	var buf bytes.Buffer
-	e := newMockEnv(4)
-	lg := &obs.LineLog{Line: 8, W: &buf}
-	for _, l1 := range e.l1s {
-		l1.cfg.Log = lg
-	}
-	for _, h := range e.homes {
-		h.cfg.Log = lg
-	}
-	e.complete(t, 1, &MemRequest{Addr: addrspace.Line(8).Base()})
-	out := buf.String()
-	if out == "" {
-		t.Fatal("line log captured nothing for the traced line")
-	}
-	for _, ln := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
-		if !strings.Contains(ln, "line 0x8: ") {
-			t.Fatalf("line log record %q does not carry the legacy format", ln)
-		}
 	}
 }
 

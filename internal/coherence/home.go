@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/addrspace"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/stats"
 )
 
@@ -98,17 +99,7 @@ type DirEntry struct {
 	// overflowed to broadcast/coarse mode at the upgrade, so sender
 	// identities are unknown and any wired notice is counted.
 	staleWiredAll bool
-
-	// gen is the entry's generation stamp. Entries are pooled: when one
-	// is released and later reused for another line, the stamp is
-	// bumped, so any code that stashed an entry pointer across an
-	// asynchronous boundary can verify it still addresses the same
-	// incarnation instead of silently reading a recycled entry.
-	gen uint64
 }
-
-// Gen returns the entry's generation stamp (see the field comment).
-func (e *DirEntry) Gen() uint64 { return e.gen }
 
 // takeStaleWired reports whether a wired eviction notice from src may
 // decrement SharerCount, consuming src's snapshot slot so a second
@@ -175,13 +166,12 @@ func (s DirScheme) String() string {
 type HomeConfig struct {
 	Protocol        Protocol
 	Scheme          DirScheme
-	MaxPointers     int          // Dir_iB pointer count (Table III: 3)
-	MaxWiredSharers int          // WiDir threshold (Table III: 3; <= MaxPointers)
-	CoarseRegion    int          // Dir_iCV_r: nodes per coarse-vector bit (default 4)
-	Entries         int          // LLC slice capacity in lines
-	LLCLatency      uint64       // local bank round-trip (Table III: 12)
-	Trace           obs.Sink     // structured event sink (nil = off)
-	Log             *obs.LineLog // single-line protocol dump (nil = off)
+	MaxPointers     int      // Dir_iB pointer count (Table III: 3)
+	MaxWiredSharers int      // WiDir threshold (Table III: 3; <= MaxPointers)
+	CoarseRegion    int      // Dir_iCV_r: nodes per coarse-vector bit (default 4)
+	Entries         int      // LLC slice capacity in lines
+	LLCLatency      uint64   // local bank round-trip (Table III: 12)
+	Trace           obs.Sink // structured event sink (nil = off)
 
 	// FaultDemoteAfter is how many consecutive failed wireless
 	// broadcasts for a W line (NoteWirelessFault) the directory
@@ -212,10 +202,10 @@ type HomeCtrl struct {
 	// transaction records and request runners. New entries are cut from
 	// entrySlab, a chunk of entryChunk entries that never moves, instead
 	// of one heap object each.
-	entryFree []*DirEntry
+	entryFree pool.Free[DirEntry]
 	entrySlab []DirEntry
-	txnFree   []*txn
-	reqFree   []*requestRunner
+	txnFree   pool.Free[txn]
+	reqFree   pool.Free[requestRunner]
 	lruTick   uint64
 
 	// Memory backing store: the golden contents of lines not resident in
@@ -412,7 +402,6 @@ func (h *HomeCtrl) NoteWirelessFault(now uint64, line addrspace.Line) {
 	}
 	fails := e.faultFails
 	e.faultFails = 0
-	h.tracef(now, line, "home %d: W->S fault demotion after %d failures", h.id, fails)
 	h.Stats.FaultDemotions.Inc()
 	if h.cfg.Trace != nil {
 		h.cfg.Trace.Emit(obs.Event{Cycle: now, Kind: obs.EvWFaultDemote,
@@ -521,7 +510,7 @@ type requestRunner struct {
 func (r *requestRunner) Run(now uint64) {
 	h, m, first := r.h, r.m, r.first
 	r.m = nil
-	h.reqFree = append(h.reqFree, r)
+	h.reqFree.Put(r)
 	var kept bool
 	if first {
 		kept = h.processRequest(now, m)
@@ -535,14 +524,8 @@ func (r *requestRunner) Run(now uint64) {
 
 // later takes a request runner from the free list.
 func (h *HomeCtrl) later(m *Msg, first bool) *requestRunner {
-	var r *requestRunner
-	if n := len(h.reqFree); n > 0 {
-		r = h.reqFree[n-1]
-		h.reqFree = h.reqFree[:n-1]
-	} else {
-		r = &requestRunner{h: h}
-	}
-	r.m, r.first = m, first
+	r := h.reqFree.Get()
+	r.h, r.m, r.first = h, m, first
 	return r
 }
 
@@ -550,20 +533,14 @@ func (h *HomeCtrl) later(m *Msg, first bool) *requestRunner {
 // ackIDs array) when the free list has one. t holds the fields to set.
 func (h *HomeCtrl) newTxn(t txn) *txn {
 	t.started = h.env.Now()
-	var p *txn
-	if n := len(h.txnFree); n > 0 {
-		p = h.txnFree[n-1]
-		h.txnFree = h.txnFree[:n-1]
-		t.ackIDs = p.ackIDs[:0]
-	} else {
-		p = new(txn)
-	}
+	p := h.txnFree.Get()
+	t.ackIDs = p.ackIDs[:0]
 	*p = t
 	return p
 }
 
 // freeTxn recycles a transaction record its entry no longer points to.
-func (h *HomeCtrl) freeTxn(t *txn) { h.txnFree = append(h.txnFree, t) }
+func (h *HomeCtrl) freeTxn(t *txn) { h.txnFree.Put(t) }
 
 func (h *HomeCtrl) touch(e *DirEntry) {
 	h.lruTick++
@@ -576,7 +553,6 @@ func (h *HomeCtrl) send(dst int, port PortKind, m Msg) {
 }
 
 func (h *HomeCtrl) nack(m *Msg) {
-	h.tracef(h.env.Now(), m.Line, "home %d: NACK to %d", h.id, m.Src)
 	if h.cfg.Trace != nil {
 		h.cfg.Trace.Emit(obs.Event{Cycle: h.env.Now(), Kind: obs.EvNACK,
 			Node: int32(h.id), Other: int32(m.Src), Line: m.Line, B: m.ReqID})
@@ -601,7 +577,6 @@ func (h *HomeCtrl) processRequest(now uint64, m *Msg) (kept bool) {
 // request defers past an in-flight wireless transmission). It reports
 // whether the request was kept: deferred again, to run one cycle on.
 func (h *HomeCtrl) reprocess(now uint64, m *Msg) (kept bool) {
-	h.tracef(h.env.Now(), m.Line, "home %d: %v from %d (isSharer=%v)", h.id, m.Type, m.Src, m.IsSharer)
 	e := h.Entry(m.Line)
 	if e == nil {
 		e = h.allocate(m)
@@ -640,28 +615,22 @@ func (h *HomeCtrl) allocate(m *Msg) *DirEntry {
 			return nil // victim eviction is asynchronous; caller bounces
 		}
 	}
-	var e *DirEntry
-	if n := len(h.entryFree); n > 0 {
-		e = h.entryFree[n-1]
-		h.entryFree[n-1] = nil
-		h.entryFree = h.entryFree[:n-1]
-		*e = DirEntry{Line: m.Line, gen: e.gen + 1,
-			Sharers: e.Sharers[:0], staleWired: e.staleWired[:0],
-			deferred: e.deferred[:0]}
-	} else {
+	e := h.entryFree.Pop()
+	if e == nil {
 		if len(h.entrySlab) == cap(h.entrySlab) {
 			h.entrySlab = make([]DirEntry, 0, entryChunk)
 		}
 		h.entrySlab = h.entrySlab[:len(h.entrySlab)+1]
 		e = &h.entrySlab[len(h.entrySlab)-1]
-		*e = DirEntry{Line: m.Line, gen: 1}
 	}
+	*e = DirEntry{Line: m.Line, Sharers: e.Sharers[:0],
+		staleWired: e.staleWired[:0], deferred: e.deferred[:0]}
 	h.entries.put(m.Line, e)
 	return e
 }
 
 // releaseEntry returns a dead entry to the free list. Callers must have
-// removed it from the table first; reuse bumps the generation stamp.
+// removed it from the table first.
 func (h *HomeCtrl) releaseEntry(e *DirEntry) {
 	for i := range e.deferred {
 		e.deferred[i] = nil
@@ -671,7 +640,7 @@ func (h *HomeCtrl) releaseEntry(e *DirEntry) {
 		h.freeTxn(e.busy)
 		e.busy = nil
 	}
-	h.entryFree = append(h.entryFree, e)
+	h.entryFree.Put(e)
 }
 
 // evictVictim starts (or completes, for quiet entries) the eviction of
@@ -804,9 +773,6 @@ func (h *HomeCtrl) serveShared(e *DirEntry, m *Msg) {
 			return
 		}
 		h.addSharer(e, m.Src)
-		if h.cfg.Log != nil {
-			h.tracef(h.env.Now(), e.Line, "home %d: DataS to %d, sharers=%v", h.id, m.Src, e.Sharers)
-		}
 		h.send(m.Src, PortL1, Msg{Type: MsgDataS, Line: e.Line, ReqID: m.ReqID, HasData: true, Words: e.Words})
 		return
 	}
@@ -994,7 +960,6 @@ func (h *HomeCtrl) serveWireless(e *DirEntry, m *Msg) (kept bool) {
 	}
 	// Table II W->W case 1: add the sharer over the wired network while
 	// jamming wireless transactions on the line.
-	h.tracef(h.env.Now(), e.Line, "home %d: W add-sharer %d (count=%d)", h.id, m.Src, e.SharerCount)
 	t := h.newTxn(txn{kind: txWAddSharer, requester: m.Src, jammed: true})
 	e.busy = t
 	h.env.Jam(e.Line, h.id)
@@ -1008,9 +973,6 @@ func (h *HomeCtrl) serveWireless(e *DirEntry, m *Msg) (kept bool) {
 // the line, send the line to the requester over the wired NoC, and wait
 // for the ToneAck to complete.
 func (h *HomeCtrl) startSToW(e *DirEntry, m *Msg) {
-	if h.cfg.Log != nil {
-		h.tracef(h.env.Now(), e.Line, "home %d: S->W trigger by %d, sharers=%v", h.id, m.Src, e.Sharers)
-	}
 	h.Stats.SToW.Inc()
 	t := h.newTxn(txn{kind: txSToW, requester: m.Src, reqType: m.Type, jammed: true})
 	e.busy = t
@@ -1028,7 +990,6 @@ func (h *HomeCtrl) startSToW(e *DirEntry, m *Msg) {
 					return
 				}
 				e.faultFails = 0
-				h.tracef(now, e.Line, "home %d: S->W commit count=%d", h.id, newCount)
 				if h.cfg.Trace != nil {
 					h.cfg.Trace.Emit(obs.Event{Cycle: now, Kind: obs.EvWUpgrade,
 						Node: int32(h.id), Other: obs.NoNode, Line: e.Line,
@@ -1143,9 +1104,6 @@ func (h *HomeCtrl) consumeBusyPut(e *DirEntry, m *Msg) bool {
 // leniently: stale notices (from states the line has since left) are
 // acknowledged and ignored.
 func (h *HomeCtrl) processPut(e *DirEntry, m *Msg) {
-	if h.cfg.Log != nil {
-		h.tracef(h.env.Now(), m.Line, "home %d: put %v from %d in state %v sharers=%v count=%d", h.id, m.Type, m.Src, e.State, e.Sharers, e.SharerCount)
-	}
 	h.Stats.LLCAccesses.Inc()
 	defer h.ackPut(m)
 	switch e.State {
@@ -1220,7 +1178,6 @@ func (h *HomeCtrl) ackPut(m *Msg) {
 // line is jammed for the duration so no update can serialize between
 // the downgrade decision and its commit.
 func (h *HomeCtrl) startWToS(e *DirEntry) {
-	h.tracef(h.env.Now(), e.Line, "home %d: W->S start acksLeft=%d", h.id, e.SharerCount)
 	h.Stats.WToS.Inc()
 	t := h.newTxn(txn{kind: txWToS, acksLeft: e.SharerCount, jammed: true})
 	e.busy = t
@@ -1242,9 +1199,6 @@ func (h *HomeCtrl) maybeFinishWToS(e *DirEntry) {
 	// generation of the line.
 	if t.cancelTx != 0 {
 		h.env.CancelWireless(t.cancelTx)
-	}
-	if h.cfg.Log != nil {
-		h.tracef(h.env.Now(), e.Line, "home %d: W->S commit ackIDs=%v", h.id, t.ackIDs)
 	}
 	if h.cfg.Trace != nil {
 		h.cfg.Trace.Emit(obs.Event{Cycle: h.env.Now(), Kind: obs.EvWDowngrade,
@@ -1274,7 +1228,6 @@ func (h *HomeCtrl) processAck(m *Msg) {
 		h.fail(m.Line, "ack %v from %d with no transaction", m.Type, m.Src)
 		return
 	}
-	h.tracef(h.env.Now(), m.Line, "home %d: ack %v from %d (txn=%v)", h.id, m.Type, m.Src, e.busy.kind)
 	t := e.busy
 	switch m.Type {
 	case MsgInvAck:

@@ -7,6 +7,7 @@ import (
 	"repro/internal/addrspace"
 	"repro/internal/cache"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/stats"
 )
 
@@ -157,11 +158,10 @@ type L1Stats struct {
 type L1Config struct {
 	Cache          cache.Config
 	Protocol       Protocol
-	HitLatency     uint64       // round-trip cycles (Table III: 2)
-	RetryDelay     uint64       // NACK retry backoff base
-	UpdateCountMax int          // WiDir decay threshold (2-bit counter)
-	Trace          obs.Sink     // structured event sink (nil = off)
-	Log            *obs.LineLog // single-line protocol dump (nil = off)
+	HitLatency     uint64   // round-trip cycles (Table III: 2)
+	RetryDelay     uint64   // NACK retry backoff base
+	UpdateCountMax int      // WiDir decay threshold (2-bit counter)
+	Trace          obs.Sink // structured event sink (nil = off)
 }
 
 // L1Ctrl is the private cache controller of one node. It serves the
@@ -181,15 +181,15 @@ type L1Ctrl struct {
 	// compFree recycles completion events (see scheduleDone), pendFree
 	// pending-transaction entries (see newPending), and the rest the
 	// wireless-write records and the runners of this file.
-	compFree []*completion
-	pendFree []*pendingReq
-	wwFree   []*wirelessWrite
+	compFree pool.Free[completion]
+	pendFree pool.Free[pendingReq]
+	wwFree   pool.Free[wirelessWrite]
 	// wwRetired is the record whose broadcast may still be delivering
 	// (see retireWrite).
 	wwRetired *wirelessWrite
-	accFree   []*accessRunner
-	nackFree  []*nackRetry
-	parkFree  []*fillPark
+	accFree   pool.Free[accessRunner]
+	nackFree  pool.Free[nackRetry]
+	parkFree  pool.Free[fillPark]
 
 	// Checker hooks (nil outside tests): see machine.Checker.
 	OnSerializedWrite func(now uint64, a addrspace.Addr, v uint64)
@@ -478,20 +478,13 @@ type completion struct {
 func (cp *completion) Run(now uint64) {
 	l, r, v := cp.l, cp.r, cp.v
 	cp.r = nil
-	l.compFree = append(l.compFree, cp)
+	l.compFree.Put(cp)
 	l.finish(r, now, v)
 }
 
 func (l *L1Ctrl) scheduleDone(delay uint64, r *MemRequest, v uint64) {
-	var cp *completion
-	if n := len(l.compFree); n > 0 {
-		cp = l.compFree[n-1]
-		l.compFree[n-1] = nil
-		l.compFree = l.compFree[:n-1]
-	} else {
-		cp = &completion{l: l}
-	}
-	cp.r, cp.v = r, v
+	cp := l.compFree.Get()
+	cp.l, cp.r, cp.v = l, r, v
 	l.env.AfterRunner(delay, cp)
 }
 
@@ -576,16 +569,10 @@ func (l *L1Ctrl) miss(line addrspace.Line, r *MemRequest, isSharer bool) {
 // one when available; reuse bumps the generation stamp and keeps the
 // waiters scratch array.
 func (l *L1Ctrl) newPending(line addrspace.Line, kind pendingKind, r *MemRequest, isSharer bool) *pendingReq {
-	if n := len(l.pendFree); n > 0 {
-		p := l.pendFree[n-1]
-		l.pendFree[n-1] = nil
-		l.pendFree = l.pendFree[:n-1]
-		*p = pendingReq{line: line, kind: kind, req: r, isSharer: isSharer,
-			started: l.env.Now(), gen: p.gen + 1, waiters: p.waiters[:0]}
-		return p
-	}
-	return &pendingReq{line: line, kind: kind, req: r, isSharer: isSharer,
-		started: l.env.Now(), gen: 1}
+	p := l.pendFree.Get()
+	*p = pendingReq{line: line, kind: kind, req: r, isSharer: isSharer,
+		started: l.env.Now(), gen: p.gen + 1, waiters: p.waiters[:0]}
+	return p
 }
 
 // releasePending returns a dissolved entry to the free list. Callers
@@ -597,7 +584,7 @@ func (l *L1Ctrl) releasePending(p *pendingReq) {
 	}
 	p.waiters = p.waiters[:0]
 	p.req = nil
-	l.pendFree = append(l.pendFree, p)
+	l.pendFree.Put(p)
 }
 
 func (l *L1Ctrl) sendRequest(p *pendingReq, t MsgType) {
@@ -665,22 +652,13 @@ func (l *L1Ctrl) wirelessStore(ln *cache.Line, r *MemRequest) {
 		l.complete(r, old)
 		return
 	}
-	if l.cfg.Log != nil {
-		l.tracef(l.env.Now(), line, "l1 %d: wirelessStore queued rmw=%v write=%v val=%d", l.id, r.IsRMW, r.IsWrite, r.Value)
-	}
 	if r.IsRMW {
 		l.beginSpan(r, line, obs.ClassWirelessRMW)
 	} else {
 		l.beginSpan(r, line, obs.ClassWirelessStore)
 	}
-	var ww *wirelessWrite
-	if n := len(l.wwFree); n > 0 {
-		ww = l.wwFree[n-1]
-		l.wwFree = l.wwFree[:n-1]
-	} else {
-		ww = &wirelessWrite{l: l}
-	}
-	ww.line, ww.word, ww.req, ww.oldVal = line, w, r, 0
+	ww := l.wwFree.Get()
+	ww.l, ww.line, ww.word, ww.req, ww.oldVal = l, line, w, r, 0
 	value := r.Value
 	if r.IsRMW {
 		ww.oldVal = ln.Words[w]
@@ -696,7 +674,7 @@ func (l *L1Ctrl) wirelessStore(ln *cache.Line, r *MemRequest) {
 // references.
 func (l *L1Ctrl) freeWrite(ww *wirelessWrite) {
 	ww.req = nil
-	l.wwFree = append(l.wwFree, ww)
+	l.wwFree.Put(ww)
 }
 
 // retireWrite recycles the record of this L1's previous serialized
@@ -740,14 +718,8 @@ func (l *L1Ctrl) wirelessTxDone(ww *wirelessWrite) {
 			Node: int32(l.id), Other: obs.NoNode, Line: line,
 			A: ww.req.obsSpan, B: uint64(ww.word)})
 	}
-	if l.cfg.Log != nil {
-		l.tracef(l.env.Now(), line, "l1 %d: WirUpd serialized word=%d val=%d rmw=%v", l.id, ww.word, ww.upd.Value, ww.req.IsRMW)
-	}
 	l.serializeWrite(line.WordAddr(ww.word), ww.upd.Value)
 	if ww.req.IsRMW {
-		if l.cfg.Log != nil {
-			l.tracef(l.env.Now(), line, "l1 %d: RMW complete old=%d new=%d", l.id, ww.oldVal, ww.upd.Value)
-		}
 		l.observeRead(line.WordAddr(ww.word), ww.oldVal)
 		l.completeNow(ww.req, ww.oldVal)
 	} else {
@@ -780,9 +752,6 @@ func (l *L1Ctrl) wirelessTxAborted(ww *wirelessWrite, jammed bool) {
 		fails++
 		l.wwFails.put(ww.line, fails)
 		delay <<= uint(min(fails, 5))
-	}
-	if l.cfg.Log != nil {
-		l.tracef(l.env.Now(), ww.line, "l1 %d: wireless tx aborted (jammed=%v), requeue after %d", l.id, jammed, delay)
 	}
 	// Re-dispatch; the line's state then decides wired vs wireless.
 	l.requeueShim(delay, ww.req, ww.line)
@@ -860,21 +829,15 @@ type fillPark struct {
 func (r *fillPark) Run(now uint64) {
 	l, m := r.l, r.m
 	r.m = nil
-	l.parkFree = append(l.parkFree, r)
+	l.parkFree.Put(r)
 	if !l.handleDataResponse(now, m) {
 		l.env.FreeMsg(m)
 	}
 }
 
 func (l *L1Ctrl) park(m *Msg) *fillPark {
-	var r *fillPark
-	if n := len(l.parkFree); n > 0 {
-		r = l.parkFree[n-1]
-		l.parkFree = l.parkFree[:n-1]
-	} else {
-		r = &fillPark{l: l}
-	}
-	r.m = m
+	r := l.parkFree.Get()
+	r.l, r.m = l, m
 	return r
 }
 
@@ -939,14 +902,12 @@ func (l *L1Ctrl) handleDataResponse(now uint64, m *Msg) (kept bool) {
 	// pointers may be a superset of holders.) Stale ownership grants
 	// must install: the directory has committed us as owner.
 	if !matches && st == cache.Shared {
-		l.tracef(now, m.Line, "l1 %d: dropping stale %v", l.id, m.Type)
 		return false
 	}
 	// A matching Shared fill that an invalidation passed in flight is
 	// consumed use-once: serve the load from the message data without
 	// installing the line.
 	if matches && st == cache.Shared && p.invalidated {
-		l.tracef(now, m.Line, "l1 %d: use-once %v (invalidated in flight)", l.id, m.Type)
 		w := addrspace.WordOf(p.req.Addr)
 		v := m.Words[w]
 		l.observeRead(p.req.Addr, v)
@@ -964,7 +925,6 @@ func (l *L1Ctrl) handleDataResponse(now uint64, m *Msg) (kept bool) {
 		}
 	}
 
-	l.tracef(now, m.Line, "l1 %d: response %v -> install %v (matches=%v tone=%v)", l.id, m.Type, st, matches, toneHeld)
 	ln := l.install(m.Line, st, m.Words)
 	if ln == nil {
 		return false // install failed a protocol check; the error is latched
@@ -1068,7 +1028,7 @@ func (r *accessRunner) Run(now uint64) {
 		r.l.Access(req)
 	}
 	r.reqs = r.reqs[:0]
-	r.l.accFree = append(r.l.accFree, r)
+	r.l.accFree.Put(r)
 }
 
 // handleNACK retries the bounced request after a jittered delay. Stale
@@ -1090,14 +1050,8 @@ func (l *L1Ctrl) handleNACK(m *Msg) {
 	}
 	p.retries++
 	delay := l.retryJitter() * uint64(min(p.retries, 4))
-	var r *nackRetry
-	if n := len(l.nackFree); n > 0 {
-		r = l.nackFree[n-1]
-		l.nackFree = l.nackFree[:n-1]
-	} else {
-		r = &nackRetry{l: l}
-	}
-	r.p, r.gen, r.line = p, p.gen, m.Line
+	r := l.nackFree.Get()
+	r.l, r.p, r.gen, r.line = l, p, p.gen, m.Line
 	l.env.AfterRunner(delay, r)
 }
 
@@ -1114,7 +1068,7 @@ type nackRetry struct {
 func (r *nackRetry) Run(now uint64) {
 	l, p, gen, line := r.l, r.p, r.gen, r.line
 	r.p = nil
-	l.nackFree = append(l.nackFree, r)
+	l.nackFree.Put(r)
 	// The generation check rejects a recycled entry that landed on the
 	// same line again: same pointer, different transaction.
 	if pp, ok := l.pending.get(line); !ok || pp != p || p.gen != gen {
@@ -1186,13 +1140,8 @@ func (l *L1Ctrl) handleWDiscard(m *Msg) {
 //
 //proto:stop
 func (l *L1Ctrl) requeue(delay uint64, first *MemRequest, rest []*MemRequest) {
-	var r *accessRunner
-	if n := len(l.accFree); n > 0 {
-		r = l.accFree[n-1]
-		l.accFree = l.accFree[:n-1]
-	} else {
-		r = &accessRunner{l: l}
-	}
+	r := l.accFree.Get()
+	r.l = l
 	r.reqs = append(append(r.reqs, first), rest...)
 	l.env.AfterRunner(delay, r)
 }
@@ -1332,7 +1281,6 @@ func (l *L1Ctrl) install(line addrspace.Line, st cache.State, words [addrspace.W
 //proto:transition l1 M Evict -> I
 //proto:transition l1 W Evict -> I
 func (l *L1Ctrl) evict(ln *cache.Line) {
-	l.tracef(l.env.Now(), ln.Addr, "l1 %d: evict state=%v", l.id, ln.State)
 	l.Stats.Evictions.Inc()
 	line := ln.Addr
 	// A queued (not yet serialized) wireless write to the victim is
@@ -1393,13 +1341,7 @@ func (l *L1Ctrl) HandleWireless(now uint64, sender int, payload any) {
 // and the S->W transition (Table I).
 func (l *L1Ctrl) handleBrWirUpgr(p BrWirUpgr) {
 	ln := l.data.Lookup(p.Line)
-	st := cache.Invalid
-	if ln != nil {
-		st = ln.State
-	}
 	pend, _ := l.pending.get(p.Line)
-	l.tracef(l.env.Now(), p.Line, "l1 %d: BrWirUpgr state=%v pending=%v", l.id, st, pend != nil)
-
 	if ln != nil && ln.State == cache.Shared {
 		ln.State = cache.Wireless
 		ln.UpdateCount = 0
@@ -1464,7 +1406,6 @@ func (l *L1Ctrl) handleRemoteUpdate(p WirUpd) {
 	if _, busy := l.pending.get(p.Line); busy {
 		return
 	}
-	l.tracef(l.env.Now(), p.Line, "l1 %d: self-invalidate (decay)", l.id)
 	if l.cfg.Trace != nil {
 		l.cfg.Trace.Emit(obs.Event{Cycle: l.env.Now(), Kind: obs.EvWDecay,
 			Node: int32(l.id), Other: int32(p.Writer), Line: p.Line,
@@ -1500,11 +1441,6 @@ func (l *L1Ctrl) cancelQueuedWrite(line addrspace.Line) *MemRequest {
 // ourselves to the home via the wired network (Table I W->S).
 func (l *L1Ctrl) handleWirDwgr(p WirDwgr) {
 	ln := l.data.Lookup(p.Line)
-	st := cache.Invalid
-	if ln != nil {
-		st = ln.State
-	}
-	l.tracef(l.env.Now(), p.Line, "l1 %d: WirDwgr state=%v", l.id, st)
 	// A queued wireless write can no longer serialize in W; convert it
 	// to a wired access after the downgrade.
 	if r := l.cancelQueuedWrite(p.Line); r != nil {
@@ -1534,11 +1470,4 @@ func (l *L1Ctrl) handleWirInv(p WirInv) {
 	if ln != nil && ln.State == cache.Wireless {
 		l.data.Invalidate(p.Line)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -16,9 +16,9 @@ import (
 //
 // Every simulation the evaluation runs is a deterministic function of
 // (machine config, application profile, seed), an embarrassingly
-// parallel shape, so the runner fans submissions out to Parallelism()
-// workers while Map preserves deterministic output ordering by
-// submission index. Results are memoized by content address (simKey):
+// parallel shape, so the runner fans submissions out across its worker
+// pool while Map preserves deterministic output ordering by submission
+// index. Results are memoized by content address (simKey):
 // the Baseline runs behind Table IV, Table V, Fig. 6 and Fig. 7, and
 // the WiDir runs behind Fig. 5 and the motivation measurements, are
 // each simulated once per Runner no matter how many tables ask for
@@ -85,9 +85,6 @@ func NewRunner(parallel int) *Runner {
 	}
 }
 
-// Parallelism returns the worker-pool width.
-func (r *Runner) Parallelism() int { return r.parallel }
-
 // SetCache attaches a persistent result cache. Call before submitting
 // work; the cache is consulted on every memo miss and filled after
 // every fresh simulation.
@@ -107,7 +104,7 @@ func (r *Runner) Stats() RunnerStats {
 // errObserved rejects configs carrying observer hooks: the hooks are
 // not part of the result key, so a memoized or cached result would
 // silently skip them.
-var errObserved = errors.New("exp: Runner.Sim takes no observer hooks (Trace, LineLog, Core.Trace); build a machine.System for a traced run")
+var errObserved = errors.New("exp: Runner.Sim takes no observer hooks (Trace, Core.Trace); build a machine.System for a traced run")
 
 // Sim runs (or recalls) one simulation: cfg driving
 // workload.Program(app, cfg.Nodes, seed). Results are memoized in
@@ -123,7 +120,7 @@ func (r *Runner) Sim(cfg machine.Config, app workload.Profile, seed uint64) (*ma
 }
 
 func (r *Runner) sim(cfg machine.Config, app workload.Profile, seed uint64) (*machine.Result, error) {
-	if cfg.Trace != nil || cfg.LineLog != nil || cfg.Core.Trace != nil {
+	if cfg.Trace != nil || cfg.Core.Trace != nil {
 		return nil, errObserved
 	}
 	key, err := simKey(cfg, app, seed)

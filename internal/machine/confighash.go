@@ -26,7 +26,6 @@ import (
 //lint:deterministic constant exclusion table, never written after initialization
 var canonicalExcludedFields = map[string]string{
 	"Trace":      "observer sink; tracing does not perturb results (DESIGN.md §11)",
-	"LineLog":    "observer sink; line logging does not perturb results",
 	"Core.Trace": "observer sink on the core config",
 }
 

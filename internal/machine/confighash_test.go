@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/fault"
+	"repro/internal/obs"
 )
 
 // leafPaths walks a struct type and returns the dotted path of every
@@ -127,9 +128,10 @@ func TestConfigHashSeparates(t *testing.T) {
 func TestConfigHashIgnoresObserverHooks(t *testing.T) {
 	a := DefaultConfig(16, coherence.WiDir)
 	b := a
-	b.LineLog = nil // observers excluded; attach nothing distinguishable
+	b.Trace = obs.NewRingSink(1)
+	b.Core.Trace = b.Trace
 	if canonical(t, a) != canonical(t, b) {
-		t.Fatal("identical configs encode differently")
+		t.Fatal("attaching observer sinks changed the canonical string")
 	}
 }
 

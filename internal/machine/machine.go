@@ -18,6 +18,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mesh"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/stats"
 	"repro/internal/wireless"
 	"repro/internal/xrand"
@@ -85,9 +86,6 @@ type Config struct {
 	// path costs one branch and zero allocations. Sinks are driven from
 	// the single-threaded cycle loop and need no locking.
 	Trace obs.Sink `json:"-"`
-	// LineLog, when set, dumps every protocol event touching one cache
-	// line as human-readable text (the legacy TraceLine format).
-	LineLog *obs.LineLog `json:"-"`
 }
 
 // DefaultConfig returns the paper's Table III machine with the given
@@ -263,8 +261,8 @@ type System struct {
 	// msgFree recycles wired messages (see coherence.Env for who owns a
 	// message when) and memFree the memory controllers' response
 	// runners. Both grow on demand.
-	msgFree []*coherence.Msg
-	memFree []*memResponse
+	msgFree pool.Free[coherence.Msg]
+	memFree pool.Free[memResponse]
 
 	// poisonMsgs, set only by this package's tests, scribbles every
 	// freed message (poisonType, poisonLine) and never reuses it, so a
@@ -331,7 +329,6 @@ func NewSystem(cfg Config, sources []cpu.InstrSource) (*System, error) {
 		RetryDelay:     cfg.RetryDelay,
 		UpdateCountMax: cfg.UpdateCountMax,
 		Trace:          cfg.Trace,
-		Log:            cfg.LineLog,
 	}
 	homecfg := coherence.HomeConfig{
 		Protocol:        cfg.Protocol,
@@ -342,7 +339,6 @@ func NewSystem(cfg Config, sources []cpu.InstrSource) (*System, error) {
 		Entries:         cfg.LLCEntriesPerSlice,
 		LLCLatency:      cfg.LLCLatency,
 		Trace:           cfg.Trace,
-		Log:             cfg.LineLog,
 	}
 	if s.injector != nil && s.injector.Config().DirDelayPct > 0 {
 		homecfg.FaultDirDelay = s.injector.DirDelay
@@ -392,13 +388,7 @@ func (s *System) SendWired(src, dst int, port coherence.PortKind, msg coherence.
 			Node: int32(src), Other: int32(dst), Line: msg.Line,
 			A: uint64(msg.Type), B: msg.ReqID})
 	}
-	var m *coherence.Msg
-	if n := len(s.msgFree); n > 0 {
-		m = s.msgFree[n-1]
-		s.msgFree = s.msgFree[:n-1]
-	} else {
-		m = new(coherence.Msg)
-	}
+	m := s.msgFree.Get()
 	*m = msg
 	m.Port = port
 	s.mesh.Send(s.cycle, mesh.Packet{
@@ -417,7 +407,7 @@ func (s *System) FreeMsg(m *coherence.Msg) {
 		m.Type, m.Line = poisonType, poisonLine
 		return
 	}
-	s.msgFree = append(s.msgFree, m)
+	s.msgFree.Put(m)
 }
 
 // TransmitWireless queues a broadcast on the data channel.
@@ -524,14 +514,8 @@ func (s *System) handleMC(now uint64, m *coherence.Msg) {
 	s.mcFree[mc] = start + s.cfg.MemServiceInterval
 	switch m.Type {
 	case coherence.MsgMemRead:
-		var r *memResponse
-		if n := len(s.memFree); n > 0 {
-			r = s.memFree[n-1]
-			s.memFree = s.memFree[:n-1]
-		} else {
-			r = &memResponse{s: s}
-		}
-		r.line, r.dst, r.mc = m.Line, m.Requester, mc
+		r := s.memFree.Get()
+		r.s, r.line, r.dst, r.mc = s, m.Line, m.Requester, mc
 		s.events.At(start+s.cfg.MemLatency, r)
 	case coherence.MsgMemWrite:
 		// Data already committed to the MemoryImage by the home (so a
@@ -553,7 +537,7 @@ type memResponse struct {
 // Run implements engine.Runner.
 func (r *memResponse) Run(now uint64) {
 	s := r.s
-	s.memFree = append(s.memFree, r)
+	s.memFree.Put(r)
 	s.SendWired(s.mcNodes[r.mc], r.dst, coherence.PortHome, coherence.Msg{
 		Type: coherence.MsgMemData, Line: r.line, HasData: true,
 		Words: s.memory.ReadLine(r.line),

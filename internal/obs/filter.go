@@ -128,3 +128,19 @@ func (f Filter) Apply(events []Event) []Event {
 	}
 	return out
 }
+
+// Sink returns a sink that passes on to s the events f matches, in
+// emission order.
+func (f Filter) Sink(s Sink) Sink { return filterSink{f: f, s: s} }
+
+type filterSink struct {
+	f Filter
+	s Sink
+}
+
+// Emit forwards e if the filter matches it.
+func (fs filterSink) Emit(e Event) {
+	if fs.f.Match(e) {
+		fs.s.Emit(e)
+	}
+}

@@ -216,10 +216,18 @@ func TestFilterMatch(t *testing.T) {
 	if !f.Match(e) {
 		t.Fatal("full match expected")
 	}
-	kept := Filter{Kinds: KindSet(0).With(EvMsgSend), Node: NoNode, Line: NoLine}.
-		Apply([]Event{e, ev(2, EvJam, 0)})
+	only := Filter{Kinds: KindSet(0).With(EvMsgSend), Node: NoNode, Line: NoLine}
+	kept := only.Apply([]Event{e, ev(2, EvJam, 0)})
 	if len(kept) != 1 || kept[0].Kind != EvMsgSend {
 		t.Fatalf("Apply kept %v", kept)
+	}
+	ring := NewRingSink(4)
+	sink := only.Sink(ring)
+	for _, x := range []Event{ev(2, EvJam, 0), e, ev(3, EvMsgSend, 1)} {
+		sink.Emit(x)
+	}
+	if got := ring.Events(); len(got) != 2 || got[0] != e || got[1].Cycle != 3 {
+		t.Fatalf("Sink passed on %v, want the two msg-send events in order", got)
 	}
 }
 
@@ -362,21 +370,6 @@ func TestTeeFansOut(t *testing.T) {
 	Tee{a, b}.Emit(ev(1, EvJam, 0))
 	if a.Len() != 1 || b.Len() != 1 {
 		t.Fatal("Tee must forward to every sink")
-	}
-}
-
-func TestLineLogFormatAndNilSafety(t *testing.T) {
-	var nilLog *LineLog
-	nilLog.Printf(1, 8, "boom %d", 1) // must not panic
-	(&LineLog{Line: 8}).Printf(1, 8, "no writer")
-
-	var buf bytes.Buffer
-	lg := &LineLog{Line: 8, W: &buf}
-	lg.Printf(17, 9, "other line") // filtered out
-	lg.Printf(17, 8, "hit %s", "x")
-	want := "[      17] line 0x8: hit x\n"
-	if buf.String() != want {
-		t.Fatalf("LineLog output %q, want %q", buf.String(), want)
 	}
 }
 

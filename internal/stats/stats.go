@@ -26,32 +26,6 @@ func (c *Counter) Value() uint64 { return c.n }
 // Reset sets the counter back to zero.
 func (c *Counter) Reset() { c.n = 0 }
 
-// Mean is a streaming arithmetic mean over observed samples.
-type Mean struct {
-	sum   float64
-	count uint64
-}
-
-// Observe adds one sample.
-func (m *Mean) Observe(v float64) {
-	m.sum += v
-	m.count++
-}
-
-// Value returns the mean of all samples, or 0 if none were observed.
-func (m *Mean) Value() float64 {
-	if m.count == 0 {
-		return 0
-	}
-	return m.sum / float64(m.count)
-}
-
-// Sum returns the total of all samples.
-func (m *Mean) Sum() float64 { return m.sum }
-
-// Count returns the number of samples.
-func (m *Mean) Count() uint64 { return m.count }
-
 // Histogram counts samples into caller-defined integer bins. A sample v
 // falls into bin i where i is the largest index with edges[i] <= v; a
 // sample below the first edge is counted in bin 0.

@@ -23,22 +23,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	var m Mean
-	if m.Value() != 0 {
-		t.Fatal("empty mean not zero")
-	}
-	for _, v := range []float64{1, 2, 3, 4} {
-		m.Observe(v)
-	}
-	if m.Value() != 2.5 {
-		t.Fatalf("mean = %v", m.Value())
-	}
-	if m.Sum() != 10 || m.Count() != 4 {
-		t.Fatalf("sum=%v count=%v", m.Sum(), m.Count())
-	}
-}
-
 func TestHistogramBinning(t *testing.T) {
 	h := NewHistogram(0, 3, 6, 9, 12)
 	cases := map[int]int{

@@ -15,6 +15,7 @@ package wireless
 import (
 	"repro/internal/addrspace"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
@@ -102,8 +103,8 @@ type Channel struct {
 	busyUntil uint64
 	queue     []*txRequest // pending requests across all nodes
 	seq       uint64
-	starters  []*txRequest // Tick scratch: same-cycle starters, queue order
-	reqFree   []*txRequest // finished requests, recycled by Transmit
+	starters  []*txRequest         // Tick scratch: same-cycle starters, queue order
+	reqFree   pool.Free[txRequest] // finished requests, recycled by Transmit
 
 	// Active transmission (already started, completes at busyUntil).
 	active *txRequest
@@ -173,13 +174,7 @@ func NewChannel(rng *xrand.Source) *Channel {
 // internally and are invisible to the sender.
 func (c *Channel) Transmit(msg Message, cb Callback) (tx uint64) {
 	c.seq++
-	var req *txRequest
-	if n := len(c.reqFree); n > 0 {
-		req = c.reqFree[n-1]
-		c.reqFree = c.reqFree[:n-1]
-	} else {
-		req = new(txRequest)
-	}
+	req := c.reqFree.Get()
 	*req = txRequest{msg: msg, cb: cb, seq: c.seq}
 	c.queue = append(c.queue, req)
 	return req.seq
@@ -202,7 +197,7 @@ func (c *Channel) Cancel(tx uint64) bool {
 // release recycles a request the channel no longer references.
 func (c *Channel) release(r *txRequest) {
 	*r = txRequest{}
-	c.reqFree = append(c.reqFree, r)
+	c.reqFree.Put(r)
 }
 
 // SetBroadcast registers the delivery fan-out callback.

@@ -6,8 +6,6 @@
 // from a master seed.
 package xrand
 
-import "math"
-
 // Source is a SplitMix64 generator. The zero value is a valid generator
 // seeded with 0; use New to derive well-mixed streams.
 type Source struct {
@@ -44,11 +42,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative int64.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
@@ -57,54 +50,4 @@ func (s *Source) Float64() float64 {
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Zipf draws from a bounded Zipf-like distribution over [0, n) with
-// exponent alpha, using inverse-CDF over precomputed weights is too
-// costly per draw; instead this uses rejection-free power-law mapping:
-// floor(n * u^(1/(1-alpha))) clipped, which approximates a Zipf rank
-// distribution for alpha in (0, 1). For alpha >= 1 callers should use
-// ZipfTable.
-func (s *Source) Zipf(n int, alpha float64) int {
-	if n <= 1 {
-		return 0
-	}
-	u := s.Float64()
-	// Map uniform u to a rank skewed toward 0.
-	x := powFrac(u, 1.0/(1.0-clampAlpha(alpha)))
-	k := int(x * float64(n))
-	if k >= n {
-		k = n - 1
-	}
-	return k
-}
-
-func clampAlpha(a float64) float64 {
-	if a < 0 {
-		return 0
-	}
-	if a > 0.95 {
-		return 0.95
-	}
-	return a
-}
-
-func powFrac(u, e float64) float64 {
-	if u <= 0 {
-		return 0
-	}
-	return math.Pow(u, e)
 }

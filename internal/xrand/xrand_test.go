@@ -107,56 +107,3 @@ func TestBoolProbability(t *testing.T) {
 		t.Fatalf("Bool(0.25) frequency %v", frac)
 	}
 }
-
-func TestPermIsPermutation(t *testing.T) {
-	if err := quick.Check(func(seed uint64) bool {
-		s := New(seed)
-		n := 1 + s.Intn(64)
-		p := s.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestZipfRangeAndSkew(t *testing.T) {
-	s := New(11)
-	const n = 100
-	counts := make([]int, n)
-	for i := 0; i < 100000; i++ {
-		k := s.Zipf(n, 0.8)
-		if k < 0 || k >= n {
-			t.Fatalf("Zipf out of range: %d", k)
-		}
-		counts[k]++
-	}
-	if counts[0] <= counts[n-1] {
-		t.Fatalf("Zipf not skewed toward low ranks: first=%d last=%d", counts[0], counts[n-1])
-	}
-}
-
-func TestZipfDegenerate(t *testing.T) {
-	s := New(1)
-	if got := s.Zipf(1, 0.5); got != 0 {
-		t.Fatalf("Zipf(1) = %d", got)
-	}
-	if got := s.Zipf(0, 0.5); got != 0 {
-		t.Fatalf("Zipf(0) = %d", got)
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	s := New(123)
-	for i := 0; i < 1000; i++ {
-		if s.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
-		}
-	}
-}

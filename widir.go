@@ -83,10 +83,10 @@ type TraceEvent = obs.Event
 
 // TraceSink receives every TraceEvent a traced machine emits. Attach
 // one via Config.Trace before building the system; a nil sink (the
-// default) keeps the simulator on its allocation-free fast path. Set
-// Config.LineLog to additionally stream the single-line protocol dump
-// for one cache line. `widirsim -events/-perfetto` attaches a ring
-// sink this way, and `widirsim -trace-line` sets the line log.
+// default) keeps the simulator on its allocation-free fast path. To
+// follow one cache line, wrap a sink in an obs.Filter with that Line
+// (Filter.Sink). `widirsim -events/-perfetto` attaches a ring sink this
+// way, and `widirsim -trace-line` a line filter streaming JSONL.
 type TraceSink = obs.Sink
 
 // NewTraceRing returns a bounded in-memory TraceSink holding the most
