@@ -1,5 +1,5 @@
 # Developer entry points for the WiDir reproduction. `make check` is
-# the pre-commit gate: build + vet + determinism lint + protocol-model
+# the pre-commit gate: build + vet (and gofmt) + determinism lint + protocol-model
 # conformance + exhaustive model checking + full test suite (which
 # holds the allocation budgets, DESIGN.md §14) + race on the
 # concurrency-bearing packages. Simulator speed is measured by
@@ -24,8 +24,10 @@ test:
 race:
 	$(GO) test -race ./internal/exp/ ./internal/machine/ ./internal/mesh/ ./internal/wireless/ ./internal/fault/ ./cmd/widirsim/
 
+# gofmt -l lists every file whose formatting differs; any output fails.
 vet:
 	$(GO) vet ./...
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 # Static determinism audit (DESIGN.md §10): mapiter, walltime,
 # globalrand, floatorder, gonosync, switchcases, protopanic and

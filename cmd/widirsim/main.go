@@ -144,17 +144,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	if len(links) > 0 && *faultStall == 0 && *faultDrop == 0 {
-		return fail(fmt.Errorf("-fault-links needs -fault-stall or -fault-drop to inject anything"))
-	}
-	fcfg := fault.Config{
-		Seed:         *faultSeed,
-		WirelessBER:  *faultBER,
-		LinkStallPct: *faultStall,
-		LinkDropPct:  *faultDrop,
-		Links:        links,
-	}
-
 	filter := obs.NewFilter()
 	if filter.Kinds, err = obs.ParseKinds(*class); err != nil {
 		return fail(err)
@@ -191,6 +180,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		fileCfg = &cfg
+	}
+	// The fault schedule is the -config file's (if any), with each
+	// -fault-* flag given on the command line overriding its field.
+	var fcfg fault.Config
+	if fileCfg != nil {
+		fcfg = fileCfg.Fault
+	}
+	fs.Visit(func(fl *flag.Flag) {
+		switch fl.Name {
+		case "fault-ber":
+			fcfg.WirelessBER = *faultBER
+		case "fault-seed":
+			fcfg.Seed = *faultSeed
+		case "fault-links":
+			fcfg.Links = links
+		case "fault-stall":
+			fcfg.LinkStallPct = *faultStall
+		case "fault-drop":
+			fcfg.LinkDropPct = *faultDrop
+		}
+	})
+	if len(fcfg.Links) > 0 && fcfg.LinkStallPct == 0 && fcfg.LinkDropPct == 0 {
+		return fail(fmt.Errorf("fault links need a stall or drop rate (-fault-stall, -fault-drop) to inject anything"))
 	}
 
 	// Enumerate every run up front so the worker pool can fan them out

@@ -57,6 +57,33 @@ func TestLoadConfigRejectsUnknownField(t *testing.T) {
 	}
 }
 
+// TestConfigFileKeepsFault: a -config file's Fault section drives the
+// run as the equivalent -fault-* flags do; the flags, left unset, do
+// not wipe it, and a flag given merges with the file's other fields.
+func TestConfigFileKeepsFault(t *testing.T) {
+	path := writeConfig(t, []byte(`{"Fault": {"WirelessBER": 0.25, "Seed": 3}}`))
+	run := []string{"-app", "fmm", "-cores", "16", "-scale", "0.05", "-protocol", "widir"}
+	code, fileOut, fileErr := runSim(t, append(run, "-config", path)...)
+	if code != 0 {
+		t.Fatalf("-config: exit %d: %s", code, fileErr)
+	}
+	code, flagOut, flagErr := runSim(t, append(run, "-fault-ber", "0.25", "-fault-seed", "3")...)
+	if code != 0 {
+		t.Fatalf("-fault-*: exit %d: %s", code, flagErr)
+	}
+	if !strings.Contains(fileErr, "faults (") {
+		t.Fatalf("the -config run injected no faults; stderr: %q", fileErr)
+	}
+	if fileOut != flagOut || fileErr != flagErr {
+		t.Fatalf("-config Fault and -fault-* flags differ:\n%s%s\nvs\n%s%s", fileErr, fileOut, flagErr, flagOut)
+	}
+	stall := writeConfig(t, []byte(`{"Fault": {"LinkStallPct": 0.05, "LinkStallCycles": 8}}`))
+	code, _, stderr := runSim(t, append(run, "-config", stall, "-fault-links", "0-1")...)
+	if code != 0 || !strings.Contains(stderr, "link stall 5%/8cy; links 0-1") {
+		t.Fatalf("-config stall rate with -fault-links: exit %d, stderr %q", code, stderr)
+	}
+}
+
 // FuzzLoadConfig: whatever bytes a -config file holds, loadConfig over
 // the 16-core default and NewSystem on what it loads return an error or
 // a machine, never a panic. Configurations whose eager allocations would

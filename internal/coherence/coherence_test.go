@@ -48,9 +48,11 @@ func newMockEnv(nodes int) *mockEnv {
 		}
 	})
 	l1cfg := L1Config{
-		Cache:      cache.Config{SizeBytes: 8 * addrspace.LineSize, Ways: 2},
-		Protocol:   WiDir,
-		HitLatency: 1,
+		Cache:          cache.Config{SizeBytes: 8 * addrspace.LineSize, Ways: 2},
+		Protocol:       WiDir,
+		HitLatency:     1,
+		RetryDelay:     16,
+		UpdateCountMax: 3,
 	}
 	homecfg := HomeConfig{Protocol: WiDir, MaxPointers: 3, MaxWiredSharers: 3, Entries: 64, LLCLatency: 2}
 	for i := 0; i < nodes; i++ {
@@ -415,10 +417,10 @@ func TestBaselineBroadcastBit(t *testing.T) {
 	e := newMockEnv(6)
 	// Rebuild homes as Baseline so pointer overflow sets B.
 	for i := range e.homes {
-		e.homes[i] = NewHome(i, HomeConfig{Protocol: Baseline, MaxPointers: 3, Entries: 64, LLCLatency: 2}, e)
+		e.homes[i] = NewHome(i, HomeConfig{Protocol: Baseline, MaxPointers: 3, MaxWiredSharers: 3, Entries: 64, LLCLatency: 2}, e)
 		e.homes[i].Memory = e.memory
 	}
-	l1cfg := L1Config{Cache: cache.Config{SizeBytes: 8 * addrspace.LineSize, Ways: 2}, Protocol: Baseline, HitLatency: 1}
+	l1cfg := L1Config{Cache: cache.Config{SizeBytes: 8 * addrspace.LineSize, Ways: 2}, Protocol: Baseline, HitLatency: 1, RetryDelay: 16, UpdateCountMax: 3}
 	for i := range e.l1s {
 		e.l1s[i] = NewL1(i, l1cfg, e)
 	}
@@ -511,12 +513,12 @@ func TestCoarseVectorScheme(t *testing.T) {
 	// Rebuild as Baseline Dir_iCV_2: regions of two nodes.
 	for i := range e.homes {
 		e.homes[i] = NewHome(i, HomeConfig{
-			Protocol: Baseline, Scheme: DirCV, MaxPointers: 3,
+			Protocol: Baseline, Scheme: DirCV, MaxPointers: 3, MaxWiredSharers: 3,
 			CoarseRegion: 2, Entries: 64, LLCLatency: 2,
 		}, e)
 		e.homes[i].Memory = e.memory
 	}
-	l1cfg := L1Config{Cache: cache.Config{SizeBytes: 8 * addrspace.LineSize, Ways: 2}, Protocol: Baseline, HitLatency: 1}
+	l1cfg := L1Config{Cache: cache.Config{SizeBytes: 8 * addrspace.LineSize, Ways: 2}, Protocol: Baseline, HitLatency: 1, RetryDelay: 16, UpdateCountMax: 3}
 	for i := range e.l1s {
 		e.l1s[i] = NewL1(i, l1cfg, e)
 	}
@@ -815,10 +817,10 @@ func TestForEachEntry(t *testing.T) {
 func TestBroadcastModeRemoveSharer(t *testing.T) {
 	e := newMockEnv(6)
 	for i := range e.homes {
-		e.homes[i] = NewHome(i, HomeConfig{Protocol: Baseline, MaxPointers: 2, Entries: 64, LLCLatency: 2}, e)
+		e.homes[i] = NewHome(i, HomeConfig{Protocol: Baseline, MaxPointers: 2, MaxWiredSharers: 2, Entries: 64, LLCLatency: 2}, e)
 		e.homes[i].Memory = e.memory
 	}
-	l1cfg := L1Config{Cache: cache.Config{SizeBytes: 8 * addrspace.LineSize, Ways: 2}, Protocol: Baseline, HitLatency: 1}
+	l1cfg := L1Config{Cache: cache.Config{SizeBytes: 8 * addrspace.LineSize, Ways: 2}, Protocol: Baseline, HitLatency: 1, RetryDelay: 16, UpdateCountMax: 3}
 	for i := range e.l1s {
 		e.l1s[i] = NewL1(i, l1cfg, e)
 	}

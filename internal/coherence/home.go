@@ -168,22 +168,22 @@ type HomeConfig struct {
 	Scheme          DirScheme
 	MaxPointers     int      // Dir_iB pointer count (Table III: 3)
 	MaxWiredSharers int      // WiDir threshold (Table III: 3; <= MaxPointers)
-	CoarseRegion    int      // Dir_iCV_r: nodes per coarse-vector bit (default 4)
+	CoarseRegion    int      // Dir_iCV_r: nodes per coarse-vector bit
 	Entries         int      // LLC slice capacity in lines
 	LLCLatency      uint64   // local bank round-trip (Table III: 12)
 	Trace           obs.Sink // structured event sink (nil = off)
-
-	// FaultDemoteAfter is how many consecutive failed wireless
-	// broadcasts for a W line (NoteWirelessFault) the directory
-	// tolerates before demoting the line to wired S — the graceful
-	// degradation path under sustained channel faults. Default 4.
-	FaultDemoteAfter int
 
 	// FaultDirDelay, when non-nil, draws extra LLC latency per
 	// GetS/GetX (fault injection: tag-bank contention). The request is
 	// simply served later; the NACK discipline makes this safe.
 	FaultDirDelay func() uint64
 }
+
+// FaultDemoteAfter is how many consecutive failed wireless broadcasts
+// for a W line (NoteWirelessFault) the directory tolerates before
+// demoting the line to wired S — the graceful degradation path under
+// sustained channel faults.
+const FaultDemoteAfter = 4
 
 // entryChunk is the number of directory entries one slab chunk holds.
 const entryChunk = 64
@@ -215,29 +215,12 @@ type HomeCtrl struct {
 	Stats HomeStats
 }
 
-// NewHome builds the controller for node id.
+// NewHome builds the controller for node id. It takes cfg as given:
+// the Table III defaults live in machine.Config, which passes every field.
 func NewHome(id int, cfg HomeConfig, env Env) *HomeCtrl {
-	if cfg.MaxPointers == 0 {
-		cfg.MaxPointers = 3
-	}
-	if cfg.MaxWiredSharers == 0 {
-		cfg.MaxWiredSharers = cfg.MaxPointers
-	}
 	if cfg.MaxWiredSharers > cfg.MaxPointers {
 		//lint:deterministic construction-time config validation; no Env exists yet to report a ProtocolError through
 		panic("coherence: MaxWiredSharers must not exceed the directory pointer count")
-	}
-	if cfg.Entries == 0 {
-		cfg.Entries = 8192
-	}
-	if cfg.LLCLatency == 0 {
-		cfg.LLCLatency = 12
-	}
-	if cfg.CoarseRegion == 0 {
-		cfg.CoarseRegion = 4
-	}
-	if cfg.FaultDemoteAfter == 0 {
-		cfg.FaultDemoteAfter = 4
 	}
 	return &HomeCtrl{
 		id:  id,
@@ -397,7 +380,7 @@ func (h *HomeCtrl) NoteWirelessFault(now uint64, line addrspace.Line) {
 		return
 	}
 	e.faultFails++
-	if e.Busy() || e.faultFails < h.cfg.FaultDemoteAfter {
+	if e.Busy() || e.faultFails < FaultDemoteAfter {
 		return
 	}
 	fails := e.faultFails

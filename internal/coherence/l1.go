@@ -209,17 +209,9 @@ type victimEntry struct {
 	dirty bool
 }
 
-// NewL1 builds the controller for node id.
+// NewL1 builds the controller for node id. It takes cfg as given:
+// the Table III defaults live in machine.Config, which passes every field.
 func NewL1(id int, cfg L1Config, env Env) *L1Ctrl {
-	if cfg.HitLatency == 0 {
-		cfg.HitLatency = 2
-	}
-	if cfg.RetryDelay == 0 {
-		cfg.RetryDelay = 16
-	}
-	if cfg.UpdateCountMax == 0 {
-		cfg.UpdateCountMax = 3
-	}
 	l := &L1Ctrl{
 		id:        id,
 		cfg:       cfg,

@@ -74,12 +74,15 @@ type Config struct {
 
 // DefaultConfig returns the Table III core.
 func DefaultConfig() Config {
-	return Config{IssueWidth: 4, ROBSize: 180, LoadQueue: 64, WriteBuffer: 64}
+	var c Config
+	c.Fill()
+	return c
 }
 
 // Fill sets every zero field to its Table III default. It is the one
-// copy of the core defaults: machine.Config's normalization calls it,
-// so a sparse and a spelled-out config resolve to the same machine.
+// copy of the core defaults: DefaultConfig and machine.Config's
+// normalization call it, so a sparse and a spelled-out config resolve
+// to the same machine.
 func (c *Config) Fill() {
 	if c.IssueWidth == 0 {
 		c.IssueWidth = 4

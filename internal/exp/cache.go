@@ -20,21 +20,31 @@ import (
 // the key derivation and the directory layout (<dir>/v<N>/...), so a
 // schema bump orphans old entries instead of misreading them: a new
 // binary simply never looks inside v<N-1>.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // simKey is the content address of one simulation: the hex SHA-256 of
-// the schema version, the canonical machine-config encoding
-// (machine.Config.CanonicalString, which leaves out observer hooks),
-// the canonical workload-profile encoding and the workload seed. The
-// runner's in-process memo and the disk cache share this one identity,
-// and any field that can change a result changes the key.
+// the JSON encoding of the schema version, the normalized machine
+// config, the workload profile and the workload seed. The runner's
+// in-process memo and the disk cache share this one identity. JSON
+// names every exported field, so any field that can change a result
+// changes the key; the only fields it leaves out are the observer
+// hooks tagged `json:"-"` (Config.Trace, Core.Trace), which the runner
+// refuses (errObserved). TestKeyOmitsOnlyObserverHooks guards that.
 func simKey(cfg machine.Config, app workload.Profile, seed uint64) (string, error) {
-	conf, err := cfg.CanonicalString()
+	norm, err := cfg.Normalized()
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256([]byte(fmt.Sprintf("schema=%d\n[config]\n%s[profile]\n%s[run]\nWorkloadSeed=%d\n",
-		SchemaVersion, conf, app.CanonicalString(), seed)))
+	b, err := json.Marshal(struct {
+		Schema  int
+		Config  machine.Config
+		Profile workload.Profile
+		Seed    uint64
+	}{SchemaVersion, norm, app, seed})
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
 }
 

@@ -231,7 +231,7 @@ func TestCacheReapsCrashStaging(t *testing.T) {
 	if err := os.MkdirAll(stage, 0o777); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(stage, "entry.json"), []byte(`{"schema":1}`), 0o666); err != nil {
+	if err := os.WriteFile(filepath.Join(stage, "entry.json"), []byte(`{"schema":2}`), 0o666); err != nil {
 		t.Fatal(err)
 	}
 

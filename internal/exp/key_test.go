@@ -1,43 +1,81 @@
 package exp
 
 import (
+	"encoding/json"
 	"reflect"
-	"strings"
+	"sort"
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/fault"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
-// TestProfileCanonicalCoversAllFields is the drift guard for the
-// profile half of the result key: every field of workload.Profile must
-// be written by Profile.CanonicalString. Add a field to Profile without
-// teaching the encoder about it and this test names the omission;
-// otherwise two workloads differing only in the new field would
-// silently share a cached result.
-func TestProfileCanonicalCoversAllFields(t *testing.T) {
-	covered := map[string]bool{}
-	for _, line := range strings.Split(strings.TrimSuffix(workload.Profile{}.CanonicalString(), "\n"), "\n") {
-		name, _, ok := strings.Cut(line, "=")
-		if !ok {
-			t.Fatalf("canonical line %q is not field=value", line)
+// leafPaths returns the dotted path of every leaf field of a struct
+// type, exported or not: nested structs recurse, everything else
+// (basic kinds, slices, interfaces) is one leaf.
+func leafPaths(t reflect.Type, prefix string) []string {
+	var out []string
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		path := prefix + f.Name
+		if f.Type.Kind() == reflect.Struct {
+			out = append(out, leafPaths(f.Type, path+".")...)
+			continue
 		}
-		if covered[name] {
-			t.Errorf("Profile.CanonicalString encodes %s twice", name)
-		}
-		covered[name] = true
+		out = append(out, path)
 	}
-	typ := reflect.TypeOf(workload.Profile{})
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
-		if !covered[name] {
-			t.Errorf("workload.Profile.%s is not in the canonical profile encoding; add it to Profile.CanonicalString so it participates in the result key", name)
+	return out
+}
+
+// jsonPaths returns the dotted path of every leaf of a decoded JSON
+// object: nested objects recurse, every other value is one leaf.
+func jsonPaths(m map[string]any, prefix string, out map[string]bool) {
+	for k, v := range m {
+		if sub, ok := v.(map[string]any); ok {
+			jsonPaths(sub, prefix+k+".", out)
+			continue
 		}
-		delete(covered, name)
+		out[prefix+k] = true
 	}
-	for name := range covered {
-		t.Errorf("Profile.CanonicalString encodes %q which is not a workload.Profile field", name)
+}
+
+// TestKeyOmitsOnlyObserverHooks is the aliasing guard of the result
+// key, which hashes the JSON encoding of the run's Config and Profile:
+// every field must reach that encoding except the observer hooks
+// (Trace, Core.Trace) that the runner refuses. A new field that JSON
+// would skip (unexported, or tagged "-") fails here, so two runs that
+// could differ in it can never share a cached result.
+func TestKeyOmitsOnlyObserverHooks(t *testing.T) {
+	for _, tc := range []struct {
+		v    any
+		want []string // the fields JSON may skip
+	}{
+		{machine.Config{}, []string{"Core.Trace", "Trace"}},
+		{workload.Profile{}, nil},
+	} {
+		b, err := json.Marshal(tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		encoded := map[string]bool{}
+		jsonPaths(m, "", encoded)
+		var omitted []string
+		for _, p := range leafPaths(reflect.TypeOf(tc.v), "") {
+			if !encoded[p] {
+				omitted = append(omitted, p)
+			}
+		}
+		sort.Strings(omitted)
+		if !reflect.DeepEqual(omitted, tc.want) {
+			t.Errorf("%T: JSON omits %q, want exactly %q: a field left out of the encoding is left out of the result key", tc.v, omitted, tc.want)
+		}
 	}
 }
 
@@ -106,5 +144,67 @@ func TestKeySeparates(t *testing.T) {
 		if mut(base).key(t) == baseKey {
 			t.Errorf("changing %s did not change the key", name)
 		}
+	}
+}
+
+// TestConfigHashSeparates: each machine parameter, fault setting and
+// checker switch of the Config moves the key on its own.
+func TestConfigHashSeparates(t *testing.T) {
+	base := testKeyRun(t)
+	baseKey := base.key(t)
+	mutations := map[string]func(c *machine.Config){
+		"protocol":       func(c *machine.Config) { c.Protocol = coherence.Baseline },
+		"nodes":          func(c *machine.Config) { c.Nodes = 64 },
+		"pointers":       func(c *machine.Config) { c.MaxWiredSharers = 5; c.MaxPointers = 5 },
+		"updatecountmax": func(c *machine.Config) { c.UpdateCountMax = 7 },
+		"machine-seed":   func(c *machine.Config) { c.Seed = 2 },
+		"fault-ber":      func(c *machine.Config) { c.Fault.WirelessBER = 0.25 },
+		"fault-links":    func(c *machine.Config) { c.Fault.Links = []fault.Link{{Src: 0, Dst: 1}} },
+		"checker":        func(c *machine.Config) { c.EnableChecker = true },
+	}
+	for name, mut := range mutations {
+		k := base
+		mut(&k.cfg)
+		if k.key(t) == baseKey {
+			t.Errorf("changing %s did not change the key", name)
+		}
+	}
+}
+
+// TestConfigHashNormalizes: configurations that describe the same
+// machine share a result key.
+func TestConfigHashNormalizes(t *testing.T) {
+	k := testKeyRun(t)
+	sparse := machine.Config{Nodes: 16, Protocol: coherence.WiDir}
+	filled, err := sparse.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		a, b machine.Config
+	}{
+		{"sparse vs its normalized form", sparse, filled},
+		{"sparse vs DefaultConfig", sparse, machine.DefaultConfig(16, coherence.WiDir)},
+		{"empty vs nil fault links", machine.Config{Nodes: 16, Protocol: coherence.WiDir, Fault: fault.Config{Links: []fault.Link{}}}, sparse},
+	} {
+		a, b := k, k
+		a.cfg, b.cfg = tc.a, tc.b
+		if a.key(t) != b.key(t) {
+			t.Errorf("%s: keys differ", tc.name)
+		}
+	}
+}
+
+// TestConfigHashIgnoresObserverHooks: attaching trace sinks leaves the
+// key alone (the runner refuses such configs, so they never share an
+// entry with a plain run).
+func TestConfigHashIgnoresObserverHooks(t *testing.T) {
+	a := testKeyRun(t)
+	b := a
+	b.cfg.Trace = obs.NewRingSink(1)
+	b.cfg.Core.Trace = b.cfg.Trace
+	if a.key(t) != b.key(t) {
+		t.Fatal("attaching observer sinks changed the key")
 	}
 }

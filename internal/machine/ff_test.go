@@ -39,7 +39,6 @@ func ffRun(t *testing.T, prof workload.Profile, p coherence.Protocol, noFF bool,
 	cfg := DefaultConfig(16, p)
 	cfg.MaxCycles = 100_000_000
 	cfg.LLCEntriesPerSlice = 8
-	cfg.NoFastForward = noFF
 	cfg.Fault = fcfg
 	var buf bytes.Buffer
 	sink := obs.NewJSONLSink(&buf)
@@ -48,6 +47,7 @@ func ffRun(t *testing.T, prof workload.Profile, p coherence.Protocol, noFF bool,
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.noFastForward = noFF
 	r, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func ffRun(t *testing.T, prof workload.Profile, p coherence.Protocol, noFF bool,
 
 // TestFastForwardByteIdentical is the fast-forward half of the
 // determinism contract: a run that jumps quiescent stretches
-// (Config.NoFastForward=false, the default) must be byte-identical —
+// (System.noFastForward false, the default) must be byte-identical —
 // stats, memory image, and full JSONL trace — to the cycle-by-cycle
 // schedule that ticks every cycle. Both the communication-heavy
 // reference mix and a compute-dominant mix are checked; the latter is
@@ -115,11 +115,11 @@ func TestStepFastForwardMatchesRun(t *testing.T) {
 		cfg := DefaultConfig(16, coherence.WiDir)
 		cfg.MaxCycles = 100_000_000
 		cfg.LLCEntriesPerSlice = 8
-		cfg.NoFastForward = noFF
 		sys, err := NewSystem(cfg, workload.Program(prof, cfg.Nodes, 5))
 		if err != nil {
 			t.Fatal(err)
 		}
+		sys.noFastForward = noFF
 		return sys
 	}
 	ref := build(true)

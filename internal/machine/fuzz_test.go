@@ -115,7 +115,7 @@ func TestFuzzWithMessageJitter(t *testing.T) {
 		cfg.EnableChecker = true
 		cfg.MaxCycles = 20_000_000
 		cfg.LLCEntriesPerSlice = 8
-		cfg.MessageJitter = 5 + i*7
+		jitter := 5 + i*7
 		master := xrand.New(seed)
 		srcs := make([]cpu.InstrSource, 8)
 		for j := range srcs {
@@ -125,8 +125,9 @@ func TestFuzzWithMessageJitter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sys.Mesh().Jitter = jitter
 		if _, err := sys.Run(); err != nil {
-			t.Fatalf("jitter=%d seed=%d: %v", cfg.MessageJitter, seed, err)
+			t.Fatalf("jitter=%d seed=%d: %v", jitter, seed, err)
 		}
 	}
 }
@@ -149,7 +150,6 @@ func TestFuzzSoak(t *testing.T) {
 			cfg.EnableChecker = true
 			cfg.MaxCycles = 20_000_000
 			cfg.LLCEntriesPerSlice = 4 + master.Intn(8)
-			cfg.MessageJitter = jitter
 			rng := xrand.New(seed)
 			srcs := make([]cpu.InstrSource, nodes)
 			for j := range srcs {
@@ -159,6 +159,7 @@ func TestFuzzSoak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sys.Mesh().Jitter = jitter
 			if _, err := sys.Run(); err != nil {
 				t.Fatalf("soak %d: seed=%d nodes=%d lines=%d jitter=%d %v: %v",
 					i, seed, nodes, lines, jitter, p, err)

@@ -45,7 +45,6 @@ type Config struct {
 	DirScheme          coherence.DirScheme // Dir_iB (default) or Dir_iCV_r
 	CoarseRegion       int                 // Dir_iCV_r region size (default 4)
 	MAC                wireless.MAC        // BRS (default) or Token
-	MessageJitter      int                 // testing: random extra wired delay (preserves FIFO)
 
 	MemControllers     int
 	MemLatency         uint64 // off-chip round trip (80)
@@ -67,15 +66,6 @@ type Config struct {
 	// instead of running into the blunt MaxCycles watchdog. 0 = default.
 	TxnAgeLimit uint64
 
-	// NoFastForward disables the machine's quiescence fast-forward in
-	// Run/Step: the loop visits every cycle instead of jumping to the
-	// next horizon. It does not make cores tick every cycle; their own
-	// sleep and compute drain (cpu.Core.NeedsTick) still run. The run
-	// result is byte-identical either way (the equivalence tests prove
-	// it); the flag exists for those tests and for debugging the
-	// horizon logic.
-	NoFastForward bool
-
 	EnableChecker bool // value-coherence + SWMR invariant checking
 
 	// Trace receives the run's structured observability events
@@ -91,23 +81,41 @@ type Config struct {
 // DefaultConfig returns the paper's Table III machine with the given
 // core count and protocol.
 func DefaultConfig(nodes int, p coherence.Protocol) Config {
-	return Config{
-		Nodes:              nodes,
-		Protocol:           p,
-		Core:               cpu.DefaultConfig(),
-		L1SizeBytes:        64 << 10,
-		L1Ways:             2,
-		L1Latency:          2,
-		UpdateCountMax:     3,
-		LLCEntriesPerSlice: (512 << 10) / addrspace.LineSize,
-		LLCLatency:         12,
-		MaxPointers:        3,
-		MaxWiredSharers:    3,
-		MemControllers:     4,
-		MemLatency:         80,
-		MemServiceInterval: 4,
-		RetryDelay:         16,
-		Seed:               1,
+	c := Config{Nodes: nodes, Protocol: p}
+	c.setDefaults()
+	return c
+}
+
+// setDefaults gives every zero field its Table III value (the
+// watchdogs and the seed their simulator defaults). It is the one copy
+// of those values: DefaultConfig starts from it and fill runs it
+// before validating, so a sparse and a spelled-out config resolve to
+// the same machine. The mesh shape and the memory-controller clamp
+// depend on Nodes and are resolved in fill.
+func (c *Config) setDefaults() {
+	c.Core.Fill()
+	orDefault(&c.L1SizeBytes, 64<<10)
+	orDefault(&c.L1Ways, 2)
+	orDefault(&c.L1Latency, 2)
+	orDefault(&c.UpdateCountMax, 3)
+	orDefault(&c.LLCEntriesPerSlice, (512<<10)/addrspace.LineSize)
+	orDefault(&c.LLCLatency, 12)
+	orDefault(&c.MaxPointers, 3)
+	orDefault(&c.MaxWiredSharers, c.MaxPointers)
+	orDefault(&c.CoarseRegion, 4)
+	orDefault(&c.MemControllers, 4)
+	orDefault(&c.MemLatency, 80)
+	orDefault(&c.MemServiceInterval, 4)
+	orDefault(&c.RetryDelay, 16)
+	orDefault(&c.Seed, 1)
+	orDefault(&c.MaxCycles, 2_000_000_000)
+	orDefault(&c.TxnAgeLimit, 2_000_000)
+}
+
+// orDefault sets *v to d when *v is zero.
+func orDefault[T int | uint64](v *T, d T) {
+	if *v == 0 {
+		*v = d
 	}
 }
 
@@ -123,37 +131,13 @@ func (c *Config) fill() error {
 	if c.MeshW < 0 || c.MeshH < 0 || c.Nodes%c.MeshW != 0 || c.Nodes/c.MeshW != c.MeshH {
 		return fmt.Errorf("machine: mesh %dx%d is not a positive grid of %d nodes", c.MeshW, c.MeshH, c.Nodes)
 	}
+	c.setDefaults()
 	if k := c.Core; k.IssueWidth < 0 || k.ROBSize < 0 || k.LoadQueue < 0 || k.WriteBuffer < 0 {
 		return fmt.Errorf("machine: core widths and queue sizes %d/%d/%d/%d must not be negative",
 			k.IssueWidth, k.ROBSize, k.LoadQueue, k.WriteBuffer)
 	}
-	c.Core.Fill()
-	if c.L1SizeBytes == 0 {
-		c.L1SizeBytes = 64 << 10
-	}
-	if c.L1Ways == 0 {
-		c.L1Ways = 2
-	}
 	if err := (cache.Config{SizeBytes: c.L1SizeBytes, Ways: c.L1Ways}).Validate(); err != nil {
 		return fmt.Errorf("machine: L1: %w", err)
-	}
-	if c.L1Latency == 0 {
-		c.L1Latency = 2
-	}
-	if c.UpdateCountMax == 0 {
-		c.UpdateCountMax = 3
-	}
-	if c.LLCEntriesPerSlice == 0 {
-		c.LLCEntriesPerSlice = (512 << 10) / addrspace.LineSize
-	}
-	if c.LLCLatency == 0 {
-		c.LLCLatency = 12
-	}
-	if c.MaxPointers == 0 {
-		c.MaxPointers = 3
-	}
-	if c.MaxWiredSharers == 0 {
-		c.MaxWiredSharers = c.MaxPointers
 	}
 	if c.MaxWiredSharers < 1 || c.MaxWiredSharers > c.MaxPointers {
 		return fmt.Errorf("machine: MaxPointers %d and MaxWiredSharers %d must be positive, with MaxWiredSharers at most MaxPointers", c.MaxPointers, c.MaxWiredSharers)
@@ -173,19 +157,9 @@ func (c *Config) fill() error {
 	if c.MAC > wireless.MACToken {
 		return fmt.Errorf("machine: unknown MAC %d", c.MAC)
 	}
-	if c.DirScheme == coherence.DirCV {
-		// The directory defaults the region to 4 nodes; its coarse
-		// vector has one bit per region in a uint64.
-		region := c.CoarseRegion
-		if region == 0 {
-			region = 4
-		}
-		if region < 1 || (c.Nodes+region-1)/region > 64 {
-			return fmt.Errorf("machine: Dir_iCV_r region %d must be positive and cover %d nodes in at most 64 regions", region, c.Nodes)
-		}
-	}
-	if c.MemControllers == 0 {
-		c.MemControllers = 4
+	// The coarse vector has one bit per region in a uint64.
+	if r := c.CoarseRegion; c.DirScheme == coherence.DirCV && (r < 1 || (c.Nodes+r-1)/r > 64) {
+		return fmt.Errorf("machine: Dir_iCV_r region %d must be positive and cover %d nodes in at most 64 regions", r, c.Nodes)
 	}
 	if c.MemControllers < 0 {
 		return fmt.Errorf("machine: memory controller count %d must not be negative", c.MemControllers)
@@ -193,31 +167,24 @@ func (c *Config) fill() error {
 	if c.MemControllers > c.Nodes {
 		c.MemControllers = c.Nodes
 	}
-	if c.MemLatency == 0 {
-		c.MemLatency = 80
-	}
-	if c.MemServiceInterval == 0 {
-		c.MemServiceInterval = 4
-	}
-	if c.RetryDelay == 0 {
-		c.RetryDelay = 16
-	}
-	if c.MaxCycles == 0 {
-		c.MaxCycles = 2_000_000_000
-	}
-	if c.TxnAgeLimit == 0 {
-		c.TxnAgeLimit = 2_000_000
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.MessageJitter < 0 {
-		return fmt.Errorf("machine: MessageJitter %d must not be negative", c.MessageJitter)
-	}
 	if err := c.Fault.Validate(c.Nodes); err != nil {
 		return fmt.Errorf("machine: %w", err)
 	}
+	if len(c.Fault.Links) == 0 {
+		c.Fault.Links = nil // JSON tells [] from null; the machine does not
+	}
 	return nil
+}
+
+// Normalized returns the configuration with every defaulted field
+// filled in, exactly as NewSystem would resolve it. The experiment
+// runner keys results by the normalized form, so DefaultConfig(64, p)
+// and a sparse equivalent are the same run.
+func (c Config) Normalized() (Config, error) {
+	if err := c.fill(); err != nil {
+		return Config{}, err
+	}
+	return c, nil
 }
 
 // meshDims picks the squarest factorization of n.
@@ -268,6 +235,12 @@ type System struct {
 	// freed message (poisonType, poisonLine) and never reuses it, so a
 	// read after free sees the poison and a second free panics.
 	poisonMsgs bool
+
+	// noFastForward, set only by this package's tests, makes Run and
+	// Step visit every cycle instead of jumping to the next horizon.
+	// Cores still sleep and drain (cpu.Core.NeedsTick). The result is
+	// byte-identical either way; ff_test.go proves it.
+	noFastForward bool
 }
 
 // The scribble of a freed message under System.poisonMsgs: no handler
@@ -292,7 +265,6 @@ func NewSystem(cfg Config, sources []cpu.InstrSource) (*System, error) {
 		memory: coherence.NewMemoryImage(),
 	}
 	s.mesh = mesh.New(cfg.MeshW, cfg.MeshH, s.deliverWired)
-	s.mesh.Jitter = cfg.MessageJitter
 	s.mesh.Trace = cfg.Trace
 	s.wchan = wireless.NewChannel(xrand.New(cfg.Seed ^ 0x9e3779b97f4a7c15))
 	s.wchan.Trace = cfg.Trace
@@ -711,7 +683,7 @@ func (s *System) fastForward(bound uint64) {
 // Run executes the machine until every core finishes (or the watchdog
 // trips, which reports a protocol deadlock or runaway workload).
 func (s *System) Run() (*Result, error) {
-	ff := !s.cfg.NoFastForward
+	ff := !s.noFastForward
 	for s.running > 0 {
 		s.cycle++
 		if s.protoErr != nil {
@@ -832,7 +804,7 @@ func (s *System) Cycle() uint64 { return s.cycle }
 // the horizon is recomputed fresh each call because tests drive
 // component state directly between Steps.
 func (s *System) Step(n uint64) {
-	ff := !s.cfg.NoFastForward
+	ff := !s.noFastForward
 	target := s.cycle + n
 	for s.cycle < target {
 		s.cycle++

@@ -221,7 +221,6 @@ func TestNewSystemRejectsBadConfig(t *testing.T) {
 			c.Fault.LinkStallPct, c.Fault.Links = 0.5, []fault.Link{{Src: 0, Dst: 999}}
 		}},
 		{"Fault.Links=16-0", func(c *Config) { c.Fault.Links = []fault.Link{{Src: 16, Dst: 0}} }},
-		{"MessageJitter=-3", func(c *Config) { c.MessageJitter = -3 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

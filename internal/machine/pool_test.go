@@ -20,32 +20,32 @@ import (
 // of a small LLC, W demotions and delayed directory requests).
 func TestPooledMessagesPoisoned(t *testing.T) {
 	type run struct {
-		name string
-		cfg  Config
-		prof string
+		name   string
+		cfg    Config
+		prof   string
+		jitter int
 	}
 	var runs []run
 	for _, app := range []string{"radiosity", "barnes", "canneal", "fmm"} {
 		for _, p := range []coherence.Protocol{coherence.Baseline, coherence.WiDir} {
 			cfg := DefaultConfig(64, p)
 			cfg.EnableChecker = true
-			runs = append(runs, run{app + "/" + p.String(), cfg, app})
+			runs = append(runs, run{app + "/" + p.String(), cfg, app, 0})
 		}
 	}
 	jitter := DefaultConfig(16, coherence.WiDir)
 	jitter.EnableChecker = true
-	jitter.MessageJitter = 3
-	runs = append(runs, run{"fmm/jitter", jitter, "fmm"})
+	runs = append(runs, run{"fmm/jitter", jitter, "fmm", 3})
 	faulty := DefaultConfig(16, coherence.WiDir)
 	faulty.EnableChecker = true
 	faulty.LLCEntriesPerSlice = 8
 	faulty.Fault = faultyConfig()
-	runs = append(runs, run{"fmm/faults", faulty, "fmm"})
+	runs = append(runs, run{"fmm/faults", faulty, "fmm", 0})
 
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
-			plain := poolRun(t, r.cfg, r.prof, false)
-			poisoned := poolRun(t, r.cfg, r.prof, true)
+			plain := poolRun(t, r.cfg, r.prof, r.jitter, false)
+			poisoned := poolRun(t, r.cfg, r.prof, r.jitter, true)
 			if !reflect.DeepEqual(plain, poisoned) {
 				t.Errorf("poisoned run differs: %d cycles, %d packets; plain %d cycles, %d packets",
 					poisoned.Cycles, poisoned.MeshPackets, plain.Cycles, plain.MeshPackets)
@@ -54,7 +54,7 @@ func TestPooledMessagesPoisoned(t *testing.T) {
 	}
 }
 
-func poolRun(t *testing.T, cfg Config, app string, poison bool) *Result {
+func poolRun(t *testing.T, cfg Config, app string, jitter int, poison bool) *Result {
 	t.Helper()
 	prof, ok := workload.ByName(app)
 	if !ok {
@@ -64,6 +64,7 @@ func poolRun(t *testing.T, cfg Config, app string, poison bool) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.Mesh().Jitter = jitter
 	sys.poisonMsgs = poison
 	r, err := sys.Run()
 	if err != nil {

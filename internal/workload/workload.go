@@ -10,9 +10,6 @@
 package workload
 
 import (
-	"strconv"
-	"strings"
-
 	"repro/internal/addrspace"
 	"repro/internal/coherence"
 	"repro/internal/cpu"
@@ -118,50 +115,6 @@ func (p Profile) Scale(f float64) Profile {
 		q.PhaseEvery = scaleInt(p.PhaseEvery, f, 50)
 	}
 	return q
-}
-
-// CanonicalString renders the profile as one "field=value" line per
-// field, in declaration order: the profile half of the content address
-// the experiment runner memoizes and caches results under
-// (internal/exp). Every field is named explicitly, so the bytes never
-// shift with struct tags or formatting defaults;
-// TestProfileCanonicalCoversAllFields (internal/exp) fails when Profile
-// grows a field this encoder does not write, so two different
-// workloads can never share a cached result.
-func (p Profile) CanonicalString() string {
-	var b strings.Builder
-	field := func(name, value string) {
-		b.WriteString(name)
-		b.WriteByte('=')
-		b.WriteString(value)
-		b.WriteByte('\n')
-	}
-	i := func(name string, v int) { field(name, strconv.Itoa(v)) }
-	f := func(name string, v float64) { field(name, strconv.FormatFloat(v, 'g', -1, 64)) }
-	field("Name", p.Name)
-	f("PaperMPKI", p.PaperMPKI)
-	i("Steps", p.Steps)
-	i("ComputePerMem", p.ComputePerMem)
-	i("HotLines", p.HotLines)
-	f("HotAccessFrac", p.HotAccessFrac)
-	f("HotWriteFrac", p.HotWriteFrac)
-	i("MidLines", p.MidLines)
-	i("MidSharers", p.MidSharers)
-	f("MidAccessFrac", p.MidAccessFrac)
-	f("MidWriteFrac", p.MidWriteFrac)
-	f("PrivateWriteFrac", p.PrivateWriteFrac)
-	f("StreamFrac", p.StreamFrac)
-	i("ReuseLines", p.ReuseLines)
-	i("MigLines", p.MigLines)
-	f("MigAccessFrac", p.MigAccessFrac)
-	i("PipeDepth", p.PipeDepth)
-	f("PipeAccessFrac", p.PipeAccessFrac)
-	i("PhaseEvery", p.PhaseEvery)
-	i("LockEvery", p.LockEvery)
-	i("Locks", p.Locks)
-	i("CritAccesses", p.CritAccesses)
-	i("BarrierEvery", p.BarrierEvery)
-	return b.String()
 }
 
 func scaleInt(v int, f float64, floor int) int {
