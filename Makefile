@@ -1,13 +1,13 @@
 # Developer entry points for the WiDir reproduction. `make check` is
-# the pre-commit gate: build + vet (and gofmt) + determinism lint + protocol-model
-# conformance + exhaustive model checking + full test suite (which
+# the pre-commit gate: build + vet (and gofmt) + determinism lint + protocol
+# conformance and exhaustive model checking + full test suite (which
 # holds the allocation budgets, DESIGN.md §14) + race on the
 # concurrency-bearing packages. Simulator speed is measured by
 # perfbench (BENCHMARK.json); CI gates it with .github/perf_gate.py.
 
 GO ?= go
 
-.PHONY: build test race vet lint model mcheck fuzz-smoke check
+.PHONY: build test race vet lint mcheck fuzz-smoke check
 
 build:
 	$(GO) build ./...
@@ -35,16 +35,14 @@ vet:
 lint:
 	$(GO) run ./cmd/widir-lint ./...
 
-# Protocol-model conformance (DESIGN.md §13): extract the dir and l1
-# FSMs from internal/coherence and diff against the checked-in spec.
-model:
-	$(GO) run ./cmd/widir-model -check
-
-# Exhaustive protocol model checking (DESIGN.md §15): explore every
-# reachable state of the default model (3 L1s, ~1M canonical states,
-# about a minute) and fail on any swmr / integrity / deadlock /
-# liveness violation or spec-relation divergence. On failure the
-# counterexample trace artifacts land in mcheck-cex.*.
+# Protocol checks against the checked-in spec. Conformance (DESIGN.md
+# §13): extract the dir and l1 FSMs from internal/coherence and diff
+# them against the spec. Exhaustive model checking (DESIGN.md §15):
+# explore every reachable state of the default model (3 L1s, ~1M
+# canonical states, about a minute). Fails on any conformance finding,
+# swmr / integrity / deadlock / liveness violation or spec-relation
+# divergence. On a violation the counterexample trace artifacts land
+# in mcheck-cex.*.
 mcheck:
 	$(GO) run ./cmd/widir-mcheck -check \
 	    -trace mcheck-cex.jsonl -perfetto mcheck-cex.perfetto.json
@@ -70,4 +68,4 @@ fuzz-smoke:
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheArray$$' -fuzztime 5s -fuzzminimizetime 100x
 	$(GO) test ./cmd/widirsim -run '^$$' -fuzz '^FuzzLoadConfig$$' -fuzztime 5s -fuzzminimizetime 100x
 
-check: build vet lint model mcheck test race
+check: build vet lint mcheck test race

@@ -67,7 +67,7 @@ func TestCacheRerunSimulatesNothing(t *testing.T) {
 		t.Fatalf("warm stdout differs from cold:\n%s\nvs\n%s", warm, cold)
 	}
 
-	entries, err := filepath.Glob(filepath.Join(dir, "v*", "*", "*", "entry.json"))
+	entries, err := filepath.Glob(filepath.Join(dir, "v*", "*.json"))
 	if err != nil || len(entries) != 10 {
 		t.Fatalf("want 10 cache entries, got %d (%v)", len(entries), err)
 	}

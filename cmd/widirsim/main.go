@@ -269,10 +269,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return o, nil
 	})
+	// A failed run is reported and left out of the table; the runs that
+	// finished still print, and the exit status says one failed.
+	failed := false
 	for i, o := range outs {
 		stderr.Write(o.stderr.Bytes())
 		if o.err != nil {
-			return fail(fmt.Errorf("%s: %w", jobs[i].label, o.err))
+			fmt.Fprintf(stderr, "widirsim: %s: %v\n", jobs[i].label, o.err)
+			failed = true
+			continue
 		}
 		if traced {
 			suffix := ""
@@ -293,6 +298,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for i, o := range outs {
 		j, r := jobs[i], o.res
+		if o.err != nil {
+			continue
+		}
 		n := uint64(j.cfg.Nodes)
 		if *csv {
 			stall := float64(r.MemStallCycles) / float64(r.Cycles*n)
@@ -312,6 +320,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	tw.Flush()
+	if failed {
+		return 1
+	}
 	return 0
 }
 

@@ -118,6 +118,25 @@ func FuzzLoadConfig(f *testing.F) {
 	})
 }
 
+// TestFailedRunKeepsFinishedRows: a run that fails is reported on
+// stderr and the exit status is 1, but the runs that finished still
+// print. A watchdog between two apps' run lengths fails the longer one.
+func TestFailedRunKeepsFinishedRows(t *testing.T) {
+	path := writeConfig(t, []byte(`{"MaxCycles": 2800}`))
+	code, stdout, stderr := runSim(t, "-app", "radiosity,fmm", "-cores", "16", "-scale", "0.05",
+		"-protocol", "baseline", "-csv", "-config", path)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", code, stderr)
+	}
+	rows := strings.Split(strings.TrimSpace(stdout), "\n")
+	if len(rows) != 2 || !strings.HasPrefix(rows[0], "app,") || !strings.HasPrefix(rows[1], "fmm,Baseline,") {
+		t.Fatalf("stdout should hold the header and the fmm row:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "widirsim: radiosity/Baseline: ") || strings.Contains(stderr, "fmm/") {
+		t.Fatalf("stderr should report the radiosity run alone: %q", stderr)
+	}
+}
+
 // runSim runs the command in-process and returns its exit code and
 // output streams.
 func runSim(t *testing.T, args ...string) (int, string, string) {

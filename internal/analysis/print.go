@@ -1,13 +1,14 @@
-// Shared findings output for the two static-analysis CLIs
-// (widir-lint, widir-model): one text renderer and one JSON encoder,
-// so tooling that consumes findings (CI problem matchers, editors,
-// the artifact uploads) sees a single format regardless of which tool
-// produced them.
+// Shared findings output for the CLIs that report findings
+// (widir-lint's determinism findings, widir-mcheck's conformance
+// findings): one text renderer and one JSON encoder, so tooling that
+// consumes findings (CI problem matchers, editors, the artifact
+// uploads) sees a single format regardless of which tool produced
+// them.
 //
-// The CLIs also share one exit-code convention:
+// Both CLIs share one exit-code convention:
 //
 //	0 — clean
-//	1 — findings reported
+//	1 — findings reported (widir-mcheck: under -check)
 //	2 — usage or load error
 package analysis
 

@@ -973,3 +973,47 @@ func TestNACKRetryResends(t *testing.T) {
 	}
 	_ = got
 }
+
+// TestForwardWaitsBehindParkedFill pins the per-line order the home's
+// blocking discipline relies on: a grant that parks behind a fully
+// pinned set must be handled before a forward for the same line that
+// arrives while it waits. Handled out of order, the forward finds no
+// line and raises "forwarded request for a line this L1 does not hold".
+func TestForwardWaitsBehindParkedFill(t *testing.T) {
+	e := newMockEnv(4)
+	l1 := NewL1(1, L1Config{
+		Cache:    cache.Config{SizeBytes: 2 * addrspace.LineSize, Ways: 2}, // one set
+		Protocol: WiDir, HitLatency: 1, RetryDelay: 16, UpdateCountMax: 3,
+	}, e)
+	e.l1s[1] = l1
+	x, y, a := addrspace.Line(5), addrspace.Line(6), addrspace.Line(8)
+	e.complete(t, 1, &MemRequest{Addr: x.Base()})
+	e.complete(t, 1, &MemRequest{Addr: y.Base()})
+	l1.Cache().Lookup(x).NonEvict = true
+	l1.Cache().Lookup(y).NonEvict = true
+
+	wrote := false
+	l1.Access(&MemRequest{IsWrite: true, Addr: a.Base(), Value: 7,
+		Done: func(*MemRequest, uint64, uint64) { wrote = true }})
+	var read *uint64
+	e.l1s[2].Access(&MemRequest{Addr: a.Base(),
+		Done: func(_ *MemRequest, _ uint64, v uint64) { read = &v }})
+	e.pumpN(200) // the grant parks; the home forwards core 2's read
+	if e.protoErr != nil {
+		t.Fatalf("forward overtook the parked fill: %v", e.protoErr)
+	}
+	if wrote || read != nil {
+		t.Fatalf("requests finished behind a pinned set: wrote=%v read=%v", wrote, read != nil)
+	}
+
+	l1.Cache().Lookup(x).NonEvict = false
+	for i := 0; i < 1000 && read == nil; i++ {
+		e.pump()
+	}
+	if e.protoErr != nil {
+		t.Fatalf("protocol error after unpinning: %v", e.protoErr)
+	}
+	if !wrote || read == nil || *read != 7 {
+		t.Fatalf("after unpinning: wrote=%v read=%v, want the write done and 7 read", wrote, read)
+	}
+}

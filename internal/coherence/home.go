@@ -55,11 +55,10 @@ const (
 type txn struct {
 	kind      txnKind
 	requester int
-	reqType   MsgType // original GetS/GetX for deferred grants
+	reqType   MsgType // a memory fetch's GetS/GetX, which picks its grant
 	reqID     uint64  // echoed in the eventual grant
 	acksLeft  int
 	ackIDs    []int
-	jammed    bool
 	cancelTx  uint64 // handle of a wireless broadcast to withdraw if still queued
 	started   uint64 // cycle the transaction began (age watchdog)
 }
@@ -778,7 +777,7 @@ func (h *HomeCtrl) serveShared(e *DirEntry, m *Msg) {
 		h.startSToW(e, m)
 		return
 	}
-	t := h.newTxn(txn{kind: txInvAll, requester: m.Src, reqType: m.Type, reqID: m.ReqID})
+	t := h.newTxn(txn{kind: txInvAll, requester: m.Src, reqID: m.ReqID})
 	e.busy = t
 	t.acksLeft = h.sendInvalidations(e, m.Src)
 	if t.acksLeft == 0 {
@@ -943,7 +942,7 @@ func (h *HomeCtrl) serveWireless(e *DirEntry, m *Msg) (kept bool) {
 	}
 	// Table II W->W case 1: add the sharer over the wired network while
 	// jamming wireless transactions on the line.
-	t := h.newTxn(txn{kind: txWAddSharer, requester: m.Src, jammed: true})
+	t := h.newTxn(txn{kind: txWAddSharer, requester: m.Src})
 	e.busy = t
 	h.env.Jam(e.Line, h.id)
 	h.send(m.Src, PortL1, Msg{
@@ -957,7 +956,7 @@ func (h *HomeCtrl) serveWireless(e *DirEntry, m *Msg) (kept bool) {
 // for the ToneAck to complete.
 func (h *HomeCtrl) startSToW(e *DirEntry, m *Msg) {
 	h.Stats.SToW.Inc()
-	t := h.newTxn(txn{kind: txSToW, requester: m.Src, reqType: m.Type, jammed: true})
+	t := h.newTxn(txn{kind: txSToW, requester: m.Src})
 	e.busy = t
 	h.env.Jam(e.Line, h.id)
 	newCount := e.sharerCountNow() + 1
@@ -1162,7 +1161,7 @@ func (h *HomeCtrl) ackPut(m *Msg) {
 // the downgrade decision and its commit.
 func (h *HomeCtrl) startWToS(e *DirEntry) {
 	h.Stats.WToS.Inc()
-	t := h.newTxn(txn{kind: txWToS, acksLeft: e.SharerCount, jammed: true})
+	t := h.newTxn(txn{kind: txWToS, acksLeft: e.SharerCount})
 	e.busy = t
 	h.env.Jam(e.Line, h.id)
 	t.cancelTx = h.env.TransmitWireless(h.id, e.Line, WirDwgr{Line: e.Line, Home: h.id}, true, nil)

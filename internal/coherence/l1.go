@@ -177,6 +177,10 @@ type L1Ctrl struct {
 	wwrites lineTable[*wirelessWrite]
 	victims lineTable[victimEntry]
 	wwFails lineTable[int] // consecutive fault-aborted sends per line
+	// held maps a line whose fill is parked behind a fully pinned set
+	// to that park, which queues every later wired message for the
+	// line (see fillPark).
+	held lineTable[*fillPark]
 
 	// compFree recycles completion events (see scheduleDone), pendFree
 	// pending-transaction entries (see newPending), and the rest the
@@ -785,8 +789,14 @@ func (l *L1Ctrl) observeRead(a addrspace.Addr, v uint64) {
 
 // HandleWired dispatches a wired message delivered to this L1. It
 // reports whether the L1 kept m (see Env): only a fill parked behind a
-// fully pinned set is kept.
+// fully pinned set, and the messages held behind it, are kept.
 func (l *L1Ctrl) HandleWired(now uint64, m *Msg) (kept bool) {
+	if l.held.length() > 0 {
+		if r, ok := l.held.get(m.Line); ok {
+			r.q = append(r.q, m)
+			return true
+		}
+	}
 	switch m.Type {
 	case MsgDataS, MsgDataE, MsgDataM, MsgDataOwnerS, MsgDataOwnerM, MsgWirUpgr:
 		return l.handleDataResponse(now, m)
@@ -810,27 +820,30 @@ func (l *L1Ctrl) HandleWired(now uint64, m *Msg) (kept bool) {
 	return false
 }
 
-// fillPark retries a parked fill (see handleDataResponse) a cycle
-// later, and frees it once it is no longer parked.
+// fillPark retries a fill parked behind a fully pinned set (see
+// handleDataResponse) a cycle later. Until then it holds every later
+// wired message for the line behind the fill, because the home relies
+// on the L1 handling a line's messages in the order the mesh delivers
+// them: a forward that overtook the fill would find no line to serve.
 type fillPark struct {
 	l *L1Ctrl
-	m *Msg
+	q []*Msg // q[0] is the fill, then the held messages in arrival order
 }
 
-// Run implements engine.Runner.
+// Run implements engine.Runner: it replays the queue in arrival order.
+// A fill that must park again re-registers the line, so HandleWired
+// holds the rest of the queue behind it.
 func (r *fillPark) Run(now uint64) {
-	l, m := r.l, r.m
-	r.m = nil
-	l.parkFree.Put(r)
-	if !l.handleDataResponse(now, m) {
-		l.env.FreeMsg(m)
+	l := r.l
+	l.held.del(r.q[0].Line)
+	for _, m := range r.q {
+		if !l.HandleWired(now, m) {
+			l.env.FreeMsg(m)
+		}
 	}
-}
-
-func (l *L1Ctrl) park(m *Msg) *fillPark {
-	r := l.parkFree.Get()
-	r.l, r.m = l, m
-	return r
+	clear(r.q)
+	r.q = r.q[:0]
+	l.parkFree.Put(r)
 }
 
 // handleDataResponse applies a data grant. A grant whose ReqID matches
@@ -844,7 +857,11 @@ func (l *L1Ctrl) handleDataResponse(now uint64, m *Msg) (kept bool) {
 	// within a bounded number of cycles.
 	if l.data.Lookup(m.Line) == nil {
 		if _, ok := l.data.Victim(m.Line); !ok {
-			l.env.AfterRunner(1, l.park(m))
+			r := l.parkFree.Get()
+			r.l = l
+			r.q = append(r.q, m)
+			l.held.put(m.Line, r)
+			l.env.AfterRunner(1, r)
 			return true
 		}
 	}

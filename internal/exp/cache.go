@@ -20,7 +20,7 @@ import (
 // the key derivation and the directory layout (<dir>/v<N>/...), so a
 // schema bump orphans old entries instead of misreading them: a new
 // binary simply never looks inside v<N-1>.
-const SchemaVersion = 2
+const SchemaVersion = 3
 
 // simKey is the content address of one simulation: the hex SHA-256 of
 // the JSON encoding of the schema version, the normalized machine
@@ -48,7 +48,7 @@ func simKey(cfg machine.Config, app workload.Profile, seed uint64) (string, erro
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// entryFile is the manifest inside each entry directory. Result holds
+// entryFile is the content of one entry's file. Result holds
 // the canonical JSON encoding of the machine.Result, whose marshalers
 // avoid map iteration, so a decoded entry re-encodes to the same bytes.
 type entryFile struct {
@@ -59,7 +59,7 @@ type entryFile struct {
 // CacheStats counts cache traffic. Corrupt counts entries that failed
 // to decode and were evicted; each such read falls back to
 // re-simulation, so Corrupt > 0 is survivable but worth a look.
-// TmpReaped counts crash-orphaned staging directories removed at open.
+// TmpReaped counts crash-orphaned temp files removed at open.
 type CacheStats struct {
 	Hits      uint64
 	Misses    uint64
@@ -75,15 +75,14 @@ func (s CacheStats) String() string {
 }
 
 // Cache is a content-addressed, disk-backed store of simulation
-// results, laid out as <dir>/v<SchemaVersion>/<hash[:2]>/<hash>/entry.json.
-// Entries are immutable once written: a Put stages the whole entry in a
-// temp directory and publishes it with a single rename, so readers
-// never observe a partial entry and concurrent writers of the same key
-// converge on exactly one copy (the first rename wins and the losers
-// discard their staging directories; all wrote identical content,
-// since the key is a content address over everything that determines
-// the run). The cache never
-// collects garbage: to reclaim space, delete the directory.
+// results, one file per run: <dir>/v<SchemaVersion>/<hash>.json.
+// Entries are immutable once written: a Put writes the whole entry to
+// a temp file and publishes it with a single rename, so readers never
+// observe a partial entry and concurrent writers of the same key leave
+// exactly one complete copy (the last rename wins, and all wrote
+// identical content, since the key is a content address over
+// everything that determines the run). The cache never collects
+// garbage: to reclaim space, delete the directory.
 type Cache struct {
 	root string // <dir>/v<SchemaVersion>
 
@@ -95,9 +94,9 @@ type Cache struct {
 }
 
 // OpenCache opens (creating if needed) a result cache rooted at dir.
-// Staging directories orphaned by a crash between write and rename
-// (".tmp-*") are reaped here: they were never published, so nothing
-// ever read them, and leaving them would leak disk forever.
+// Temp files orphaned by a crash between write and rename (".tmp-*")
+// are reaped here: they were never published, so nothing ever read
+// them, and leaving them would leak disk forever.
 func OpenCache(dir string) (*Cache, error) {
 	root := filepath.Join(dir, fmt.Sprintf("v%d", SchemaVersion))
 	if err := os.MkdirAll(root, 0o777); err != nil {
@@ -129,25 +128,22 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// dirFor shards entries by the first hash byte to keep directory
-// fan-out sane on large caches.
-func (c *Cache) dirFor(hash string) string {
-	return filepath.Join(c.root, hash[:2], hash)
+// fileFor is the path of a simKey hash's entry.
+func (c *Cache) fileFor(hash string) string {
+	return filepath.Join(c.root, hash+".json")
 }
 
 // Get loads the cached result for a simKey hash. A missing entry is a
-// plain miss. An entry that exists but cannot be decoded (a truncated
-// write, bit rot, a hand-edited file) is counted as Corrupt, evicted,
-// and reported as a miss, so the caller falls back to re-simulation
-// and the next Put heals the entry.
+// plain miss. An entry that exists but cannot be read or decoded (a
+// truncated write, bit rot, a hand-edited file) is counted as Corrupt,
+// evicted, and reported as a miss, so the caller falls back to
+// re-simulation and the next Put heals the entry.
 func (c *Cache) Get(hash string) (*machine.Result, bool) {
-	dir := c.dirFor(hash)
-	data, err := os.ReadFile(filepath.Join(dir, "entry.json"))
+	path := c.fileFor(hash)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
-			// Directory exists but the manifest is unreadable:
-			// treat as corruption, not a plain miss.
-			c.evict(dir)
+			c.evict(path)
 		}
 		c.misses.Add(1)
 		return nil, false
@@ -156,7 +152,7 @@ func (c *Cache) Get(hash string) (*machine.Result, bool) {
 	var res machine.Result
 	if json.Unmarshal(data, &e) != nil || e.Schema != SchemaVersion || len(e.Result) == 0 ||
 		json.Unmarshal(e.Result, &res) != nil {
-		c.evict(dir)
+		c.evict(path)
 		c.misses.Add(1)
 		return nil, false
 	}
@@ -165,17 +161,17 @@ func (c *Cache) Get(hash string) (*machine.Result, bool) {
 }
 
 // evict removes a corrupt entry so the next Put can heal it.
-func (c *Cache) evict(dir string) {
+func (c *Cache) evict(path string) {
 	c.corrupt.Add(1)
-	os.RemoveAll(dir)
+	os.RemoveAll(path)
 }
 
-// Put stores the result under a simKey hash. The entry is staged in a
-// temp dir under the cache root (same filesystem, so the final rename
-// is atomic) and published with one rename, then fsynced so the
-// publish survives power loss (a rename alone is only atomic, not
-// durable: the metadata can still sit in the page cache when the power
-// goes).
+// Put stores the result under a simKey hash. The entry is written and
+// fsynced to a temp file in the cache root (same filesystem, so the
+// rename is atomic) and published with one rename, then the root is
+// fsynced so the publish survives power loss (a rename alone is only
+// atomic, not durable: the metadata can still sit in the page cache
+// when the power goes).
 func (c *Cache) Put(hash string, res *machine.Result) error {
 	raw, err := json.Marshal(res)
 	if err != nil {
@@ -187,52 +183,25 @@ func (c *Cache) Put(hash string, res *machine.Result) error {
 	if err != nil {
 		return fmt.Errorf("exp: encode entry: %w", err)
 	}
-	tmp, err := os.MkdirTemp(c.root, ".tmp-"+hash[:8]+"-")
+	tmp, err := os.CreateTemp(c.root, ".tmp-"+hash[:8]+"-")
 	if err != nil {
 		return fmt.Errorf("exp: stage entry: %w", err)
 	}
-	defer os.RemoveAll(tmp) // no-op after a successful rename
-	if err := writeFileSync(filepath.Join(tmp, "entry.json"), append(entry, '\n')); err != nil {
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if err := writeSync(tmp, append(entry, '\n')); err != nil {
 		return fmt.Errorf("exp: stage entry: %w", err)
 	}
-
-	dir := c.dirFor(hash)
-	if err := os.MkdirAll(filepath.Dir(dir), 0o777); err != nil {
-		return fmt.Errorf("exp: shard dir: %w", err)
+	if err := os.Rename(tmp.Name(), c.fileFor(hash)); err != nil {
+		return fmt.Errorf("exp: publish entry: %w", err)
 	}
-	for retried := false; ; retried = true {
-		err := os.Rename(tmp, dir)
-		if err == nil {
-			break
-		}
-		// The entry already exists. A complete entry holds exactly our
-		// content (the key is a content address), so a concurrent
-		// writer that published first wins as is.
-		if _, statErr := os.Stat(filepath.Join(dir, "entry.json")); statErr == nil {
-			return nil
-		}
-		// A directory without a manifest is the husk of an eviction cut
-		// short: remove it and publish once more.
-		if retried {
-			return fmt.Errorf("exp: publish entry: %w", err)
-		}
-		os.RemoveAll(dir)
-	}
-	// Make the rename itself durable: fsync the shard directory that
-	// now references the entry, and the entry dir for its file link.
-	syncDir(dir)
-	syncDir(filepath.Join(dir, "entry.json"))
+	syncDir(c.root)
 	c.fills.Add(1)
 	return nil
 }
 
-// writeFileSync writes data and fsyncs before closing, so a published
+// writeSync writes data to f and fsyncs before closing, so a published
 // entry's content is on stable storage, not just in the page cache.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
-	if err != nil {
-		return err
-	}
+func writeSync(f *os.File, data []byte) error {
 	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return err
@@ -244,11 +213,11 @@ func writeFileSync(path string, data []byte) error {
 	return f.Close()
 }
 
-// syncDir fsyncs the directory containing path, making a just-renamed
-// file durable against power loss. Best-effort: not every filesystem
-// supports directory fsync.
-func syncDir(path string) {
-	d, err := os.Open(filepath.Dir(path))
+// syncDir fsyncs a directory, making a just-renamed file in it durable
+// against power loss. Best-effort: not every filesystem supports
+// directory fsync.
+func syncDir(dir string) {
+	d, err := os.Open(dir)
 	if err != nil {
 		return
 	}

@@ -51,7 +51,7 @@ func tinyRun(t *testing.T) (string, *machine.Result) {
 // entryCount counts the published entries on disk.
 func entryCount(t *testing.T, c *Cache) int {
 	t.Helper()
-	m, err := filepath.Glob(filepath.Join(c.Dir(), "*", "*", "entry.json"))
+	m, err := filepath.Glob(filepath.Join(c.Dir(), "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCacheCorruptEntryFallsBack(t *testing.T) {
 			if err := c.Put(key, res); err != nil {
 				t.Fatal(err)
 			}
-			if err := corrupt(filepath.Join(c.dirFor(key), "entry.json")); err != nil {
+			if err := corrupt(c.fileFor(key)); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := c.Get(key); ok {
@@ -142,7 +142,7 @@ func TestCacheCorruptEntryFallsBack(t *testing.T) {
 			if st.Corrupt != 1 || st.Misses != 1 {
 				t.Fatalf("corrupt read should count corrupt=1 misses=1, stats = %v", st)
 			}
-			if _, err := os.Stat(c.dirFor(key)); !os.IsNotExist(err) {
+			if _, err := os.Stat(c.fileFor(key)); !os.IsNotExist(err) {
 				t.Fatal("corrupt entry was not evicted")
 			}
 			// The re-simulation path heals the entry.
@@ -157,7 +157,7 @@ func TestCacheCorruptEntryFallsBack(t *testing.T) {
 }
 
 // TestCacheConcurrentWriters: many goroutines putting the same key
-// leave exactly one entry, no temp-dir litter, and a readable result.
+// leave exactly one entry, no temp-file litter, and a readable result.
 func TestCacheConcurrentWriters(t *testing.T) {
 	key, res := tinyRun(t)
 	c, err := OpenCache(t.TempDir())
@@ -183,14 +183,14 @@ func TestCacheConcurrentWriters(t *testing.T) {
 	if n := entryCount(t, c); n != 1 {
 		t.Fatalf("%d entries after %d same-key writers, want exactly 1", n, writers)
 	}
-	// No staging litter left behind by rename losers.
+	// No temp files left behind.
 	entries, err := os.ReadDir(c.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), ".tmp-") {
-			t.Fatalf("staging dir leaked: %s", e.Name())
+			t.Fatalf("temp file leaked: %s", e.Name())
 		}
 	}
 	if got, ok := c.Get(key); !ok || !reflect.DeepEqual(got, res) {
@@ -215,23 +215,19 @@ func TestCacheMissingIsPlainMiss(t *testing.T) {
 }
 
 // TestCacheReapsCrashStaging simulates a process killed between
-// staging an entry and the publishing rename: the orphaned .tmp-*
-// directory must be reaped on the next open, or every crash leaks disk
-// forever.
+// writing an entry and the publishing rename: the orphaned .tmp-* file
+// must be reaped on the next open, or every crash leaks disk forever.
 func TestCacheReapsCrashStaging(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The moment of death: the file written into the staging dir, the
-	// rename never issued. This is what Put leaves behind when killed
-	// between writeFileSync and os.Rename.
+	// The moment of death: the temp file written, the rename never
+	// issued. This is what Put leaves behind when killed between
+	// writeSync and os.Rename.
 	stage := filepath.Join(c.Dir(), ".tmp-deadbeef-12345")
-	if err := os.MkdirAll(stage, 0o777); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(stage, "entry.json"), []byte(`{"schema":2}`), 0o666); err != nil {
+	if err := os.WriteFile(stage, []byte(`{"schema":3}`), 0o666); err != nil {
 		t.Fatal(err)
 	}
 
@@ -240,7 +236,7 @@ func TestCacheReapsCrashStaging(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stage); !os.IsNotExist(err) {
-		t.Fatal("crash-orphaned staging dir survived restart")
+		t.Fatal("crash-orphaned temp file survived restart")
 	}
 	if got := c2.Stats().TmpReaped; got != 1 {
 		t.Fatalf("TmpReaped = %d, want 1", got)
@@ -259,12 +255,9 @@ func FuzzCacheGet(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	dir := c.dirFor(key)
+	path := c.fileFor(key)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.MkdirAll(dir, 0o777); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "entry.json"), data, 0o666); err != nil {
+		if err := os.WriteFile(path, data, 0o666); err != nil {
 			t.Fatal(err)
 		}
 		before := c.Stats()

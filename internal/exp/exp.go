@@ -25,10 +25,6 @@ type Options struct {
 	Seed  uint64   // default 1
 	Apps  []string // subset; empty = all 20
 
-	// Parallel is the simulation worker-pool width: 0 selects
-	// runtime.GOMAXPROCS(0), 1 forces serial execution. Ignored when
-	// Runner is set.
-	Parallel int
 	// Runner, when non-nil, executes (and memoizes) this experiment's
 	// simulations. Sharing one Runner across experiments deduplicates
 	// the Baseline/WiDir runs that several tables and figures repeat.
@@ -47,15 +43,11 @@ func (o *Options) fill() {
 	}
 }
 
-// runner resolves the executing Runner: an explicit one, else an
-// ephemeral pool of the requested width, else the shared process-wide
-// runner (whose memo persists across calls).
+// runner resolves the executing Runner: an explicit one, else the
+// shared process-wide runner (whose memo persists across calls).
 func (o *Options) runner() *Runner {
 	if o.Runner != nil {
 		return o.Runner
-	}
-	if o.Parallel != 0 {
-		return NewRunner(o.Parallel)
 	}
 	return sharedRunner()
 }

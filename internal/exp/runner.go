@@ -43,23 +43,19 @@ type Runner struct {
 	sims          atomic.Uint64
 	memoHits      atomic.Uint64
 	inflightJoins atomic.Uint64
-	cacheHits     atomic.Uint64
-	cacheFills    atomic.Uint64
 }
 
-// RunnerStats is a snapshot of the runner's memoization counters.
+// RunnerStats is a snapshot of the runner's memoization counters. The
+// persistent cache's own traffic is in Cache.Stats.
 type RunnerStats struct {
 	Sims          uint64 // simulations actually executed
 	MemoHits      uint64 // served from a completed memo cell
 	InflightJoins uint64 // waited on a duplicate in flight
-	CacheHits     uint64 // served from the persistent cache
-	CacheFills    uint64 // fresh results written through
 }
 
 // String renders the counters in the verbose-output form.
 func (s RunnerStats) String() string {
-	return fmt.Sprintf("sims=%d memo-hits=%d inflight-joins=%d cache-hits=%d cache-fills=%d",
-		s.Sims, s.MemoHits, s.InflightJoins, s.CacheHits, s.CacheFills)
+	return fmt.Sprintf("sims=%d memo-hits=%d inflight-joins=%d", s.Sims, s.MemoHits, s.InflightJoins)
 }
 
 // memoCell is a singleflight slot: the first goroutine to claim the
@@ -96,8 +92,6 @@ func (r *Runner) Stats() RunnerStats {
 		Sims:          r.sims.Load(),
 		MemoHits:      r.memoHits.Load(),
 		InflightJoins: r.inflightJoins.Load(),
-		CacheHits:     r.cacheHits.Load(),
-		CacheFills:    r.cacheFills.Load(),
 	}
 }
 
@@ -147,15 +141,14 @@ func (r *Runner) sim(cfg machine.Config, app workload.Profile, seed uint64) (*ma
 		if r.cache != nil {
 			if res, ok := r.cache.Get(key); ok {
 				cell.res = res
-				r.cacheHits.Add(1)
 				return
 			}
 		}
 		r.sims.Add(1)
 		cell.res, cell.err = simulate(cfg, app, seed)
 		// Best effort: a failed fill only costs a later re-simulation.
-		if r.cache != nil && cell.err == nil && r.cache.Put(key, cell.res) == nil {
-			r.cacheFills.Add(1)
+		if r.cache != nil && cell.err == nil {
+			r.cache.Put(key, cell.res)
 		}
 	})
 	return cell.res, cell.err
@@ -205,9 +198,8 @@ func Map[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, errors.Join(errs...)
 }
 
-// defaultRunner backs Options values that name neither a Runner nor a
-// Parallel width, so plain library calls still get pooled, memoized
-// execution process-wide.
+// defaultRunner backs Options values that name no Runner, so plain
+// library calls still get pooled, memoized execution process-wide.
 var (
 	defaultRunnerOnce sync.Once
 	defaultRunner     *Runner

@@ -161,7 +161,7 @@ func TestRunnerStatsRepeatedSweep(t *testing.T) {
 	}
 	n := uint64(2 * len(rows)) // baseline + widir per app
 	st := o.Runner.Stats()
-	if st.Sims != n || st.MemoHits != 0 || st.CacheHits != 0 {
+	if st.Sims != n || st.MemoHits != 0 {
 		t.Fatalf("first pass stats = %v, want sims=%d and no hits", st, n)
 	}
 
@@ -190,32 +190,32 @@ func TestRunnerCacheHook(t *testing.T) {
 	cfg.MaxPointers = 4
 	dir := t.TempDir()
 
-	open := func() *Runner {
+	open := func() (*Runner, *Cache) {
 		c, err := OpenCache(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := NewRunner(1)
 		r.SetCache(c)
-		return r
+		return r, c
 	}
-	r1 := open()
+	r1, c1 := open()
 	orig, err := r1.Sim(cfg, app, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := r1.Stats(); st.Sims != 1 || st.CacheFills != 1 {
-		t.Fatalf("first runner stats = %v, want 1 sim / 1 fill", st)
+	if st, cs := r1.Stats(), c1.Stats(); st.Sims != 1 || cs.Fills != 1 {
+		t.Fatalf("first runner stats = %v / cache %v, want 1 sim / 1 fill", st, cs)
 	}
 	// Same runner again: memo, not cache.
 	if _, err := r1.Sim(cfg, app, 1); err != nil {
 		t.Fatal(err)
 	}
-	if st := r1.Stats(); st.MemoHits != 1 || st.CacheHits != 0 {
-		t.Fatalf("repeat stats = %v, want 1 memo hit / 0 cache hits", st)
+	if st, cs := r1.Stats(), c1.Stats(); st.MemoHits != 1 || cs.Hits != 0 {
+		t.Fatalf("repeat stats = %v / cache %v, want 1 memo hit / 0 cache hits", st, cs)
 	}
 
-	r2 := open()
+	r2, c2 := open()
 	res, err := r2.Sim(cfg, app, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -223,8 +223,8 @@ func TestRunnerCacheHook(t *testing.T) {
 	if !reflect.DeepEqual(res, orig) {
 		t.Fatal("cached result differs from the original simulation")
 	}
-	if st := r2.Stats(); st.Sims != 0 || st.CacheHits != 1 {
-		t.Fatalf("restarted runner stats = %v, want 0 sims / 1 cache hit", st)
+	if st, cs := r2.Stats(), c2.Stats(); st.Sims != 0 || cs.Hits != 1 {
+		t.Fatalf("restarted runner stats = %v / cache %v, want 0 sims / 1 cache hit", st, cs)
 	}
 }
 

@@ -6,7 +6,7 @@
 // internal/coherence's home and L1 controllers. The transition
 // relation is not trusted blindly: every state change a handler makes
 // is validated per hop against the protomodel FSMs (the same spec
-// `widir-model -check` conforms the implementation to), so a spec row
+// `widir-mcheck` conforms the implementation to), so a spec row
 // that goes missing, or a handler path the spec never sanctioned,
 // surfaces as a checkable violation with a concrete trace.
 //

@@ -116,7 +116,7 @@ func TestDirCoverageGrid(t *testing.T) {
 }
 
 // TestRepoConformsToSpec gates the checked-in spec against the
-// implementation, same as `widir-model -check`.
+// implementation, as `widir-mcheck` does.
 func TestRepoConformsToSpec(t *testing.T) {
 	model := extractRepo(t)
 	spec, err := EmbeddedSpec()

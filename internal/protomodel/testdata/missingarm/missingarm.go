@@ -1,7 +1,7 @@
 // Package missingarm is the conformant fixture with the directory's
-// `DO GetS -> DS` arm deliberately removed: `widir-model -check` must
+// `DO GetS -> DS` arm deliberately removed: the conformance check must
 // report the spec row as unimplemented (and the resulting fall-through
-// self-loop as unspecified) and exit nonzero.
+// self-loop as unspecified).
 package missingarm
 
 import "repro/internal/cache"
