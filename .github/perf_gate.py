@@ -21,6 +21,14 @@ base, or if the head's median run_s, setup_s or peak_rss_mb exceeds
 the base's by more than that metric's bound in BENCHMARK.json. setup_s is perfbench's median of at least 41 set-ups
 (workload.Program plus NewSystem, or mcheck.New) per run, so it is
 steady enough to gate at one second per run.
+
+The paired blocks use input set 1 only. After them the head alone runs
+once more on input sets 2-4 of every workload, at one second each, and
+the gate also fails if one of those runs reports correct: false or any
+failed op: every op's output is checked against perfbench's recorded
+fingerprints. Sets 5-16 stay out to keep the job short, and paper-64's
+set 16 could not be checked anyway: its fingerprint is not recorded
+yet, which only a change to perfbench's fingerprints can fix.
 """
 
 import json
@@ -35,10 +43,14 @@ HEAD = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The end-to-end metrics the gate holds, with the unit it prints.
 GATED = (("run_s", "s"), ("setup_s", "s"), ("peak_rss_mb", "MB"))
 
+# The input sets the head alone runs for correctness after the paired
+# blocks on set 1.
+EXTRA_SEEDS = (2, 3, 4)
 
-def perfbench(tree, workload):
+
+def perfbench(tree, workload, seed=1):
     """Runs one perfbench pass in tree and returns its JSON result."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1"]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "1"]
     p = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = p.stdout.strip().splitlines()
     if p.returncode != 0 or not lines or not lines[-1].startswith("{"):
@@ -79,6 +91,13 @@ def main():
                     failures.append(f"{w}: head fails {h_failed} ops, base {b_failed}")
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", base], cwd=HEAD)
+    for w in (wl["name"] for wl in bench["workloads"]):
+        for seed in EXTRA_SEEDS:
+            r = perfbench(HEAD, w, seed)
+            outcome = f"correct {str(r['correct']).lower()}, failed ops {r['failed']}"
+            print(f"{w:12} input set {seed}: {outcome}", flush=True)
+            if not r["correct"] or r["failed"]:
+                failures.append(f"{w}: head on input set {seed}: {outcome}")
     for f in failures:
         print("perf gate: FAIL", f)
     if failures:

@@ -84,7 +84,7 @@ func (e *mockEnv) Jam(l addrspace.Line, owner int)      { e.wchan.Jam(l, owner) 
 func (e *mockEnv) Unjam(l addrspace.Line, owner int)    { e.wchan.Unjam(l, owner) }
 func (e *mockEnv) RaiseTone()                           { e.wchan.RaiseTone() }
 func (e *mockEnv) LowerTone()                           { e.wchan.LowerTone() }
-func (e *mockEnv) WaitToneSilent(fn func(uint64))       { e.wchan.WaitToneSilent(fn) }
+func (e *mockEnv) WaitToneSilent(r engine.Runner)       { e.wchan.WaitToneSilent(r) }
 func (e *mockEnv) AfterRunner(d uint64, r engine.Runner) {
 	e.events.At(e.now+d, r)
 }
@@ -371,7 +371,7 @@ func TestFailedCASDoesNotBroadcast(t *testing.T) {
 	}
 	e.pumpN(50)
 	if e.home(8).Entry(8).State != DirWireless {
-		t.Skip("line did not reach W in this interleaving")
+		t.Fatal("line did not reach W")
 	}
 	before := e.l1s[1].Stats.WirelessWrites.Value()
 	old := e.complete(t, 1, &MemRequest{IsRMW: true, RMW: RMWCompareSwap, Addr: a, Expected: 0, Value: 1})
@@ -394,7 +394,7 @@ func TestDirEntryEvictionWirInv(t *testing.T) {
 	}
 	e.pumpN(50)
 	if e.homes[0].Entry(4) == nil || e.homes[0].Entry(4).State != DirWireless {
-		t.Skip("line did not reach W")
+		t.Fatal("line did not reach W")
 	}
 	// A different line with the same home forces the entry out.
 	b := addrspace.Line(8).Base()
@@ -570,7 +570,7 @@ func TestWirInvSquashesPendingWrite(t *testing.T) {
 	}
 	e.pumpN(50)
 	if ent := e.homes[0].Entry(4); ent == nil || ent.State != DirWireless {
-		t.Skip("line did not reach W")
+		t.Fatal("line did not reach W")
 	}
 	// Queue a wireless write but do NOT pump: it sits on the channel.
 	var got *uint64
@@ -605,7 +605,7 @@ func TestWEvictionSendsPutW(t *testing.T) {
 	e.pumpN(50)
 	ent := e.home(8).Entry(8)
 	if ent.State != DirWireless || ent.SharerCount != 5 {
-		t.Skipf("setup: %v count=%d", ent.State, ent.SharerCount)
+		t.Fatalf("setup: %v count=%d, want W with 5 sharers", ent.State, ent.SharerCount)
 	}
 	// Fill core 4's set so line 8 gets evicted: same-set lines.
 	sets := e.l1s[4].Cache().Sets()
@@ -613,7 +613,7 @@ func TestWEvictionSendsPutW(t *testing.T) {
 	e.complete(t, 4, &MemRequest{Addr: (addrspace.Line(8) + addrspace.Line(2*sets)).Base()})
 	e.pumpN(100)
 	if e.l1s[4].Cache().Lookup(8) != nil {
-		t.Skip("eviction did not pick the W line")
+		t.Fatal("eviction did not pick the W line")
 	}
 	if ent.SharerCount != 4 {
 		t.Fatalf("SharerCount = %d after W eviction, want 4", ent.SharerCount)

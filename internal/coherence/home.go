@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/addrspace"
@@ -61,6 +62,74 @@ type txn struct {
 	ackIDs    []int
 	cancelTx  uint64 // handle of a wireless broadcast to withdraw if still queued
 	started   uint64 // cycle the transaction began (age watchdog)
+
+	// The directory's own broadcasts report to records carried here, so
+	// a pending W eviction or S->W commit allocates nothing. A free list
+	// per record would instead grow HomeCtrl into a larger size class.
+	evict   wEviction
+	upgrade upgrade
+}
+
+// wEviction drops a W entry once its WirInv broadcast serializes
+// (Table II W->I). It is the broadcast's TxCallback.
+type wEviction struct {
+	h *HomeCtrl
+	e *DirEntry
+}
+
+// TxDone implements TxCallback.
+func (ev *wEviction) TxDone(now uint64) { ev.h.finishEvict(ev.e) }
+
+// TxAborted implements TxCallback. Directory broadcasts are privileged,
+// so they are never aborted.
+func (ev *wEviction) TxAborted(uint64, bool) {}
+
+// upgrade commits Table II's S->W transition. It is the BrWirUpgr
+// broadcast's TxCallback: at the serialization point every tone antenna
+// (raised during delivery fan-out) is active, so TxDone waits for the
+// tone channel to fall silent, and Run then commits.
+type upgrade struct {
+	h        *HomeCtrl
+	e        *DirEntry
+	t        *txn
+	newCount int
+}
+
+// TxDone implements TxCallback.
+func (u *upgrade) TxDone(now uint64) { u.h.env.WaitToneSilent(u) }
+
+// TxAborted implements TxCallback. Directory broadcasts are privileged,
+// so they are never aborted.
+func (u *upgrade) TxAborted(uint64, bool) {}
+
+// Run implements engine.Runner: the Tone-Channel Acknowledgment is
+// complete.
+func (u *upgrade) Run(now uint64) {
+	h, e, t := u.h, u.e, u.t
+	if e.busy != t {
+		h.fail(e.Line, "S->W transaction displaced")
+		return
+	}
+	e.faultFails = 0
+	if h.cfg.Trace != nil {
+		h.cfg.Trace.Emit(obs.Event{Cycle: now, Kind: obs.EvWUpgrade,
+			Node: int32(h.id), Other: obs.NoNode, Line: e.Line,
+			A: uint64(u.newCount)})
+	}
+	e.busy = nil
+	e.State = DirWireless
+	e.SharerCount = u.newCount
+	// Swap rather than copy: the snapshot takes over the sharer list's
+	// backing array (it is being cleared anyway), keeping the commit
+	// allocation-free.
+	e.staleWired, e.Sharers = e.Sharers, e.staleWired[:0]
+	e.staleWiredAll = e.Broadcast || e.CoarseVec != 0
+	e.Broadcast = false
+	e.CoarseVec = 0
+	e.SharerApprox = 0
+	h.env.Unjam(e.Line, h.id)
+	h.freeTxn(t)
+	h.drainDeferred(e)
 }
 
 // DirEntry is one directory entry co-located with its LLC line. The
@@ -674,6 +743,7 @@ func (h *HomeCtrl) evictVictim() bool {
 	case DirWireless:
 		// Table II W->I: broadcast WirInv; write back if dirty.
 		t := h.newTxn(txn{kind: txEvict})
+		t.evict = wEviction{h: h, e: victim}
 		victim.busy = t
 		h.Stats.WirInvs.Inc()
 		if h.cfg.Trace != nil {
@@ -681,8 +751,7 @@ func (h *HomeCtrl) evictVictim() bool {
 				Node: int32(h.id), Other: obs.NoNode, Line: victim.Line,
 				A: uint64(victim.SharerCount)})
 		}
-		h.env.TransmitWireless(h.id, victim.Line, WirInv{Line: victim.Line, Home: h.id}, true,
-			txDone(func(now uint64) { h.finishEvict(victim) }))
+		h.env.TransmitWireless(h.id, victim.Line, WirInv{Line: victim.Line, Home: h.id}, true, &t.evict)
 		return true
 	}
 	return false
@@ -959,40 +1028,8 @@ func (h *HomeCtrl) startSToW(e *DirEntry, m *Msg) {
 	t := h.newTxn(txn{kind: txSToW, requester: m.Src})
 	e.busy = t
 	h.env.Jam(e.Line, h.id)
-	newCount := e.sharerCountNow() + 1
-
-	h.env.TransmitWireless(h.id, e.Line, BrWirUpgr{Line: e.Line, Home: h.id}, true,
-		txDone(func(now uint64) {
-			// Serialization point of the broadcast: every tone antenna
-			// (raised during delivery fan-out) is now active; wait for
-			// silence, then commit the transition.
-			h.env.WaitToneSilent(func(now uint64) {
-				if e.busy != t {
-					h.fail(e.Line, "S->W transaction displaced")
-					return
-				}
-				e.faultFails = 0
-				if h.cfg.Trace != nil {
-					h.cfg.Trace.Emit(obs.Event{Cycle: now, Kind: obs.EvWUpgrade,
-						Node: int32(h.id), Other: obs.NoNode, Line: e.Line,
-						A: uint64(newCount)})
-				}
-				e.busy = nil
-				e.State = DirWireless
-				e.SharerCount = newCount
-				// Swap rather than copy: the snapshot takes over the
-				// sharer list's backing array (it is being cleared
-				// anyway), keeping the commit allocation-free.
-				e.staleWired, e.Sharers = e.Sharers, e.staleWired[:0]
-				e.staleWiredAll = e.Broadcast || e.CoarseVec != 0
-				e.Broadcast = false
-				e.CoarseVec = 0
-				e.SharerApprox = 0
-				h.env.Unjam(e.Line, h.id)
-				h.freeTxn(t)
-				h.drainDeferred(e)
-			})
-		}))
+	t.upgrade = upgrade{h: h, e: e, t: t, newCount: e.sharerCountNow() + 1}
+	h.env.TransmitWireless(h.id, e.Line, BrWirUpgr{Line: e.Line, Home: h.id}, true, &t.upgrade)
 
 	// Concurrently, the requester gets the line over the wired NoC; no
 	// WirUpgrAck is needed — its tone drop completes the handshake.
@@ -1066,7 +1103,7 @@ func (h *HomeCtrl) consumeBusyPut(e *DirEntry, m *Msg) bool {
 	if m.Type != MsgPutW && m.Type != MsgPutS && m.Type != MsgPutE && m.Type != MsgPutM {
 		return false
 	}
-	if containsID(e.busy.ackIDs, m.Src) {
+	if slices.Contains(e.busy.ackIDs, m.Src) {
 		return false
 	}
 	h.Stats.LLCAccesses.Inc()
@@ -1337,13 +1374,4 @@ func (h *HomeCtrl) drainDeferred(e *DirEntry) {
 		pending[i] = nil
 	}
 	e.deferred = pending[:0]
-}
-
-func containsID(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

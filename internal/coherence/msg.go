@@ -212,14 +212,6 @@ type TxCallback interface {
 	TxAborted(now uint64, jammed bool)
 }
 
-// txDone adapts a serialization-point closure to TxCallback for the
-// directory's own broadcasts, which are privileged and so are never
-// aborted.
-type txDone func(now uint64)
-
-func (f txDone) TxDone(now uint64)      { f(now) }
-func (f txDone) TxAborted(uint64, bool) {}
-
 // Env is the machine context the controllers run in: time, the two
 // networks, address mapping, and delayed self-calls. The machine
 // implements it.
@@ -253,10 +245,11 @@ type Env interface {
 	Jam(l addrspace.Line, owner int)
 	Unjam(l addrspace.Line, owner int)
 	// RaiseTone/LowerTone drive a node's tone antenna; WaitToneSilent
-	// registers the initiator's completion callback.
+	// schedules the initiator's pooled completion runner for the cycle
+	// after the tone channel next falls silent.
 	RaiseTone()
 	LowerTone()
-	WaitToneSilent(fn func(now uint64))
+	WaitToneSilent(r engine.Runner)
 	// AfterRunner schedules r.Run at Now()+delay. Controllers pass
 	// pooled runner structs, so scheduling allocates nothing.
 	AfterRunner(delay uint64, r engine.Runner)

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/addrspace"
@@ -198,7 +199,7 @@ func (c *Checker) CheckStructural() error {
 				if !e.Broadcast && s.mesh.Pending() == 0 && s.wchan.Idle() {
 					// Pointers must be a superset of actual S holders.
 					for _, sh := range h.shared {
-						if !containsInt(e.Sharers, sh) {
+						if !slices.Contains(e.Sharers, sh) {
 							err = fmt.Errorf("machine: dir DS pointers %v miss sharer %d of line %#x (quiescent)",
 								e.Sharers, sh, e.Line)
 							return
@@ -212,13 +213,4 @@ func (c *Checker) CheckStructural() error {
 		}
 	}
 	return nil
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -419,8 +419,8 @@ func (s *System) LowerTone() {
 	}
 }
 
-// WaitToneSilent registers a ToneAck completion callback.
-func (s *System) WaitToneSilent(fn func(uint64)) { s.wchan.WaitToneSilent(fn) }
+// WaitToneSilent registers a ToneAck completion runner.
+func (s *System) WaitToneSilent(r engine.Runner) { s.wchan.WaitToneSilent(r) }
 
 // AfterRunner schedules a pooled runner at Now()+delay.
 func (s *System) AfterRunner(delay uint64, r engine.Runner) { s.events.At(s.cycle+delay, r) }

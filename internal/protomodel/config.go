@@ -64,11 +64,9 @@ type MachineCfg struct {
 	// EntryPoints are the roots the walker starts from.
 	EntryPoints []EntryPoint
 
-	// DeleteElem: `delete(m, k)` on a map whose element is *DeleteElem
-	// drops the entry, i.e. moves the machine to Invalid. The same
-	// applies to `t.<DeleteTableMethod>(k)` on a *<DeleteTableRecv>[E]
-	// whose type argument E is *DeleteElem — the flat-table form the
-	// controllers use instead of Go maps.
+	// DeleteElem: `t.<DeleteTableMethod>(k)` on a *<DeleteTableRecv>[E]
+	// whose type argument E is *DeleteElem drops the entry from the
+	// controller's flat line table, i.e. moves the machine to Invalid.
 	DeleteElem        string
 	DeleteTableRecv   string
 	DeleteTableMethod string

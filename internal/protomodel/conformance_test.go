@@ -31,6 +31,10 @@ func extractFixture(t *testing.T, name string) (*Model, *Spec) {
 	return model, spec
 }
 
+// TestConformantFixturePasses requires every spec row of the
+// conformant fixture to be extracted, including DS PutS -> DI, which is
+// reached only through the TxDone of a callback record handed to a
+// call.
 func TestConformantFixturePasses(t *testing.T) {
 	model, spec := extractFixture(t, "conformant")
 	if findings := Check(model, spec); len(findings) != 0 {
@@ -43,7 +47,8 @@ func TestConformantFixturePasses(t *testing.T) {
 // TestMissingArmFixtureFails seeds a protocol implementation with one
 // transition arm removed (the directory's DO GetS -> DS downgrade) and
 // requires the conformance check to flag both the unimplemented spec
-// row and the fall-through self-loop that replaced it.
+// row and the fall-through self-loop that replaced it, and nothing else:
+// the rest of the fixture is the conformant one.
 func TestMissingArmFixtureFails(t *testing.T) {
 	model, spec := extractFixture(t, "missingarm")
 	findings := Check(model, spec)
@@ -63,6 +68,8 @@ func TestMissingArmFixtureFails(t *testing.T) {
 			if !strings.Contains(f.Pos, "missingarm.go:") {
 				t.Errorf("unspecified finding should cite the implementation, got %q", f.Pos)
 			}
+		default:
+			t.Errorf("unexpected finding: %s", f)
 		}
 	}
 	if !unimplemented {

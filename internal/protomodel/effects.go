@@ -228,22 +228,15 @@ func (w *walker) walkExpr(e ast.Expr, c *ctx) {
 // into same-package functions.
 func (w *walker) handleCall(call *ast.CallExpr, c *ctx) {
 	me := w.me
-	// A pooled engine.Runner handed to a call is a continuation, like a
-	// function literal argument: its Run method is walked here, under
-	// the caller's context.
+	// A pooled record handed to a call is a continuation, like a
+	// function literal argument: its Run (engine.Runner) and TxDone
+	// (TxCallback) methods are walked here, under the caller's context.
 	for _, arg := range call.Args {
-		if fi := w.runnerOf(arg); fi != nil {
-			w.walkFunc(fi, *c, nil)
-		}
+		w.walkCallbacks(arg, c)
 	}
 	switch fn := call.Fun.(type) {
 	case *ast.Ident:
-		obj := w.info().ObjectOf(fn)
-		if _, isBuiltin := obj.(*types.Builtin); isBuiltin && fn.Name == "delete" {
-			w.handleDelete(call, c)
-			return
-		}
-		if fi := me.x.funcs[obj]; fi != nil {
+		if fi := me.x.funcs[w.info().ObjectOf(fn)]; fi != nil {
 			w.walkFunc(fi, *c, w.bindArgs(fi, call, c))
 		}
 	case *ast.SelectorExpr:
@@ -286,20 +279,23 @@ func (w *walker) handleCall(call *ast.CallExpr, c *ctx) {
 	}
 }
 
-// runnerOf returns the Run method of arg's type when that type is a
-// pointer to a package type with one (a pooled engine.Runner).
-func (w *walker) runnerOf(arg ast.Expr) *funcInfo {
+// walkCallbacks walks the Run and TxDone methods of arg's type under
+// the context when that type is a pointer to a package type (a pooled
+// record).
+func (w *walker) walkCallbacks(arg ast.Expr, c *ctx) {
 	t := w.info().TypeOf(arg)
 	named := namedOf(t)
 	if _, isPtr := t.(*types.Pointer); !isPtr || named == nil || named.Obj().Pkg() != w.me.x.pkg.Types {
-		return nil
+		return
 	}
-	obj, _, _ := types.LookupFieldOrMethod(t, true, named.Obj().Pkg(), "Run")
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil
+	for _, name := range [...]string{"Run", "TxDone"} {
+		obj, _, _ := types.LookupFieldOrMethod(t, true, named.Obj().Pkg(), name)
+		if fn, ok := obj.(*types.Func); ok {
+			if fi := w.me.x.funcs[fn]; fi != nil {
+				w.walkFunc(fi, *c, nil)
+			}
+		}
 	}
-	return w.me.x.funcs[fn]
 }
 
 // matchesTarget reports whether the function is <pkg>.<recv>.<method>.
@@ -320,7 +316,7 @@ func (w *walker) matchesTarget(obj *types.Func, pkg, recv, method string) bool {
 
 // matchesTableDelete reports whether the method call is the flat
 // table's delete — `t.del(line)` on a lineTable whose element type is
-// *DeleteElem — which drops the entry exactly like a map delete.
+// *DeleteElem — which drops the entry.
 func (w *walker) matchesTableDelete(obj *types.Func) bool {
 	me := w.me
 	if me.cfg.DeleteElem == "" || me.cfg.DeleteTableMethod == "" ||
@@ -342,26 +338,6 @@ func (w *walker) matchesTableDelete(obj *types.Func) bool {
 	elem := namedOf(args.At(0))
 	return elem != nil && elem.Obj().Name() == me.cfg.DeleteElem &&
 		elem.Obj().Pkg() == me.x.pkg.Types
-}
-
-// handleDelete treats `delete(entries, line)` on the entry map as the
-// transition to Invalid.
-func (w *walker) handleDelete(call *ast.CallExpr, c *ctx) {
-	me := w.me
-	if me.cfg.DeleteElem == "" || len(call.Args) != 2 {
-		return
-	}
-	mt, ok := w.info().TypeOf(call.Args[0]).Underlying().(*types.Map)
-	if !ok {
-		return
-	}
-	named := namedOf(mt.Elem())
-	if named == nil || named.Obj().Name() != me.cfg.DeleteElem ||
-		named.Obj().Pkg() != me.x.pkg.Types {
-		return
-	}
-	w.recordTransition(c, me.cfg.Invalid, call.Pos())
-	c.states = []string{me.cfg.Invalid}
 }
 
 // bindArgs maps constant or tracked argument values onto the callee's

@@ -172,10 +172,3 @@ func (m *Model) Text() string {
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -48,6 +48,19 @@ type HomeCtrl struct {
 
 func (h *HomeCtrl) fail(msg string) {}
 
+// txCallback and broadcast stand in for the wireless channel, which
+// reports a transmission's serialization point to a callback record.
+type txCallback interface{ TxDone(now uint64) }
+
+func (h *HomeCtrl) broadcast(cb txCallback) {}
+
+// release is a callback record: the DS PutS -> DI row is reached only
+// through its TxDone, the way the directory's broadcast records carry
+// their continuations.
+type release struct{ e *DirEntry }
+
+func (r *release) TxDone(now uint64) { r.e.State = DirInvalid }
+
 func (h *HomeCtrl) HandleWired(m *Msg) {
 	e := h.entries[m.Src]
 	if e == nil {
@@ -76,7 +89,7 @@ func (h *HomeCtrl) HandleWired(m *Msg) {
 		}
 	case MsgPutS:
 		if e.State == DirShared {
-			e.State = DirInvalid
+			h.broadcast(&release{e: e})
 		}
 	default:
 		h.fail("unhandled message")

@@ -14,6 +14,7 @@ package wireless
 
 import (
 	"repro/internal/addrspace"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/stats"
@@ -120,8 +121,8 @@ type Channel struct {
 	// toneSpare is the second buffer Tick swaps in while it fires the
 	// waiters, so registering waiters allocates nothing once warm.
 	toneHolds   int
-	toneWaiters []func(now uint64)
-	toneSpare   []func(now uint64)
+	toneWaiters []engine.Runner
+	toneSpare   []engine.Runner
 
 	// Trace receives MAC-level events (slot grants, collisions, jams,
 	// tone silence); nil disables emission.
@@ -262,11 +263,13 @@ func (c *Channel) LowerTone() {
 // ToneHolds returns the current number of holders.
 func (c *Channel) ToneHolds() int { return c.toneHolds }
 
-// WaitToneSilent registers fn to run one tone-latency cycle after the
+// WaitToneSilent registers r to run one tone-latency cycle after the
 // tone channel next falls silent (or immediately next Tick if already
-// silent). Used by the initiating directory in a ToneAck operation.
-func (c *Channel) WaitToneSilent(fn func(now uint64)) {
-	c.toneWaiters = append(c.toneWaiters, fn)
+// silent). Used by the initiating directory in a ToneAck operation;
+// waiters fire in registration order, and r is typically a pooled
+// record, so registering allocates nothing once warm.
+func (c *Channel) WaitToneSilent(r engine.Runner) {
+	c.toneWaiters = append(c.toneWaiters, r)
 }
 
 // Busy reports whether the data channel is occupied at cycle now.
@@ -398,9 +401,9 @@ func (c *Channel) Tick(now uint64) {
 				Node: obs.NoNode, Other: obs.NoNode, Line: obs.NoLine,
 				A: uint64(len(ws))})
 		}
-		for i, fn := range ws {
+		for i, r := range ws {
 			ws[i] = nil
-			fn(now)
+			r.Run(now)
 		}
 		c.toneSpare = ws[:0]
 	}

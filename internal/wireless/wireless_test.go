@@ -173,12 +173,17 @@ func TestUnjamUnownedPanics(t *testing.T) {
 	c.Unjam(10, 1)
 }
 
+// runFunc adapts a test closure to engine.Runner.
+type runFunc func(now uint64)
+
+func (f runFunc) Run(now uint64) { f(now) }
+
 func TestToneAck(t *testing.T) {
 	c, _ := newTestChannel()
 	fired := uint64(0)
 	c.RaiseTone()
 	c.RaiseTone()
-	c.WaitToneSilent(func(now uint64) { fired = now })
+	c.WaitToneSilent(runFunc(func(now uint64) { fired = now }))
 	pump(c, 1, 5)
 	if fired != 0 {
 		t.Fatal("tone waiter fired while held")
@@ -198,7 +203,7 @@ func TestToneAck(t *testing.T) {
 func TestToneImmediateWhenSilent(t *testing.T) {
 	c, _ := newTestChannel()
 	fired := false
-	c.WaitToneSilent(func(uint64) { fired = true })
+	c.WaitToneSilent(runFunc(func(uint64) { fired = true }))
 	pump(c, 1, 2)
 	if !fired {
 		t.Fatal("waiter on silent channel did not fire")
@@ -480,11 +485,11 @@ func TestJamNestedCompetingOwners(t *testing.T) {
 func TestWaitToneSilentAlreadySilent(t *testing.T) {
 	c, _ := newTestChannel()
 	var order []int
-	c.WaitToneSilent(func(uint64) { order = append(order, 1) })
-	c.WaitToneSilent(func(now uint64) {
+	c.WaitToneSilent(runFunc(func(uint64) { order = append(order, 1) }))
+	c.WaitToneSilent(runFunc(func(now uint64) {
 		order = append(order, 2)
-		c.WaitToneSilent(func(uint64) { order = append(order, 3) })
-	})
+		c.WaitToneSilent(runFunc(func(uint64) { order = append(order, 3) }))
+	}))
 	c.Tick(1)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("first Tick fired %v, want [1 2]", order)
