@@ -20,9 +20,14 @@ test:
 # results it publishes through it, the mesh, wireless and fault
 # packages carry the shared state those parallel runs tick, and
 # widirsim fans its runs through the runner with per-run stderr
-# buffers; these are the packages where a data race could hide.
+# buffers; these are the packages where a data race could hide. The
+# model checker keeps its scratch in each Checker, so Checkers in one
+# process share nothing: TestExploreConcurrent explores two at once
+# and runs here. The rest of the mcheck suite stays out of -race for
+# its run time.
 race:
 	$(GO) test -race ./internal/exp/ ./internal/machine/ ./internal/mesh/ ./internal/wireless/ ./internal/fault/ ./cmd/widirsim/
+	$(GO) test -race -run '^TestExploreConcurrent$$' ./internal/mcheck/
 
 # gofmt -l lists every file whose formatting differs; any output fails.
 vet:
@@ -39,7 +44,7 @@ lint:
 # §13): extract the dir and l1 FSMs from internal/coherence and diff
 # them against the spec. Exhaustive model checking (DESIGN.md §15):
 # explore every reachable state of the default model (3 L1s, ~1M
-# canonical states, about a minute). Fails on any conformance finding,
+# canonical states, under half a minute). Fails on any conformance finding,
 # swmr / integrity / deadlock / liveness violation or spec-relation
 # divergence. On a violation the counterexample trace artifacts land
 # in mcheck-cex.*.

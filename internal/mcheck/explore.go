@@ -1,6 +1,7 @@
 package mcheck
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/obs"
@@ -27,24 +28,36 @@ type edge struct{ from, to int32 }
 // It returns an error only when the search itself cannot finish
 // (MaxStates exceeded); protocol problems are reported in
 // Result.Violation.
-func (ck *Checker) Explore() (*Result, error) {
+//
+// The BFS frontier holds each new state's canonical key, the string
+// visited already owns, and a dequeued key is decoded into the
+// Checker's scratch state; successors and canonicalization candidates
+// come from the Checker's free list and go back to it. So at steady
+// state the search allocates only per new state: its key, and its
+// share of the growth of visited, nodes, edges and the frontier.
+func (ck *Checker) Explore() (*Result, error) { return ck.explore(nil) }
+
+// explore is Explore; a non-nil dequeued is called with every key the
+// search takes off the frontier.
+func (ck *Checker) explore(dequeued func(key string)) (*Result, error) {
 	cfg := ck.cfg
+	ck.scratch()
 	cov := map[string]int{}
 	res := &Result{Coverage: cov}
 
 	init := newState(cfg)
 	init.normalize()
-	key, rep := canonical(cfg, init)
+	key := string(ck.canonical(init))
 	visited := map[string]int32{key: 0}
 	nodes := []node{{parent: -1}}
 	var edges []edge
 
 	type qent struct {
 		idx int32
-		st  *state
+		key string
 	}
-	queue := []qent{{0, rep}}
-	setFlags(&nodes[0], rep, cfg)
+	queue := []qent{{0, key}}
+	setFlags(&nodes[0], init, cfg)
 
 	fail := func(idx int32, act action, hasAct bool, v *Violation) (*Result, error) {
 		v.acts = pathTo(nodes, idx)
@@ -60,53 +73,56 @@ func (ck *Checker) Explore() (*Result, error) {
 		return res, nil
 	}
 
+	cur := ck.free.Get() // the state being expanded, decoded from its key
 	for len(queue) > 0 {
-		cur := queue[0]
+		q := queue[0]
 		queue = queue[1:]
-		acts := ck.enumerate(cur.st)
-		if v := ck.checkDeadlock(cur.st, acts); v != nil {
-			return fail(cur.idx, action{}, false, v)
+		if dequeued != nil {
+			dequeued(q.key)
+		}
+		cur.decode(cfg, q.key)
+		acts := ck.enumerate(cur)
+		if v := ck.checkDeadlock(cur, acts); v != nil {
+			return fail(q.idx, action{}, false, v)
 		}
 
 		// Partial-order reduction: a delivery that provably does
 		// nothing but consume its message commutes with every other
 		// transition — commit the first such delivery immediately.
-		expand := acts
-		var preSucc map[int]*state
-		if ds := ck.pureDrop(cur.st, acts); ds != nil {
-			expand = []action{ds.act}
-			preSucc = map[int]*state{0: ds.succ}
+		drop, dropSucc := ck.pureDrop(cur, acts)
+		if dropSucc != nil {
+			acts = append(acts[:0], drop)
 		}
 
-		for i, act := range expand {
-			var succ *state
-			var v *Violation
-			if preSucc != nil && preSucc[i] != nil {
-				succ = preSucc[i]
-			} else {
-				succ, v = ck.apply(cur.st, act, nil, cov, 0)
+		for _, act := range acts {
+			succ, v := dropSucc, (*Violation)(nil)
+			if succ == nil {
+				succ, v = ck.apply(cur, act, nil, cov, 0)
 			}
 			if v != nil {
-				return fail(cur.idx, act, true, v)
+				return fail(q.idx, act, true, v)
 			}
 			if v = ck.checkState(succ); v != nil {
-				return fail(cur.idx, act, true, v)
+				return fail(q.idx, act, true, v)
 			}
-			k, srep := canonical(cfg, succ)
-			if to, ok := visited[k]; ok {
-				edges = append(edges, edge{cur.idx, to})
+			k := ck.canonical(succ)
+			if to, ok := visited[string(k)]; ok {
+				ck.free.Put(succ)
+				edges = append(edges, edge{q.idx, to})
 				continue
 			}
 			if len(nodes) >= cfg.MaxStates {
 				return nil, fmt.Errorf("mcheck: state space exceeds MaxStates=%d", cfg.MaxStates)
 			}
 			to := int32(len(nodes))
-			visited[k] = to
-			nd := node{parent: cur.idx, depth: nodes[cur.idx].depth + 1, act: act}
-			setFlags(&nd, srep, cfg)
+			key := string(k)
+			visited[key] = to
+			nd := node{parent: q.idx, depth: nodes[q.idx].depth + 1, act: act}
+			setFlags(&nd, succ, cfg) // the flags are symmetric: succ's equal its canonical form's
+			ck.free.Put(succ)
 			nodes = append(nodes, nd)
-			edges = append(edges, edge{cur.idx, to})
-			queue = append(queue, qent{to, srep})
+			edges = append(edges, edge{q.idx, to})
+			queue = append(queue, qent{to, key})
 		}
 	}
 
@@ -184,12 +200,13 @@ func workInFlight(s *state) bool {
 	return false
 }
 
-// enumerate lists every enabled action in deterministic order.
+// enumerate lists every enabled action in deterministic order. The
+// result is the Checker's buffer, valid until the next call.
 func (ck *Checker) enumerate(s *state) []action {
 	cfg := ck.cfg
 	n := cfg.L1s
 	nodes := n + 2
-	var out []action
+	out := ck.acts[:0]
 	// 1. wired deliveries
 	for a := 0; a < nodes; a++ {
 		for b := 0; b < nodes; b++ {
@@ -260,6 +277,7 @@ func (ck *Checker) enumerate(s *state) []action {
 			}
 		}
 	}
+	ck.acts = out
 	return out
 }
 
@@ -309,35 +327,64 @@ func (ck *Checker) checkDeadlock(s *state, acts []action) *Violation {
 	return &Violation{Kind: "deadlock", Msg: "work in flight but no delivery, wireless serialization, or tone commit is enabled"}
 }
 
-type dropResult struct {
-	act  action
-	succ *state
-}
-
 // pureDrop looks for a delivery whose successor equals the parent
 // minus the delivered message: such a delivery commutes with every
 // other enabled transition and strictly decreases the message
 // measure, so committing it first preserves all reachable states and
-// all violations.
-func (ck *Checker) pureDrop(s *state, acts []action) *dropResult {
+// all violations. It returns the first such delivery and its
+// successor, or a nil successor when there is none.
+func (ck *Checker) pureDrop(s *state, acts []action) (action, *state) {
 	cfg := ck.cfg
+	minus := ck.free.Get()
+	defer ck.free.Put(minus)
 	for _, act := range acts {
 		if act.kind != actDeliver {
 			continue
 		}
 		succ, v := ck.apply(s, act, nil, nil, 0)
 		if v != nil {
-			return nil // let the main loop rediscover and report it
+			ck.free.Put(succ)
+			return action{}, nil // let the main loop rediscover and report it
 		}
-		minus := s.clone()
+		s.copyInto(minus)
 		ch := &minus.chans[chIdx(cfg, int(act.a), int(act.b))]
-		*ch = append([]msg(nil), (*ch)[1:]...)
+		*ch = (*ch)[:copy(*ch, (*ch)[1:])]
 		minus.normalize()
-		if succ.encode(cfg) == minus.encode(cfg) {
-			return &dropResult{act, succ}
+		ck.key = succ.encode(ck.key[:0])
+		ck.alt = minus.encode(ck.alt[:0])
+		if bytes.Equal(ck.key, ck.alt) {
+			return act, succ
 		}
+		ck.free.Put(succ)
 	}
-	return nil
+	return action{}, nil
+}
+
+// copyOf is one copy of a line's data that checkState compares: an
+// L1's line or victim buffer, the LLC's copy or memory's.
+type copyOf struct {
+	core     int8 // L1 id, or atLLC / atMemory
+	st       byte // the L1 line's state
+	victim   bool
+	val, ver byte
+}
+
+const (
+	atLLC    int8 = -1
+	atMemory int8 = -2
+)
+
+// where names the copy in a violation message.
+func (c copyOf) where() string {
+	switch {
+	case c.core == atLLC:
+		return "LLC"
+	case c.core == atMemory:
+		return "memory"
+	case c.victim:
+		return fmt.Sprintf("core %d victim", c.core)
+	}
+	return fmt.Sprintf("core %d (%s)", c.core, l1Names[c.st])
 }
 
 // checkState enforces the per-state safety invariants: SWMR and
@@ -363,37 +410,34 @@ func (ck *Checker) checkState(s *state) *Violation {
 			return &Violation{Kind: "swmr", Msg: fmt.Sprintf("line %d has a wired owner plus %d other valid copies", li, valid-1)}
 		}
 		// Same version, same value — across caches, victims, LLC, memory.
-		type copyOf struct {
-			where    string
-			val, ver byte
-		}
-		var copies []copyOf
+		var buf [2*4 + 2]copyOf // every L1 line and victim, the LLC, memory
+		copies := buf[:0]
 		for c := 0; c < cfg.L1s; c++ {
 			L := s.l1[c*cfg.Lines+li]
 			if L.st != sI {
-				copies = append(copies, copyOf{fmt.Sprintf("core %d (%s)", c, l1Names[L.st]), L.val, L.ver})
+				copies = append(copies, copyOf{int8(c), L.st, false, L.val, L.ver})
 			}
 			if L.vic {
-				copies = append(copies, copyOf{fmt.Sprintf("core %d victim", c), L.vicVal, L.vicVer})
+				copies = append(copies, copyOf{int8(c), L.st, true, L.vicVal, L.vicVer})
 			}
 		}
 		d := s.dir[li]
 		if d.exists && d.hasData {
-			copies = append(copies, copyOf{"LLC", d.val, d.ver})
+			copies = append(copies, copyOf{core: atLLC, val: d.val, ver: d.ver})
 		}
-		copies = append(copies, copyOf{"memory", s.memVal[li], s.memVer[li]})
+		copies = append(copies, copyOf{core: atMemory, val: s.memVal[li], ver: s.memVer[li]})
 		for i := range copies {
 			for j := i + 1; j < len(copies); j++ {
 				if copies[i].ver == copies[j].ver && copies[i].val != copies[j].val {
 					return &Violation{Kind: "integrity", Msg: fmt.Sprintf(
 						"line %d version %d has two values: %s=%d vs %s=%d",
-						li, copies[i].ver, copies[i].where, copies[i].val, copies[j].where, copies[j].val)}
+						li, copies[i].ver, copies[i].where(), copies[i].val, copies[j].where(), copies[j].val)}
 				}
 			}
 			if copies[i].ver == s.curVer[li] && copies[i].val != s.curVal[li] {
 				return &Violation{Kind: "integrity", Msg: fmt.Sprintf(
 					"line %d: %s carries version %d with value %d, serialized value is %d",
-					li, copies[i].where, copies[i].ver, copies[i].val, s.curVal[li])}
+					li, copies[i].where(), copies[i].ver, copies[i].val, s.curVal[li])}
 			}
 		}
 	}
@@ -487,9 +531,20 @@ func (ck *Checker) checkQuiescent(s *state) *Violation {
 // and W-demotion completion (every busy:w-to-s state can leave it)
 // by backward reachability over the explored graph.
 func (ck *Checker) checkLiveness(nodes []node, edges []edge, cfg Config) *Violation {
-	rev := make([][]int32, len(nodes))
+	// The reverse graph in compressed rows: the predecessors of v are
+	// pred[start[v]:start[v+1]].
+	start := make([]int32, len(nodes)+1)
 	for _, e := range edges {
-		rev[e.to] = append(rev[e.to], e.from)
+		start[e.to+1]++
+	}
+	for v := range nodes {
+		start[v+1] += start[v]
+	}
+	pred := make([]int32, len(edges))
+	fill := append([]int32(nil), start[:len(nodes)]...)
+	for _, e := range edges {
+		pred[fill[e.to]] = e.from
+		fill[e.to]++
 	}
 	reach := func(target func(n *node) bool) []bool {
 		ok := make([]bool, len(nodes))
@@ -503,7 +558,7 @@ func (ck *Checker) checkLiveness(nodes []node, edges []edge, cfg Config) *Violat
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, u := range rev[v] {
+			for _, u := range pred[start[v]:start[v+1]] {
 				if !ok[u] {
 					ok[u] = true
 					stack = append(stack, u)
@@ -545,17 +600,19 @@ func (ck *Checker) Counterexample(v *Violation) []obs.Event {
 	if v == nil {
 		return nil
 	}
+	ck.scratch()
 	var events []obs.Event
 	emit := func(e obs.Event) { events = append(events, e) }
 	cur := newState(ck.cfg)
 	cur.normalize()
-	_, cur = canonical(ck.cfg, cur)
+	cur.decode(ck.cfg, string(ck.canonical(cur)))
 	for i, act := range v.acts {
 		succ, verr := ck.apply(cur, act, emit, nil, uint64(i+1))
 		if verr != nil {
 			break
 		}
-		_, cur = canonical(ck.cfg, succ)
+		cur.decode(ck.cfg, string(ck.canonical(succ)))
+		ck.free.Put(succ)
 	}
 	return events
 }

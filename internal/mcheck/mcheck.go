@@ -53,13 +53,14 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/pool"
 	"repro/internal/protomodel"
 )
 
 // Config sizes the model. The zero value is not useful; start from
 // DefaultConfig.
 type Config struct {
-	L1s    int // number of L1 caches (2 or 3)
+	L1s    int // number of L1 caches (2..4)
 	Lines  int // number of cache lines (1 or 2)
 	Values int // distinct symbolic store values (>= 1)
 
@@ -100,7 +101,7 @@ const DefaultMaxStates = 4_000_000
 // two symbolic values, channel bound 2 — big enough to exercise every
 // protocol regime (wired MESI, S->W upgrade, wireless updates, decay,
 // W->S demotion, directory eviction) while staying exhaustively
-// explorable in about a minute (~1M canonical states).
+// explorable in under half a minute (~1M canonical states).
 func DefaultConfig() Config {
 	return Config{
 		L1s:              3,
@@ -196,11 +197,27 @@ func (r *rel) hasRow(from, event string) bool {
 }
 
 // Checker explores one configured model against one extracted (or
-// spec-derived) protocol model.
+// spec-derived) protocol model. It owns the scratch its explorations
+// reuse, so one Checker explores at a time; separate Checkers may run
+// concurrently.
 type Checker struct {
 	cfg  Config
 	dirM *rel
 	l1M  *rel
+
+	// Exploration scratch, set up by the first Explore or
+	// Counterexample (not by New, so building a Checker stays cheap).
+	perms    [][]int          // every permutation of the L1 ids, identity first
+	free     pool.Free[state] // states between uses: successors, candidates
+	key, alt []byte           // canonical's encode buffers; key holds the least
+	acts     []action         // enumerate's result buffer
+}
+
+// scratch allocates the exploration scratch on first use.
+func (ck *Checker) scratch() {
+	if ck.perms == nil {
+		ck.perms = permutations(ck.cfg.L1s)
+	}
 }
 
 // New builds a Checker. The model must contain "dir" and "l1"

@@ -2,6 +2,7 @@ package mcheck
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/addrspace"
 	"repro/internal/obs"
@@ -64,7 +65,7 @@ type ctx struct {
 // any violation the step itself detected). The caller owns invariant
 // checks over the resulting state.
 func (ck *Checker) apply(s *state, act action, emit func(obs.Event), cov map[string]int, cycle uint64) (*state, *Violation) {
-	x := &ctx{ck: ck, cfg: ck.cfg, s: s.clone(), emit: emit, cov: cov, cycle: cycle}
+	x := &ctx{ck: ck, cfg: ck.cfg, s: ck.clone(s), emit: emit, cov: cov, cycle: cycle}
 	switch act.kind {
 	case actDeliver:
 		x.deliver(int(act.a), int(act.b))
@@ -169,6 +170,34 @@ func dirFSMName(d *dirLine) string {
 	return dirNames[d.st]
 }
 
+// Coverage keys of the FSM states a hop enters: "l1:" or "dir:" and
+// the state's name, built once so that counting a hop allocates
+// nothing.
+var (
+	l1CovKeys   = prefixed("l1:", l1Names[:])
+	dirCovKeys  = prefixed("dir:", dirNames[:])
+	busyCovKeys = prefixed("dir:", busyNames[:])
+)
+
+func prefixed(prefix string, names []string) []string {
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = prefix + n
+	}
+	return out
+}
+
+// dirCovKey is the coverage key of dirFSMName(d).
+func dirCovKey(d *dirLine) string {
+	switch {
+	case !d.exists:
+		return dirCovKeys[dI]
+	case d.busy != bNone:
+		return busyCovKeys[d.busy]
+	}
+	return dirCovKeys[d.st]
+}
+
 func (x *ctx) checkHop(r *rel, from, to string) {
 	if x.viol != nil {
 		return
@@ -187,7 +216,7 @@ func (x *ctx) dirSet(li int, st, busy byte) {
 	if from == to {
 		return
 	}
-	x.count("dir:" + to)
+	x.count(dirCovKey(d))
 	x.checkHop(x.ck.dirM, from, to)
 }
 
@@ -199,7 +228,7 @@ func (x *ctx) l1Set(core, li int, st byte) {
 	if from == l1Names[st] {
 		return
 	}
-	x.count("l1:" + l1Names[st])
+	x.count(l1CovKeys[st])
 	x.checkHop(x.ck.l1M, from, l1Names[st])
 }
 
@@ -266,7 +295,7 @@ func (x *ctx) queuedUpd(core, li int) int {
 
 func (x *ctx) removeWtx(i int) wtx {
 	w := x.s.wq[i]
-	x.s.wq = append(x.s.wq[:i:i], x.s.wq[i+1:]...)
+	x.s.wq = slices.Delete(x.s.wq, i, i+1)
 	return w
 }
 
@@ -469,7 +498,7 @@ func (x *ctx) deliver(src, dst int) {
 		return
 	}
 	m := (*ch)[0]
-	*ch = append([]msg(nil), (*ch)[1:]...)
+	*ch = (*ch)[:copy(*ch, (*ch)[1:])]
 	x.note(obs.EvMsgRecv, dst, src, m.line, uint64(m.typ), 0)
 	x.event = mtNames[m.typ]
 	switch {

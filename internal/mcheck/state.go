@@ -1,8 +1,8 @@
 package mcheck
 
 import (
-	"sort"
-	"sync"
+	"bytes"
+	"slices"
 )
 
 // L1 line states.
@@ -222,11 +222,14 @@ func newState(cfg Config) *state {
 	return s
 }
 
-// statePool recycles state shells (and their slice capacity) between
-// canonicalizations. canonical returns its losing scratch here and
-// clone draws from it, so the exploration loop reaches a steady state
-// with near-zero per-state slice allocation.
-var statePool = sync.Pool{New: func() any { return new(state) }}
+// grow returns s resized to n elements, reusing its capacity when it
+// suffices. Elements kept from s hold whatever they held before.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
 
 // copyInto overwrites dst with a deep copy of s, reusing dst's
 // existing slice capacity wherever it suffices. dst must not alias s.
@@ -239,47 +242,43 @@ func (s *state) copyInto(dst *state) {
 	dst.seen = append(dst.seen[:0], s.seen...)
 	dst.wq = append(dst.wq[:0], s.wq...)
 	dst.ops = s.ops
-	if cap(dst.dir) < len(s.dir) {
-		dst.dir = make([]dirLine, len(s.dir))
-	}
-	dst.dir = dst.dir[:len(s.dir)]
+	dst.dir = grow(dst.dir, len(s.dir))
 	for i := range s.dir {
 		def := dst.dir[i].deferred
 		dst.dir[i] = s.dir[i]
 		dst.dir[i].deferred = append(def[:0], s.dir[i].deferred...)
 	}
-	if len(dst.chans) != len(s.chans) {
-		dst.chans = make([][]msg, len(s.chans))
-	}
+	dst.chans = grow(dst.chans, len(s.chans))
 	for i := range s.chans {
 		dst.chans[i] = append(dst.chans[i][:0], s.chans[i]...)
 	}
 }
 
-func (s *state) clone() *state {
-	c := statePool.Get().(*state)
+// clone returns a deep copy of s drawn from the Checker's free list.
+func (ck *Checker) clone(s *state) *state {
+	c := ck.free.Get()
 	s.copyInto(c)
 	return c
 }
 
-func wtxLess(a, b wtx) bool {
+// wtxCmp orders wireless transmissions by every field, so entries it
+// ranks equal are identical and an unstable sort is deterministic.
+func wtxCmp(a, b wtx) int {
 	if a.kind != b.kind {
-		return a.kind < b.kind
+		return int(a.kind) - int(b.kind)
 	}
 	if a.sender != b.sender {
-		return a.sender < b.sender
+		return int(a.sender) - int(b.sender)
 	}
 	if a.line != b.line {
-		return a.line < b.line
+		return int(a.line) - int(b.line)
 	}
-	return a.val < b.val
+	return int(a.val) - int(b.val)
 }
 
 // normalize restores the canonical invariants a state carries between
 // transitions: the wireless queue is sorted (it is a set).
-func (s *state) normalize() {
-	sort.Slice(s.wq, func(i, j int) bool { return wtxLess(s.wq[i], s.wq[j]) })
-}
+func (s *state) normalize() { slices.SortFunc(s.wq, wtxCmp) }
 
 func boolByte(b bool) byte {
 	if b {
@@ -294,17 +293,12 @@ func appendMsg(buf []byte, m msg) []byte {
 		m.val, m.ver)
 }
 
-// encode serializes the state into a deterministic byte string.
-// There is no free-running request-id counter to exclude: fresh IDs
-// are allocated as max(outstanding)+1 per (core, line), which
-// composes with the order-preserving renormalization below.
-// encPool recycles encode buffers; only the final string conversion
-// allocates on the hot path.
-var encPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
-
-func (s *state) encode(cfg Config) string {
-	bp := encPool.Get().(*[]byte)
-	buf := (*bp)[:0]
+// encode appends the state's deterministic byte encoding to buf and
+// returns the extended buffer. There is no free-running request-id
+// counter to exclude: fresh IDs are allocated as max(outstanding)+1
+// per (core, line), which composes with the order-preserving
+// renormalization below. decode is its inverse.
+func (s *state) encode(buf []byte) []byte {
 	for i := range s.l1 {
 		L := &s.l1[i]
 		buf = append(buf, L.st, L.val, L.ver,
@@ -340,11 +334,92 @@ func (s *state) encode(cfg Config) string {
 	for _, w := range s.wq {
 		buf = append(buf, w.kind, w.sender, w.line, w.val)
 	}
-	buf = append(buf, s.ops)
-	out := string(buf)
-	*bp = buf
-	encPool.Put(bp)
-	return out
+	return append(buf, s.ops)
+}
+
+// keyReader walks an encoded state byte by byte.
+type keyReader struct {
+	key string
+	off int
+}
+
+func (r *keyReader) next() byte {
+	b := r.key[r.off]
+	r.off++
+	return b
+}
+
+func (r *keyReader) u16() uint16 {
+	lo := r.next()
+	return uint16(lo) | uint16(r.next())<<8
+}
+
+// bytes overwrites dst with the next n bytes.
+func (r *keyReader) bytes(dst []byte, n int) []byte {
+	dst = append(dst[:0], r.key[r.off:r.off+n]...)
+	r.off += n
+	return dst
+}
+
+func (r *keyReader) msg() msg {
+	m := msg{typ: r.next(), line: r.next(), req: r.next(), reqID: r.next()}
+	f := r.next()
+	m.isSharer, m.needAck, m.hasData = f&1 != 0, f&2 != 0, f&4 != 0
+	m.val, m.ver = r.next(), r.next()
+	return m
+}
+
+// decode overwrites s with the state whose encoding is key, reusing
+// s's slice capacity. It is the inverse of encode: every field encode
+// writes is restored, so a dequeued frontier key becomes the state it
+// was encoded from.
+func (s *state) decode(cfg Config, key string) {
+	r := keyReader{key: key}
+	n := cfg.L1s
+	s.l1 = grow(s.l1, n*cfg.Lines)
+	s.seen = grow(s.seen, n*cfg.Lines)
+	for i := range s.l1 {
+		L := &s.l1[i]
+		L.st, L.val, L.ver = r.next(), r.next(), r.next()
+		f := r.next()
+		L.dirty, L.nonEvict, L.vic, L.vicDirty = f&1 != 0, f&2 != 0, f&4 != 0, f&8 != 0
+		L.upd, L.vicVal, L.vicVer = r.next(), r.next(), r.next()
+		f = r.next()
+		L.pend, L.pShare, L.pTone, L.pInv = f&1 != 0, f&2 != 0, f&4 != 0, f&8 != 0
+		L.pKind, L.pVal, L.pReqID = r.next(), r.next(), r.next()
+		s.seen[i] = r.next()
+	}
+	s.dir = grow(s.dir, cfg.Lines)
+	for i := range s.dir {
+		d := &s.dir[i]
+		d.exists, d.st, d.busy = r.next() != 0, r.next(), r.next()
+		d.sharers, d.owner = r.u16(), r.next()
+		f := r.next()
+		d.ownerDty, d.hasData, d.dirty, d.tWaitTone = f&1 != 0, f&2 != 0, f&4 != 0, f&8 != 0
+		d.wcount, d.staleW = r.next(), r.u16()
+		d.val, d.ver, d.faultF = r.next(), r.next(), r.next()
+		d.tReq, d.tReqType, d.tReqID, d.tAcks = r.next(), r.next(), r.next(), int8(r.next())
+		d.tAckIDs, d.tNewCount = r.u16(), r.next()
+		d.deferred = d.deferred[:0]
+		for k := r.next(); k > 0; k-- {
+			d.deferred = append(d.deferred, r.msg())
+		}
+	}
+	s.memVal, s.memVer = r.bytes(s.memVal, cfg.Lines), r.bytes(s.memVer, cfg.Lines)
+	s.curVer, s.curVal = r.bytes(s.curVer, cfg.Lines), r.bytes(s.curVal, cfg.Lines)
+	s.chans = grow(s.chans, (n+2)*(n+2))
+	for i := range s.chans {
+		ch := s.chans[i][:0]
+		for k := r.next(); k > 0; k-- {
+			ch = append(ch, r.msg())
+		}
+		s.chans[i] = ch
+	}
+	s.wq = s.wq[:0]
+	for k := r.next(); k > 0; k-- {
+		s.wq = append(s.wq, wtx{kind: r.next(), sender: r.next(), line: r.next(), val: r.next()})
+	}
+	s.ops = r.next()
 }
 
 // chIdx addresses the directed channel src -> dst.
@@ -381,24 +456,15 @@ func (s *state) permuteInto(cfg Config, perm []int, dst *state) {
 	dst.curVer = append(dst.curVer[:0], s.curVer...)
 	dst.curVal = append(dst.curVal[:0], s.curVal...)
 	dst.ops = s.ops
-	if cap(dst.l1) < len(s.l1) {
-		dst.l1 = make([]l1Line, len(s.l1))
-	}
-	dst.l1 = dst.l1[:len(s.l1)]
-	if cap(dst.seen) < len(s.seen) {
-		dst.seen = make([]byte, len(s.seen))
-	}
-	dst.seen = dst.seen[:len(s.seen)]
+	dst.l1 = grow(dst.l1, len(s.l1))
+	dst.seen = grow(dst.seen, len(s.seen))
 	for c := 0; c < n; c++ {
 		for ln := 0; ln < cfg.Lines; ln++ {
 			dst.l1[perm[c]*cfg.Lines+ln] = s.l1[c*cfg.Lines+ln]
 			dst.seen[perm[c]*cfg.Lines+ln] = s.seen[c*cfg.Lines+ln]
 		}
 	}
-	if cap(dst.dir) < len(s.dir) {
-		dst.dir = make([]dirLine, len(s.dir))
-	}
-	dst.dir = dst.dir[:len(s.dir)]
+	dst.dir = grow(dst.dir, len(s.dir))
 	for i := range s.dir {
 		def := dst.dir[i].deferred
 		dst.dir[i] = s.dir[i]
@@ -413,9 +479,7 @@ func (s *state) permuteInto(cfg Config, perm []int, dst *state) {
 			d.deferred[j] = mapMsg(d.deferred[j])
 		}
 	}
-	if len(dst.chans) != len(s.chans) {
-		dst.chans = make([][]msg, len(s.chans))
-	}
+	dst.chans = grow(dst.chans, len(s.chans))
 	for a := 0; a < nodes; a++ {
 		for b := 0; b < nodes; b++ {
 			src, dst2 := a, b
@@ -616,47 +680,32 @@ func forEachMsg(s *state, nodes int, fn func(src, dst int, m *msg)) {
 	}
 }
 
-// canonical produces the symmetry-reduced canonical key: the state is
-// renormalized, then minimized over every permutation of the L1
-// identities. The returned state is the canonical representative (the
-// permuted+renormalized state whose encoding is minimal).
-func canonical(cfg Config, s *state) (string, *state) {
-	best := s.clone()
-	best.normalize()
-	best.renorm(cfg)
-	bestKey := best.encode(cfg)
-	perms := permutations(cfg.L1s)
-	cand := statePool.Get().(*state)
-	for _, perm := range perms {
-		if identity(perm) {
-			continue
-		}
+// canonical returns the symmetry-reduced canonical key of s: the
+// state is renormalized, then minimized over every permutation of the
+// L1 identities, and the smallest encoding wins. s is left unchanged.
+// The key is the Checker's buffer, valid until the next call, so a
+// caller that keeps it converts it to a string; decode rebuilds the
+// canonical representative from it.
+func (ck *Checker) canonical(s *state) []byte {
+	cfg := ck.cfg
+	cand := ck.clone(s)
+	cand.normalize()
+	cand.renorm(cfg)
+	ck.key = cand.encode(ck.key[:0])
+	for _, perm := range ck.perms[1:] { // perms[0] is the identity
 		s.permuteInto(cfg, perm, cand)
 		cand.renorm(cfg)
-		if k := cand.encode(cfg); k < bestKey {
-			bestKey = k
-			best, cand = cand, best
+		ck.alt = cand.encode(ck.alt[:0])
+		if bytes.Compare(ck.alt, ck.key) < 0 {
+			ck.key, ck.alt = ck.alt, ck.key
 		}
 	}
-	statePool.Put(cand)
-	return bestKey, best
+	ck.free.Put(cand)
+	return ck.key
 }
 
-func identity(perm []int) bool {
-	for i, v := range perm {
-		if i != v {
-			return false
-		}
-	}
-	return true
-}
-
-var permCache = map[int][][]int{}
-
+// permutations lists every permutation of 0..n-1, the identity first.
 func permutations(n int) [][]int {
-	if p, ok := permCache[n]; ok {
-		return p
-	}
 	var out [][]int
 	perm := make([]int, n)
 	for i := range perm {
@@ -675,6 +724,5 @@ func permutations(n int) [][]int {
 		}
 	}
 	rec(0)
-	permCache[n] = out
 	return out
 }
