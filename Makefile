@@ -59,8 +59,9 @@ mcheck:
 # the .widirspec parser (FuzzParseSpec), the result cache's entry
 # decoding (FuzzCacheGet), the core's compute drain against a core
 # that ticks through every cycle (FuzzCoreDrain), the L1 array against
-# the flat array it replaced (FuzzCacheArray) and widirsim's -config
-# loader through NewSystem (FuzzLoadConfig). The seed corpora under each
+# the flat array it replaced (FuzzCacheArray), widirsim's -config
+# loader through NewSystem (FuzzLoadConfig) and widirsim's -class
+# event-kind parser (FuzzParseKinds). The seed corpora under each
 # package's testdata/fuzz (or added in code) run in `make test` already. -fuzzminimizetime caps the
 # minimization of each new input at 100 runs: Go's 60 s default spends
 # a short window minimizing instead of fuzzing.
@@ -72,5 +73,6 @@ fuzz-smoke:
 	$(GO) test ./internal/cpu -run '^$$' -fuzz '^FuzzCoreDrain$$' -fuzztime 5s -fuzzminimizetime 100x
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheArray$$' -fuzztime 5s -fuzzminimizetime 100x
 	$(GO) test ./cmd/widirsim -run '^$$' -fuzz '^FuzzLoadConfig$$' -fuzztime 5s -fuzzminimizetime 100x
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseKinds$$' -fuzztime 5s -fuzzminimizetime 100x
 
 check: build vet lint mcheck test race

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/addrspace"
 	"repro/internal/cache"
@@ -18,7 +19,7 @@ import (
 type mockEnv struct {
 	now    uint64
 	events engine.Queue
-	wchan  *wireless.Channel
+	wchan  *wireless.Channel[Msg]
 	nodes  int
 
 	l1s    []*L1Ctrl
@@ -38,13 +39,13 @@ type wiredMsg struct {
 
 func newMockEnv(nodes int) *mockEnv {
 	e := &mockEnv{nodes: nodes, memory: NewMemoryImage()}
-	e.wchan = wireless.NewChannel(xrand.New(1))
-	e.wchan.SetBroadcast(func(now uint64, msg wireless.Message) {
+	e.wchan = wireless.NewChannel[Msg](xrand.New(1))
+	e.wchan.SetBroadcast(func(now uint64, msg wireless.Message[Msg]) {
 		for _, l1 := range e.l1s {
-			l1.HandleWireless(now, msg.Sender, msg.Payload)
+			l1.HandleWireless(now, &msg.Payload)
 		}
 		for _, h := range e.homes {
-			h.HandleWireless(now, msg.Sender, msg.Payload)
+			h.HandleWireless(now, &msg.Payload)
 		}
 	})
 	l1cfg := L1Config{
@@ -74,8 +75,8 @@ func (e *mockEnv) SendWired(src, dst int, port PortKind, m Msg) {
 // does not recycle them.
 func (e *mockEnv) FreeMsg(*Msg) {}
 
-func (e *mockEnv) TransmitWireless(sender int, line addrspace.Line, payload any, privileged bool, cb TxCallback) uint64 {
-	return e.wchan.Transmit(wireless.Message{Sender: sender, Line: line, Payload: payload, Privileged: privileged}, cb)
+func (e *mockEnv) TransmitWireless(m Msg, privileged bool, cb TxCallback) uint64 {
+	return e.wchan.Transmit(wireless.Message[Msg]{Sender: m.Src, Line: m.Line, Payload: m, Privileged: privileged}, cb)
 }
 func (e *mockEnv) CancelWireless(tx uint64) bool { return e.wchan.Cancel(tx) }
 
@@ -496,6 +497,18 @@ func TestMsgBytes(t *testing.T) {
 	d := &Msg{Type: MsgDataM, HasData: true}
 	if d.Bytes() != 8+addrspace.LineSize {
 		t.Fatalf("data bytes = %d", d.Bytes())
+	}
+}
+
+// TestMsgSize pins a Msg at 120 bytes on 64-bit hosts: a WirUpd's word
+// index rides in the padding after the flags, and every pooled wired
+// message and queued broadcast is a Msg.
+func TestMsgSize(t *testing.T) {
+	if unsafe.Sizeof(int(0)) != 8 {
+		t.Skip("sized for 64-bit ints")
+	}
+	if n := unsafe.Sizeof(Msg{}); n != 120 {
+		t.Fatalf("Msg is %d bytes, want 120", n)
 	}
 }
 

@@ -751,7 +751,7 @@ func (h *HomeCtrl) evictVictim() bool {
 				Node: int32(h.id), Other: obs.NoNode, Line: victim.Line,
 				A: uint64(victim.SharerCount)})
 		}
-		h.env.TransmitWireless(h.id, victim.Line, WirInv{Line: victim.Line, Home: h.id}, true, &t.evict)
+		h.env.TransmitWireless(Msg{Type: MsgWirInv, Line: victim.Line, Src: h.id}, true, &t.evict)
 		return true
 	}
 	return false
@@ -1029,7 +1029,7 @@ func (h *HomeCtrl) startSToW(e *DirEntry, m *Msg) {
 	e.busy = t
 	h.env.Jam(e.Line, h.id)
 	t.upgrade = upgrade{h: h, e: e, t: t, newCount: e.sharerCountNow() + 1}
-	h.env.TransmitWireless(h.id, e.Line, BrWirUpgr{Line: e.Line, Home: h.id}, true, &t.upgrade)
+	h.env.TransmitWireless(Msg{Type: MsgBrWirUpgr, Line: e.Line, Src: h.id}, true, &t.upgrade)
 
 	// Concurrently, the requester gets the line over the wired NoC; no
 	// WirUpgrAck is needed — its tone drop completes the handshake.
@@ -1039,23 +1039,23 @@ func (h *HomeCtrl) startSToW(e *DirEntry, m *Msg) {
 }
 
 // HandleWireless processes broadcasts observed by the home's own
-// transceiver. The home merges WirUpd payloads into the LLC copy so the
-// slice always holds the current data for W lines.
-func (h *HomeCtrl) HandleWireless(now uint64, sender int, payload any) {
-	upd, ok := payload.(*WirUpd)
-	if !ok {
+// transceiver. The home merges WirUpd writes into the LLC copy so the
+// slice always holds the current data for W lines; it ignores its own
+// and other homes' broadcasts.
+func (h *HomeCtrl) HandleWireless(now uint64, m *Msg) {
+	if m.Type != MsgWirUpd {
 		return
 	}
-	e := h.Entry(upd.Line)
-	if e == nil || h.env.HomeOf(upd.Line) != h.id {
+	e := h.Entry(m.Line)
+	if e == nil || h.env.HomeOf(m.Line) != h.id {
 		return
 	}
 	if e.State != DirWireless {
 		// A stray update can only appear if serialization broke.
-		h.fail(upd.Line, "WirUpd from %d in state %v", sender, e.State)
+		h.fail(m.Line, "WirUpd from %d in state %v", m.Src, e.State)
 		return
 	}
-	e.Words[upd.Word] = upd.Value
+	e.Words[m.Word] = m.Words[m.Word]
 	e.Dirty = true
 	e.faultFails = 0 // the wireless medium delivered; reset demotion count
 	// Fig. 5 metric: sharers updated by this write (the other caches
@@ -1201,7 +1201,7 @@ func (h *HomeCtrl) startWToS(e *DirEntry) {
 	t := h.newTxn(txn{kind: txWToS, acksLeft: e.SharerCount})
 	e.busy = t
 	h.env.Jam(e.Line, h.id)
-	t.cancelTx = h.env.TransmitWireless(h.id, e.Line, WirDwgr{Line: e.Line, Home: h.id}, true, nil)
+	t.cancelTx = h.env.TransmitWireless(Msg{Type: MsgWirDwgr, Line: e.Line, Src: h.id}, true, nil)
 	if t.acksLeft == 0 {
 		h.maybeFinishWToS(e)
 	}

@@ -117,7 +117,7 @@ type wirelessWrite struct {
 	word   int
 	req    *MemRequest
 	oldVal uint64 // RMW: value read at issue; aborted if line changes
-	upd    WirUpd // the payload; the broadcast carries a pointer to it
+	value  uint64 // the value the broadcast writes
 	tx     uint64 // the transmission's channel handle
 }
 
@@ -188,12 +188,9 @@ type L1Ctrl struct {
 	compFree pool.Free[completion]
 	pendFree pool.Free[pendingReq]
 	wwFree   pool.Free[wirelessWrite]
-	// wwRetired is the record whose broadcast may still be delivering
-	// (see retireWrite).
-	wwRetired *wirelessWrite
-	accFree   pool.Free[accessRunner]
-	nackFree  pool.Free[nackRetry]
-	parkFree  pool.Free[fillPark]
+	accFree  pool.Free[accessRunner]
+	nackFree pool.Free[nackRetry]
+	parkFree pool.Free[fillPark]
 
 	// Checker hooks (nil outside tests): see machine.Checker.
 	OnSerializedWrite func(now uint64, a addrspace.Addr, v uint64)
@@ -655,15 +652,16 @@ func (l *L1Ctrl) wirelessStore(ln *cache.Line, r *MemRequest) {
 	}
 	ww := l.wwFree.Get()
 	ww.l, ww.line, ww.word, ww.req, ww.oldVal = l, line, w, r, 0
-	value := r.Value
+	ww.value = r.Value
 	if r.IsRMW {
 		ww.oldVal = ln.Words[w]
 		ln.NonEvict = true // pin between read and write (§IV-C)
-		value = r.RMW.Apply(ww.oldVal, r.Value, r.Expected)
+		ww.value = r.RMW.Apply(ww.oldVal, r.Value, r.Expected)
 	}
 	l.wwrites.put(line, ww)
-	ww.upd = WirUpd{Line: line, Word: w, Value: value, Writer: l.id}
-	ww.tx = l.env.TransmitWireless(l.id, line, &ww.upd, false, ww)
+	upd := Msg{Type: MsgWirUpd, Line: line, Src: l.id, Word: uint8(w)}
+	upd.Words[w] = ww.value
+	ww.tx = l.env.TransmitWireless(upd, false, ww)
 }
 
 // freeWrite recycles a wireless-write record the channel no longer
@@ -671,18 +669,6 @@ func (l *L1Ctrl) wirelessStore(ln *cache.Line, r *MemRequest) {
 func (l *L1Ctrl) freeWrite(ww *wirelessWrite) {
 	ww.req = nil
 	l.wwFree.Put(ww)
-}
-
-// retireWrite recycles the record of this L1's previous serialized
-// write and holds on to ww instead: the channel delivers ww's payload
-// right after TxDone returns, and it serializes one broadcast at a
-// time, so by this L1's next TxDone that delivery is over.
-func (l *L1Ctrl) retireWrite(ww *wirelessWrite) {
-	if l.wwRetired != nil {
-		l.freeWrite(l.wwRetired)
-	}
-	ww.req = nil
-	l.wwRetired = ww
 }
 
 // wirelessTxDone runs at the serialization point of this node's WirUpd.
@@ -693,7 +679,7 @@ func (l *L1Ctrl) retireWrite(ww *wirelessWrite) {
 //proto:stop
 func (l *L1Ctrl) wirelessTxDone(ww *wirelessWrite) {
 	line := ww.line
-	defer l.retireWrite(ww)
+	defer l.freeWrite(ww)
 	l.wwrites.del(line)
 	l.wwFails.del(line) // the medium delivered; reset the backoff
 	ln := l.data.Lookup(line)
@@ -705,7 +691,7 @@ func (l *L1Ctrl) wirelessTxDone(ww *wirelessWrite) {
 	}
 	if ln != nil && ln.State == cache.Wireless {
 		ln.NonEvict = false
-		ln.Words[ww.word] = ww.upd.Value
+		ln.Words[ww.word] = ww.value
 		ln.UpdateCount = 0
 	}
 	l.Stats.WirelessWrites.Inc()
@@ -714,12 +700,12 @@ func (l *L1Ctrl) wirelessTxDone(ww *wirelessWrite) {
 			Node: int32(l.id), Other: obs.NoNode, Line: line,
 			A: ww.req.obsSpan, B: uint64(ww.word)})
 	}
-	l.serializeWrite(line.WordAddr(ww.word), ww.upd.Value)
+	l.serializeWrite(line.WordAddr(ww.word), ww.value)
 	if ww.req.IsRMW {
 		l.observeRead(line.WordAddr(ww.word), ww.oldVal)
 		l.completeNow(ww.req, ww.oldVal)
 	} else {
-		l.completeNow(ww.req, ww.upd.Value)
+		l.completeNow(ww.req, ww.value)
 	}
 	l.drainWaitersFor(line)
 }
@@ -1331,26 +1317,28 @@ func (l *L1Ctrl) evict(ln *cache.Line) {
 
 // HandleWireless processes a broadcast delivered to this node's
 // transceiver. Every node receives every successful transmission.
-func (l *L1Ctrl) HandleWireless(now uint64, sender int, payload any) {
-	switch p := payload.(type) {
-	case BrWirUpgr:
-		l.handleBrWirUpgr(p)
-	case *WirUpd:
-		if sender != l.id {
-			l.handleRemoteUpdate(*p)
+func (l *L1Ctrl) HandleWireless(now uint64, m *Msg) {
+	switch m.Type {
+	case MsgBrWirUpgr:
+		l.handleBrWirUpgr(m)
+	case MsgWirUpd:
+		if m.Src != l.id {
+			l.handleRemoteUpdate(m)
 		}
-	case WirDwgr:
-		l.handleWirDwgr(p)
-	case WirInv:
-		l.handleWirInv(p)
+	case MsgWirDwgr:
+		l.handleWirDwgr(m)
+	case MsgWirInv:
+		l.handleWirInv(m)
+	default:
+		// Wired messages never travel on the data channel.
 	}
 }
 
 // handleBrWirUpgr implements the cache side of the ToneAck operation
 // and the S->W transition (Table I).
-func (l *L1Ctrl) handleBrWirUpgr(p BrWirUpgr) {
-	ln := l.data.Lookup(p.Line)
-	pend, _ := l.pending.get(p.Line)
+func (l *L1Ctrl) handleBrWirUpgr(m *Msg) {
+	ln := l.data.Lookup(m.Line)
+	pend, _ := l.pending.get(m.Line)
 	if ln != nil && ln.State == cache.Shared {
 		ln.State = cache.Wireless
 		ln.UpdateCount = 0
@@ -1358,7 +1346,7 @@ func (l *L1Ctrl) handleBrWirUpgr(p BrWirUpgr) {
 			// Table I S->W case 2: our upgrade GetX raced the
 			// transition; the home will discard it. Resolve locally:
 			// the line is W now, issue the write wirelessly.
-			l.pending.del(p.Line)
+			l.pending.del(m.Line)
 			ln.NonEvict = false
 			l.wirelessStore(ln, pend.req)
 			l.redispatch(pend.waiters)
@@ -1381,28 +1369,28 @@ func (l *L1Ctrl) handleBrWirUpgr(p BrWirUpgr) {
 // handleRemoteUpdate merges a remote wireless write (Table I W->W) and
 // applies the UpdateCount decay rule. A pending local RMW observes the
 // update and aborts per §IV-C.
-func (l *L1Ctrl) handleRemoteUpdate(p WirUpd) {
-	ln := l.data.Lookup(p.Line)
+func (l *L1Ctrl) handleRemoteUpdate(m *Msg) {
+	ln := l.data.Lookup(m.Line)
 	if ln == nil || ln.State != cache.Wireless {
 		return
 	}
-	ln.Words[p.Word] = p.Value
+	ln.Words[m.Word] = m.Words[m.Word]
 	ln.UpdateCount++
 	l.Stats.UpdatesReceived.Inc()
 
-	if ww, busy := l.wwrites.get(p.Line); busy {
+	if ww, busy := l.wwrites.get(m.Line); busy {
 		if ww.req.IsRMW {
 			// §IV-C: an incoming update to the line between the RMW's
 			// read and the guaranteed transmission of its write fails
 			// the write; the whole RMW retries.
 			if !l.env.CancelWireless(ww.tx) {
-				l.fail(p.Line, "remote update delivered while the local transmission is active")
+				l.fail(m.Line, "remote update delivered while the local transmission is active")
 				return
 			}
-			l.wwrites.del(p.Line)
+			l.wwrites.del(m.Line)
 			ln.NonEvict = false
 			l.Stats.RMWRetries.Inc()
-			l.requeueShim(l.retryJitter(), ww.req, p.Line)
+			l.requeueShim(l.retryJitter(), ww.req, m.Line)
 			l.freeWrite(ww)
 		}
 		return
@@ -1412,17 +1400,17 @@ func (l *L1Ctrl) handleRemoteUpdate(p WirUpd) {
 	}
 	// The local core is not using the line: self-invalidate and tell
 	// the directory — unless a wired transaction is mid-flight on it.
-	if _, busy := l.pending.get(p.Line); busy {
+	if _, busy := l.pending.get(m.Line); busy {
 		return
 	}
 	if l.cfg.Trace != nil {
 		l.cfg.Trace.Emit(obs.Event{Cycle: l.env.Now(), Kind: obs.EvWDecay,
-			Node: int32(l.id), Other: int32(p.Writer), Line: p.Line,
+			Node: int32(l.id), Other: int32(m.Src), Line: m.Line,
 			A: uint64(ln.UpdateCount)})
 	}
 	l.Stats.SelfInvalidations.Inc()
-	l.data.Invalidate(p.Line)
-	l.env.SendWired(l.id, l.env.HomeOf(p.Line), PortHome, Msg{Type: MsgPutW, Line: p.Line, Src: l.id})
+	l.data.Invalidate(m.Line)
+	l.env.SendWired(l.id, l.env.HomeOf(m.Line), PortHome, Msg{Type: MsgPutW, Line: m.Line, Src: l.id})
 }
 
 // cancelQueuedWrite pulls back a queued (never active — a broadcast
@@ -1448,35 +1436,35 @@ func (l *L1Ctrl) cancelQueuedWrite(line addrspace.Line) *MemRequest {
 
 // handleWirDwgr moves our W copy back to Shared and identifies
 // ourselves to the home via the wired network (Table I W->S).
-func (l *L1Ctrl) handleWirDwgr(p WirDwgr) {
-	ln := l.data.Lookup(p.Line)
+func (l *L1Ctrl) handleWirDwgr(m *Msg) {
+	ln := l.data.Lookup(m.Line)
 	// A queued wireless write can no longer serialize in W; convert it
 	// to a wired access after the downgrade.
-	if r := l.cancelQueuedWrite(p.Line); r != nil {
-		l.requeueShim(1, r, p.Line)
+	if r := l.cancelQueuedWrite(m.Line); r != nil {
+		l.requeueShim(1, r, m.Line)
 	}
 	if ln == nil || ln.State != cache.Wireless {
 		return
 	}
 	ln.State = cache.Shared
 	ln.Dirty = false
-	l.env.SendWired(l.id, p.Home, PortHome, Msg{Type: MsgWirDwgrAck, Line: p.Line, Src: l.id})
+	l.env.SendWired(l.id, m.Src, PortHome, Msg{Type: MsgWirDwgrAck, Line: m.Line, Src: l.id})
 }
 
 // handleWirInv drops the line because the home evicted its entry; a
 // pending wireless write is squashed and retried on the wired path
 // (Table I W->I, §IV-C).
-func (l *L1Ctrl) handleWirInv(p WirInv) {
-	if r := l.cancelQueuedWrite(p.Line); r != nil {
-		l.data.Invalidate(p.Line)
+func (l *L1Ctrl) handleWirInv(m *Msg) {
+	if r := l.cancelQueuedWrite(m.Line); r != nil {
+		l.data.Invalidate(m.Line)
 		if r.IsRMW {
 			l.Stats.RMWRetries.Inc()
 		}
-		l.requeueShim(1, r, p.Line)
+		l.requeueShim(1, r, m.Line)
 		return
 	}
-	ln := l.data.Lookup(p.Line)
+	ln := l.data.Lookup(m.Line)
 	if ln != nil && ln.State == cache.Wireless {
-		l.data.Invalidate(p.Line)
+		l.data.Invalidate(m.Line)
 	}
 }

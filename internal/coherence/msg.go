@@ -40,8 +40,9 @@ func (p Protocol) String() string {
 // MsgType enumerates the wired and wireless protocol messages.
 type MsgType uint8
 
-// Wired request/response vocabulary (conventional MESI directory) plus
-// the WiDir additions from Tables I and II.
+// Wired request/response vocabulary (conventional MESI directory), the
+// WiDir wired additions and the wireless broadcasts from Tables I and
+// II.
 const (
 	// Core -> Home requests.
 	MsgGetS MsgType = iota // read miss
@@ -89,6 +90,14 @@ const (
 	MsgMemRead
 	MsgMemData
 	MsgMemWrite
+
+	// Wireless broadcasts on the data channel: every node receives each
+	// one through HandleWireless, and jamming filters them by Line. Src
+	// is the sender.
+	MsgBrWirUpgr // home: the line is Wireless now; starts the ToneAck (Table II S->W)
+	MsgWirDwgr   // home: downgrade to Shared and ack over the wire (Table II W->S)
+	MsgWirInv    // home: the entry is evicted, drop the line (Table II W->I)
+	MsgWirUpd    // writer: fine-grain write of Words[Word] (Table I W->W)
 )
 
 //lint:deterministic constant name table, never written after initialization
@@ -104,6 +113,7 @@ var msgNames = [...]string{
 	MsgWDiscard:   "WDiscard",
 	MsgDataOwnerS: "DataOwnerS", MsgDataOwnerM: "DataOwnerM",
 	MsgMemRead: "MemRead", MsgMemData: "MemData", MsgMemWrite: "MemWrite",
+	MsgBrWirUpgr: "BrWirUpgr", MsgWirDwgr: "WirDwgr", MsgWirInv: "WirInv", MsgWirUpd: "WirUpd",
 }
 
 // String returns the protocol name of the message type.
@@ -126,7 +136,7 @@ func (t MsgType) CarriesData() bool {
 	}
 }
 
-// Msg is one wired protocol message.
+// Msg is one protocol message, wired or wireless.
 type Msg struct {
 	Type      MsgType
 	Line      addrspace.Line
@@ -146,6 +156,7 @@ type Msg struct {
 	IsSharer bool
 	NeedAck  bool // WirUpgr: requester must reply WirUpgrAck (Table II W->W case 1)
 	HasData  bool
+	Word     uint8 // WirUpd: the written word; its value is Words[Word]
 	Words    [addrspace.WordsPerLine]uint64
 }
 
@@ -156,40 +167,6 @@ func (m *Msg) Bytes() int {
 		return 8 + addrspace.LineSize
 	}
 	return 8
-}
-
-// Wireless payloads (broadcast on the data channel). Each carries the
-// line it concerns so that jamming can filter transmissions.
-
-// BrWirUpgr announces a directory's S->W transition (Table II S->W) and
-// starts the global ToneAck operation.
-type BrWirUpgr struct {
-	Line addrspace.Line
-	Home int
-}
-
-// WirUpd is a fine-grain wireless write: one word of one line. It
-// travels as a *WirUpd that points into the sender's pooled write
-// record, so a wireless write boxes no payload.
-type WirUpd struct {
-	Line   addrspace.Line
-	Word   int
-	Value  uint64
-	Writer int
-}
-
-// WirDwgr asks the remaining wireless sharers to downgrade to Shared
-// and identify themselves (Table II W->S).
-type WirDwgr struct {
-	Line addrspace.Line
-	Home int
-}
-
-// WirInv invalidates a wirelessly-shared line because its directory
-// entry is being evicted (Table II W->I).
-type WirInv struct {
-	Line addrspace.Line
-	Home int
 }
 
 // PortKind identifies which controller at a node receives a wired
@@ -229,11 +206,12 @@ type Env interface {
 	SendWired(src, dst int, port PortKind, m Msg)
 	// FreeMsg returns a message a handler kept to the machine.
 	FreeMsg(m *Msg)
-	// TransmitWireless queues a broadcast and returns its handle for
-	// CancelWireless; cb (nil for none) learns the outcome. Privileged
-	// transmissions (a directory's own protocol broadcasts) pass
-	// through jamming.
-	TransmitWireless(sender int, line addrspace.Line, payload any, privileged bool, cb TxCallback) (tx uint64)
+	// TransmitWireless queues m as a broadcast from node m.Src about
+	// m.Line and returns its handle for CancelWireless; cb (nil for
+	// none) learns the outcome. The channel carries a copy of m, so the
+	// sender may reuse its own copy at once. Privileged transmissions
+	// (a directory's own protocol broadcasts) pass through jamming.
+	TransmitWireless(m Msg, privileged bool, cb TxCallback) (tx uint64)
 	// CancelWireless withdraws a queued broadcast; it reports false
 	// when the transmission has already serialized or finished.
 	CancelWireless(tx uint64) bool

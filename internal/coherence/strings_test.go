@@ -8,7 +8,7 @@ import (
 // The one-past-last member of each enum. Adding a member without
 // extending its String() (and these sentinels) fails the tests below.
 const (
-	endMsgType   = MsgMemWrite + 1
+	endMsgType   = MsgWirUpd + 1
 	endDirState  = DirWireless + 1
 	endTxnKind   = txEvict + 1
 	endProtocol  = WiDir + 1

@@ -203,7 +203,7 @@ type System struct {
 	cfg    Config
 	space  *addrspace.Space
 	mesh   *mesh.Mesh
-	wchan  *wireless.Channel
+	wchan  *wireless.Channel[coherence.Msg]
 	events engine.Queue
 	cycle  uint64
 
@@ -266,7 +266,7 @@ func NewSystem(cfg Config, sources []cpu.InstrSource) (*System, error) {
 	}
 	s.mesh = mesh.New(cfg.MeshW, cfg.MeshH, s.deliverWired)
 	s.mesh.Trace = cfg.Trace
-	s.wchan = wireless.NewChannel(xrand.New(cfg.Seed ^ 0x9e3779b97f4a7c15))
+	s.wchan = wireless.NewChannel[coherence.Msg](xrand.New(cfg.Seed ^ 0x9e3779b97f4a7c15))
 	s.wchan.Trace = cfg.Trace
 	s.wchan.Mac = cfg.MAC
 	s.wchan.Nodes = cfg.Nodes
@@ -282,8 +282,8 @@ func NewSystem(cfg Config, sources []cpu.InstrSource) (*System, error) {
 	if inj := fault.New(fcfg); inj != nil {
 		s.injector = inj
 		if fcfg.WirelessBER > 0 {
-			s.wchan.FaultCorrupt = func(wireless.Message) bool { return inj.CorruptTx() }
-			s.wchan.OnTxFault = func(now uint64, msg wireless.Message, exhausted bool) {
+			s.wchan.FaultCorrupt = func(wireless.Message[coherence.Msg]) bool { return inj.CorruptTx() }
+			s.wchan.OnTxFault = func(now uint64, msg wireless.Message[coherence.Msg], exhausted bool) {
 				// Tell the home so it can count consecutive wireless
 				// faults on the line and demote W->S past the threshold.
 				s.homes[s.space.HomeOf(msg.Line)].NoteWirelessFault(now, msg.Line)
@@ -382,9 +382,9 @@ func (s *System) FreeMsg(m *coherence.Msg) {
 	s.msgFree.Put(m)
 }
 
-// TransmitWireless queues a broadcast on the data channel.
-func (s *System) TransmitWireless(sender int, line addrspace.Line, payload any, privileged bool, cb coherence.TxCallback) uint64 {
-	return s.wchan.Transmit(wireless.Message{Sender: sender, Line: line, Payload: payload, Privileged: privileged}, cb)
+// TransmitWireless queues m as a broadcast on the data channel.
+func (s *System) TransmitWireless(m coherence.Msg, privileged bool, cb coherence.TxCallback) uint64 {
+	return s.wchan.Transmit(wireless.Message[coherence.Msg]{Sender: m.Src, Line: m.Line, Payload: m, Privileged: privileged}, cb)
 }
 
 // CancelWireless withdraws a queued broadcast.
@@ -465,12 +465,12 @@ func (s *System) deliverWired(now uint64, pkt mesh.Packet) {
 	}
 }
 
-func (s *System) deliverWireless(now uint64, msg wireless.Message) {
+func (s *System) deliverWireless(now uint64, msg wireless.Message[coherence.Msg]) {
 	for i := range s.l1s {
-		s.l1s[i].HandleWireless(now, msg.Sender, msg.Payload)
+		s.l1s[i].HandleWireless(now, &msg.Payload)
 	}
 	for i := range s.homes {
-		s.homes[i].HandleWireless(now, msg.Sender, msg.Payload)
+		s.homes[i].HandleWireless(now, &msg.Payload)
 	}
 }
 
@@ -828,7 +828,7 @@ func (s *System) Core(i int) *cpu.Core { return s.cores[i] }
 func (s *System) Mesh() *mesh.Mesh { return s.mesh }
 
 // Wireless exposes the wireless channel (tests, stats).
-func (s *System) Wireless() *wireless.Channel { return s.wchan }
+func (s *System) Wireless() *wireless.Channel[coherence.Msg] { return s.wchan }
 
 // Injector exposes the fault injector (nil when no faults are
 // configured).

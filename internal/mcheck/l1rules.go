@@ -477,7 +477,7 @@ func (x *ctx) handleRemoteUpdate(c, li int, val, ver byte) {
 	x.send(c, x.dirNode(), msg{typ: mPutW, line: byte(li)})
 }
 
-// homeWirelessMerge is Home.HandleWireless for a WirUpd payload.
+// homeWirelessMerge is Home.HandleWireless for a WirUpd.
 func (x *ctx) homeWirelessMerge(li int, val, ver byte) {
 	d := &x.s.dir[li]
 	if !d.exists {

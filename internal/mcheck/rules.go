@@ -477,13 +477,14 @@ func (x *ctx) evictDir(li int) {
 }
 
 // finishDirEvict writes back and drops the entry, acking any puts
-// that were deferred behind the eviction.
+// that were deferred behind the eviction. The entry keeps its deferred
+// array for the next puts it absorbs.
 func (x *ctx) finishDirEvict(li int) {
 	d := &x.s.dir[li]
 	x.writebackIfDirty(li)
 	deferred := d.deferred
 	x.dirSet(li, dI, bNone)
-	*d = dirLine{owner: noNode, tReq: noNode}
+	*d = dirLine{owner: noNode, tReq: noNode, deferred: deferred[:0]}
 	for _, m := range deferred {
 		x.ackPut(li, int(m.req))
 	}
@@ -947,7 +948,10 @@ func (x *ctx) writebackIfDirty(li int) {
 	}
 }
 
-// drainDeferred replays puts absorbed while the entry was busy.
+// drainDeferred replays puts absorbed while the entry was busy. Puts
+// deferred again during the replay go to a fresh array, never into
+// pending while it is read; when the replay defers none, the entry gets
+// pending's array back.
 func (x *ctx) drainDeferred(li int) {
 	d := &x.s.dir[li]
 	if len(d.deferred) == 0 {
@@ -972,4 +976,7 @@ func (x *ctx) drainDeferred(li int) {
 		x.processPut(li, int(m.req), m)
 	}
 	x.event = saved
+	if dd := &x.s.dir[li]; dd.deferred == nil {
+		dd.deferred = pending[:0]
+	}
 }

@@ -48,8 +48,8 @@ const (
 	// EvWDecay is an L1 self-invalidating a W line after UpdateCountMax
 	// unread updates (Table I W->I decay).
 	EvWDecay
-	// EvWInv is the directory evicting a W entry and broadcasting
-	// WirInv.
+	// EvWInv is the directory evicting a W entry and broadcasting a
+	// WirInv message (coherence.MsgWirInv).
 	EvWInv
 	// EvWirUpd is a wireless store serializing (the writer's update is
 	// guaranteed on the air). A = span id, B = written word index.
@@ -200,11 +200,13 @@ type Sink interface {
 	Emit(e Event)
 }
 
-// RingSink keeps the most recent Cap events in a fixed ring. Emit is
-// allocation-free after construction; when the ring wraps, the oldest
-// events are dropped and counted.
+// RingSink keeps the most recent cap events. It grows by append until
+// it holds cap events, so a large cap costs only what a run emits;
+// from then on Emit overwrites the oldest event in place, allocating
+// nothing, and counts it dropped.
 type RingSink struct {
 	buf []Event
+	cap int
 	n   uint64 // total events ever emitted
 }
 
@@ -213,38 +215,32 @@ func NewRingSink(cap int) *RingSink {
 	if cap < 1 {
 		cap = 1
 	}
-	return &RingSink{buf: make([]Event, cap)}
+	return &RingSink{cap: cap}
 }
 
 // Emit records the event, overwriting the oldest when full.
 func (r *RingSink) Emit(e Event) {
-	r.buf[r.n%uint64(len(r.buf))] = e
+	if len(r.buf) < r.cap {
+		r.buf = append(r.buf, e)
+	} else {
+		r.buf[r.n%uint64(r.cap)] = e
+	}
 	r.n++
 }
 
 // Len returns the number of retained events.
-func (r *RingSink) Len() int {
-	if r.n < uint64(len(r.buf)) {
-		return int(r.n)
-	}
-	return len(r.buf)
-}
+func (r *RingSink) Len() int { return len(r.buf) }
 
 // Dropped returns how many events were overwritten.
-func (r *RingSink) Dropped() uint64 {
-	if r.n <= uint64(len(r.buf)) {
-		return 0
-	}
-	return r.n - uint64(len(r.buf))
-}
+func (r *RingSink) Dropped() uint64 { return r.n - uint64(len(r.buf)) }
 
 // Events returns the retained events in emission order (oldest first).
 func (r *RingSink) Events() []Event {
-	out := make([]Event, 0, r.Len())
-	if r.n <= uint64(len(r.buf)) {
-		return append(out, r.buf[:r.n]...)
+	var start uint64 // the oldest event's slot: 0 until the ring is full
+	if len(r.buf) == r.cap {
+		start = r.n % uint64(r.cap)
 	}
-	start := r.n % uint64(len(r.buf))
+	out := make([]Event, 0, len(r.buf))
 	out = append(out, r.buf[start:]...)
 	return append(out, r.buf[:start]...)
 }

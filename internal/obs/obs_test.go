@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -81,6 +82,23 @@ func TestRingSinkMinimumCapacity(t *testing.T) {
 	r.Emit(ev(2, EvJam, 3))
 	if r.Len() != 1 || r.Events()[0].Cycle != 2 {
 		t.Fatalf("cap-0 ring should clamp to 1 and keep the newest event")
+	}
+}
+
+// TestRingSinkHugeCapacity: a capacity far beyond memory (widirsim's
+// -buf takes any positive int) costs only the events emitted.
+func TestRingSinkHugeCapacity(t *testing.T) {
+	r := NewRingSink(math.MaxInt)
+	for i := uint64(0); i < 5; i++ {
+		r.Emit(ev(i, EvMsgSend, 0))
+	}
+	if r.Len() != 5 || r.Dropped() != 0 {
+		t.Fatalf("Len=%d Dropped=%d, want 5 and 0", r.Len(), r.Dropped())
+	}
+	for i, e := range r.Events() {
+		if e.Cycle != uint64(i) {
+			t.Fatalf("Events()[%d].Cycle=%d, want %d (oldest first)", i, e.Cycle, i)
+		}
 	}
 }
 

@@ -22,24 +22,26 @@ type BusyCfg struct {
 
 // EntryPoint is one "Recv.Method" root the walker starts from. Event
 // names the annotation-only event delivered by the entry point ("" =
-// the event is determined inside, by Msg.Type switching or payload
-// type assertion).
+// the event is determined inside, by Msg.Type switching). Events is
+// the root's event set: the message-type members it receives, which
+// an event switch's default arm stands for. A root without a set
+// receives the message-type members that no other root names.
 type EntryPoint struct {
 	Recv   string
 	Method string
 	Event  string
+	Events []string
 }
 
 // MachineCfg describes one state machine to extract.
 type MachineCfg struct {
 	Name       string
-	States     EnumRef           // stable-state enum
-	Busy       *BusyCfg          // transient states (nil = none)
-	Events     EnumRef           // message-type enum
-	Payloads   map[string]string // wireless payload type name -> event name
-	Extra      []string          // annotation-only events (Evict, CoreLoad, ...)
-	StateField string            // field whose assignment changes state ("State")
-	Invalid    string            // display name of the absent/invalid state
+	States     EnumRef  // stable-state enum
+	Busy       *BusyCfg // transient states (nil = none)
+	Events     EnumRef  // message-type enum
+	Extra      []string // annotation-only events (Evict, CoreLoad, ...)
+	StateField string   // field whose assignment changes state ("State")
+	Invalid    string   // display name of the absent/invalid state
 
 	// EventStruct/EventField: `<EventStruct>.<EventField>` is the
 	// current event selector (Msg.Type). Other event-typed expressions
@@ -97,12 +99,9 @@ const CoherencePkg = "repro/internal/coherence"
 // MESI+W protocol: the directory FSM (home.go) and the private-cache
 // FSM (l1.go).
 func WiDirConfig() *Config {
-	payloads := map[string]string{
-		"BrWirUpgr": "BrWirUpgr",
-		"WirUpd":    "WirUpd",
-		"WirDwgr":   "WirDwgr",
-		"WirInv":    "WirInv",
-	}
+	// The broadcasts every node's HandleWireless receives; the wired
+	// HandleWired roots receive every other message type.
+	wireless := []string{"BrWirUpgr", "WirDwgr", "WirInv", "WirUpd"}
 	return &Config{Machines: []*MachineCfg{
 		{
 			Name: "dir",
@@ -123,7 +122,6 @@ func WiDirConfig() *Config {
 				Prefix: "busy:",
 			},
 			Events:      EnumRef{Type: "MsgType", Prefix: "Msg"},
-			Payloads:    payloads,
 			Extra:       []string{"Evict", "WirelessFault"},
 			StateField:  "State",
 			Invalid:     "DI",
@@ -133,7 +131,7 @@ func WiDirConfig() *Config {
 			EntryType:   "DirEntry",
 			EntryPoints: []EntryPoint{
 				{Recv: "HomeCtrl", Method: "HandleWired"},
-				{Recv: "HomeCtrl", Method: "HandleWireless"},
+				{Recv: "HomeCtrl", Method: "HandleWireless", Events: wireless},
 				{Recv: "HomeCtrl", Method: "NoteWirelessFault", Event: "WirelessFault"},
 			},
 			DeleteElem:        "DirEntry",
@@ -146,7 +144,6 @@ func WiDirConfig() *Config {
 				"Invalid": "I", "Shared": "S", "Exclusive": "E", "Modified": "M", "Wireless": "W",
 			}},
 			Events:                EnumRef{Type: "MsgType", Prefix: "Msg"},
-			Payloads:              payloads,
 			Extra:                 []string{"Evict", "CoreLoad", "CoreStore", "CoreRMW"},
 			StateField:            "State",
 			Invalid:               "I",
@@ -158,7 +155,7 @@ func WiDirConfig() *Config {
 			NotNilExcludesInvalid: true,
 			EntryPoints: []EntryPoint{
 				{Recv: "L1Ctrl", Method: "HandleWired"},
-				{Recv: "L1Ctrl", Method: "HandleWireless"},
+				{Recv: "L1Ctrl", Method: "HandleWireless", Events: wireless},
 			},
 			InvalidatePkg:    "repro/internal/cache",
 			InvalidateRecv:   "Cache",

@@ -13,23 +13,6 @@ func (w *walker) handleAssign(s *ast.AssignStmt, c *ctx) {
 	for _, r := range s.Rhs {
 		w.walkExpr(r, c)
 	}
-
-	// `v, ok := payload.(T)`: a later `if ok` (or `if !ok`) confirms
-	// the payload event.
-	if len(s.Lhs) == 2 && len(s.Rhs) == 1 {
-		if ta, ok := s.Rhs[0].(*ast.TypeAssertExpr); ok && ta.Type != nil {
-			if name := w.typeName(ta.Type); name != "" {
-				if ev, mapped := w.me.cfg.Payloads[name]; mapped {
-					if id, ok := s.Lhs[1].(*ast.Ident); ok {
-						if obj := w.info().ObjectOf(id); obj != nil {
-							c.vars[obj] = "ok:" + ev
-						}
-					}
-				}
-			}
-			return
-		}
-	}
 	if len(s.Lhs) != len(s.Rhs) {
 		return
 	}
@@ -101,7 +84,7 @@ func (w *walker) resolveStateValue(rhs ast.Expr, c *ctx) string {
 	}
 	if id, ok := ast.Unparen(rhs).(*ast.Ident); ok {
 		if obj := w.info().ObjectOf(id); obj != nil {
-			if v, tracked := c.vars[obj]; tracked && !strings.HasPrefix(v, "ok:") {
+			if v, tracked := c.vars[obj]; tracked {
 				return v
 			}
 		}
@@ -362,7 +345,7 @@ func (w *walker) bindArgs(fi *funcInfo, call *ast.CallExpr, c *ctx) map[types.Ob
 		}
 		if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
 			if obj := w.info().ObjectOf(id); obj != nil {
-				if v, tracked := c.vars[obj]; tracked && !strings.HasPrefix(v, "ok:") {
+				if v, tracked := c.vars[obj]; tracked {
 					bind[params[i]] = v
 				}
 			}

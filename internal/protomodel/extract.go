@@ -264,7 +264,8 @@ type machineExtract struct {
 
 	stable    []string // stable state displays
 	busyNames []string // busy:<kind> displays (txNone excluded)
-	eventList []string // wire events + payload events + Extra
+	eventList []string // message-type events + Extra
+	wired     []string // message-type events no root names in its Events
 
 	transitions map[string]Transition // keyed by Transition.Key(), first wins
 	pairs       map[string]Pair
@@ -305,13 +306,12 @@ func (x *extractor) newMachineExtract(cfg *MachineCfg) (*machineExtract, error) 
 		}
 	}
 	me.eventList = append(me.eventList, me.events.display...)
-	var payloadEvents []string
-	for _, ev := range cfg.Payloads {
-		payloadEvents = append(payloadEvents, ev)
-	}
-	sort.Strings(payloadEvents)
-	me.eventList = append(me.eventList, payloadEvents...)
 	me.eventList = append(me.eventList, cfg.Extra...)
+	var named []string
+	for _, ep := range cfg.EntryPoints {
+		named = append(named, ep.Events...)
+	}
+	me.wired = subtract(me.events.display, named)
 	return me, nil
 }
 
@@ -363,7 +363,10 @@ func (me *machineExtract) run() error {
 			continue // fixture packages may implement a subset
 		}
 		found = true
-		w := &walker{me: me}
+		w := &walker{me: me, events: ep.Events}
+		if w.events == nil {
+			w.events = me.wired
+		}
 		c := ctx{event: ep.Event, vars: map[types.Object]string{}}
 		w.walkFunc(fi, c, nil)
 	}
@@ -413,7 +416,7 @@ func (me *machineExtract) finish() *Machine {
 		Name:       me.cfg.Name,
 		Stable:     append([]string(nil), me.stable...),
 		Events:     append([]string(nil), me.eventList...),
-		WireEvents: append([]string(nil), me.events.display...),
+		WireEvents: append([]string(nil), me.wired...),
 	}
 	mc.States = append(append([]string(nil), me.stable...), me.busyNames...)
 	for _, t := range me.transitions {
@@ -574,10 +577,12 @@ func (me *machineExtract) apply(c *ctx, n narrow) bool {
 	return true
 }
 
-// walker walks one machine's reachable code, one path at a time.
+// walker walks one machine's reachable code from one root, one path
+// at a time.
 type walker struct {
-	me    *machineExtract
-	depth int
+	me     *machineExtract
+	events []string // the root's event set
+	depth  int
 }
 
 const maxDepth = 64
@@ -675,9 +680,6 @@ func (w *walker) walkStmts(list []ast.Stmt, c *ctx, tail bool) {
 				w.walkExpr(s.Tag, c)
 			}
 			w.branchSwitch(s, list[i+1:], c, tail)
-			return
-		case *ast.TypeSwitchStmt:
-			w.branchTypeSwitch(s, list[i+1:], c, tail)
 			return
 		case *ast.AssignStmt:
 			w.handleAssign(s, c)
@@ -822,10 +824,9 @@ func walkClause(s *ast.SwitchStmt, fn func(*ast.CaseClause)) {
 
 // branchEventSwitch dispatches on the current message type: with a
 // known event the matching clause runs; with an unknown event every
-// case constant (and, through the default clause, every unhandled
-// member) forks its own arm.
+// case constant (and, through the default clause, every member of the
+// root's event set no case names) forks its own arm.
 func (w *walker) branchEventSwitch(s *ast.SwitchStmt, runArm func([]ast.Stmt, ctx), c *ctx) {
-	me := w.me
 	var defaultClause *ast.CaseClause
 	covered := map[string]bool{}
 	matched := false
@@ -865,7 +866,7 @@ func (w *walker) branchEventSwitch(s *ast.SwitchStmt, runArm func([]ast.Stmt, ct
 		return
 	}
 	if defaultClause != nil {
-		for _, ev := range me.events.display {
+		for _, ev := range w.events {
 			if covered[ev] {
 				continue
 			}
@@ -914,43 +915,6 @@ func (w *walker) branchValueSwitch(s *ast.SwitchStmt, runArm func([]ast.Stmt, ct
 	} else {
 		runArm(nil, ac)
 	}
-}
-
-// branchTypeSwitch dispatches on a wireless payload type switch: each
-// clause whose type maps to a configured event forks with that event.
-func (w *walker) branchTypeSwitch(s *ast.TypeSwitchStmt, rest []ast.Stmt, c *ctx, tail bool) {
-	runArm := func(body []ast.Stmt, ac ctx) {
-		w.walkStmts(body, &ac, false)
-		if !terminates(body) {
-			w.walkStmts(rest, &ac, tail)
-		}
-	}
-	for _, st := range s.Body.List {
-		cc, ok := st.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		ac := c.clone()
-		ac.event = ""
-		for _, te := range cc.List {
-			if name := w.typeName(te); name != "" {
-				if ev, ok := w.me.cfg.Payloads[name]; ok {
-					ac.event = ev
-				}
-			}
-		}
-		runArm(cc.Body, ac)
-	}
-}
-
-// typeName resolves a type expression in the analyzed package to its
-// bare name.
-func (w *walker) typeName(e ast.Expr) string {
-	t := w.info().TypeOf(e)
-	if named := namedOf(t); named != nil {
-		return named.Obj().Name()
-	}
-	return ""
 }
 
 func (w *walker) recordPair(c *ctx, pos token.Pos) {

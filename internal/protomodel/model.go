@@ -52,8 +52,8 @@ type Machine struct {
 	Name        string
 	States      []string // stable states in enum order, then transient states
 	Stable      []string // stable states only, in enum order
-	Events      []string // wire events, then wireless payload events, then annotation-only events
-	WireEvents  []string // the message-type enum members only
+	Events      []string // message-type events, then annotation-only events
+	WireEvents  []string // the message-type events of the roots without an event set
 	Transitions []Transition
 	Pairs       []Pair
 }

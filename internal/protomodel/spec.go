@@ -169,8 +169,8 @@ func Check(model *Model, spec *Spec) []Finding {
 		}
 
 		// (c) non-exhaustive handling: every stable state must handle
-		// every wire (message-type enum) event somehow — a transition,
-		// a "*" arm, an error arm, or a proven no-op pair.
+		// every wired message-type event somehow — a transition, a "*"
+		// arm, an error arm, or a proven no-op pair.
 		for _, ev := range mc.WireEvents {
 			for _, st := range mc.Stable {
 				if !mc.Covered(st, ev) {

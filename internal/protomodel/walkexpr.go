@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // namedOf unwraps pointers and returns the named type, or nil.
@@ -143,13 +142,6 @@ func (w *walker) evalCond(e ast.Expr, c *ctx) (truth int, nThen, nElse narrow) {
 			}
 			return truth, nThen, nElse
 		}
-	case *ast.Ident:
-		// A type-assert ok variable: true confirms the asserted event.
-		if v, ok := c.vars[w.info().ObjectOf(e)]; ok {
-			if ev, isOk := strings.CutPrefix(v, "ok:"); isOk {
-				return 0, narrow{event: ev}, narrow{}
-			}
-		}
 	}
 	return 0, narrow{}, narrow{}
 }
@@ -196,7 +188,7 @@ func (w *walker) evalCompare(e *ast.BinaryExpr, c *ctx) (truth int, nThen, nElse
 		if obj, tracked := varOf(w, a); obj != nil {
 			if name, isConst := w.enumConst(b, me.states); isConst {
 				if tracked {
-					if v := c.vars[obj]; v != "" && !strings.HasPrefix(v, "ok:") {
+					if v := c.vars[obj]; v != "" {
 						if v == name {
 							return 1, narrow{}, narrow{}, true
 						}

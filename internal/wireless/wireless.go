@@ -30,12 +30,14 @@ const (
 )
 
 // Message is one broadcast on the data channel. Line identifies the
-// cache line the message concerns (used by jamming); Payload carries the
-// protocol message.
-type Message struct {
+// cache line the message concerns (used by jamming); Payload is the
+// protocol message, carried by value: the channel keeps its own copy
+// from Transmit to delivery, so nothing it holds points into a
+// sender's state.
+type Message[P any] struct {
 	Sender  int
 	Line    addrspace.Line
-	Payload any
+	Payload P
 	// Privileged marks a directory's own protocol broadcast (BrWirUpgr,
 	// WirDwgr, WirInv): it passes through that directory's jam on the
 	// line. A node's core traffic is never privileged.
@@ -44,7 +46,7 @@ type Message struct {
 
 // BroadcastFunc delivers a successful transmission to every node. It is
 // called once per transmission; the machine fans it out.
-type BroadcastFunc func(now uint64, msg Message)
+type BroadcastFunc[P any] func(now uint64, msg Message[P])
 
 // Callback receives the outcome of one transmission. Senders pass a
 // pooled record that implements it, so queueing a broadcast allocates
@@ -61,8 +63,8 @@ type Callback interface {
 	TxAborted(now uint64, jammed bool)
 }
 
-type txRequest struct {
-	msg     Message
+type txRequest[P any] struct {
+	msg     Message[P]
 	cb      Callback
 	retryAt uint64 // earliest cycle this node may attempt again
 	tries   int
@@ -91,10 +93,11 @@ func (m MAC) String() string {
 	return "BRS"
 }
 
-// Channel is the shared wireless medium for one machine.
-type Channel struct {
+// Channel is the shared wireless medium for one machine, carrying
+// payloads of type P.
+type Channel[P any] struct {
 	rng   *xrand.Source
-	onAir BroadcastFunc
+	onAir BroadcastFunc[P]
 
 	// MAC protocol; BRS by default. Nodes must be set for MACToken.
 	Mac   MAC
@@ -102,13 +105,13 @@ type Channel struct {
 	token int // current token holder (MACToken)
 
 	busyUntil uint64
-	queue     []*txRequest // pending requests across all nodes
+	queue     []*txRequest[P] // pending requests across all nodes
 	seq       uint64
-	starters  []*txRequest         // Tick scratch: same-cycle starters, queue order
-	reqFree   pool.Free[txRequest] // finished requests, recycled by Transmit
+	starters  []*txRequest[P]         // Tick scratch: same-cycle starters, queue order
+	reqFree   pool.Free[txRequest[P]] // finished requests, recycled by Transmit
 
 	// Active transmission (already started, completes at busyUntil).
-	active *txRequest
+	active *txRequest[P]
 
 	// Jamming registry: lines the directory controllers are currently
 	// protecting. A transmission for a jammed line is aborted in its
@@ -135,13 +138,13 @@ type Channel struct {
 	// retries after an exponential backoff. Called once per completed
 	// transmission, in completion order, so a seeded drawer keeps the
 	// faulty run deterministic.
-	FaultCorrupt func(msg Message) bool
+	FaultCorrupt func(msg Message[P]) bool
 
 	// OnTxFault observes every corrupted transmission (after the retry
 	// decision): exhausted reports that the sender gave up. The machine
 	// routes these to the line's home directory, which demotes W lines
 	// after sustained failures.
-	OnTxFault func(now uint64, msg Message, exhausted bool)
+	OnTxFault func(now uint64, msg Message[P], exhausted bool)
 
 	// MaxTries bounds an unprivileged sender's attempts (collisions and
 	// corruptions combined) before it aborts and falls back to the wired
@@ -161,8 +164,8 @@ type Channel struct {
 }
 
 // NewChannel returns an idle channel using rng for backoff draws.
-func NewChannel(rng *xrand.Source) *Channel {
-	return &Channel{
+func NewChannel[P any](rng *xrand.Source) *Channel[P] {
+	return &Channel[P]{
 		rng:      rng,
 		jammed:   make(map[addrspace.Line]jamInfo),
 		MaxTries: 8,
@@ -173,10 +176,10 @@ func NewChannel(rng *xrand.Source) *Channel {
 // Cancel. cb (nil for none) learns when the transmission is guaranteed
 // to succeed (the serialization point) or is aborted; collisions retry
 // internally and are invisible to the sender.
-func (c *Channel) Transmit(msg Message, cb Callback) (tx uint64) {
+func (c *Channel[P]) Transmit(msg Message[P], cb Callback) (tx uint64) {
 	c.seq++
 	req := c.reqFree.Get()
-	*req = txRequest{msg: msg, cb: cb, seq: c.seq}
+	*req = txRequest[P]{msg: msg, cb: cb, seq: c.seq}
 	c.queue = append(c.queue, req)
 	return req.seq
 }
@@ -184,7 +187,7 @@ func (c *Channel) Transmit(msg Message, cb Callback) (tx uint64) {
 // Cancel withdraws the queued request with handle tx. It reports false
 // when the transmission has already won the medium (it will deliver)
 // or has finished.
-func (c *Channel) Cancel(tx uint64) bool {
+func (c *Channel[P]) Cancel(tx uint64) bool {
 	for i, q := range c.queue {
 		if q.seq == tx {
 			c.queue = append(c.queue[:i], c.queue[i+1:]...)
@@ -196,13 +199,13 @@ func (c *Channel) Cancel(tx uint64) bool {
 }
 
 // release recycles a request the channel no longer references.
-func (c *Channel) release(r *txRequest) {
-	*r = txRequest{}
+func (c *Channel[P]) release(r *txRequest[P]) {
+	*r = txRequest[P]{}
 	c.reqFree.Put(r)
 }
 
 // SetBroadcast registers the delivery fan-out callback.
-func (c *Channel) SetBroadcast(fn BroadcastFunc) { c.onAir = fn }
+func (c *Channel[P]) SetBroadcast(fn BroadcastFunc[P]) { c.onAir = fn }
 
 type jamInfo struct {
 	owner int
@@ -214,7 +217,7 @@ type jamInfo struct {
 // another node is rejected with a forced negative-ack. Jams nest; each
 // Jam needs an Unjam. Only one owner may protect a line at a time,
 // which holds by construction — a line has one home directory.
-func (c *Channel) Jam(l addrspace.Line, owner int) {
+func (c *Channel[P]) Jam(l addrspace.Line, owner int) {
 	j, ok := c.jammed[l]
 	if !ok {
 		c.jammed[l] = jamInfo{owner: owner, refs: 1}
@@ -228,7 +231,7 @@ func (c *Channel) Jam(l addrspace.Line, owner int) {
 }
 
 // Unjam releases one jamming reference for the line.
-func (c *Channel) Unjam(l addrspace.Line, owner int) {
+func (c *Channel[P]) Unjam(l addrspace.Line, owner int) {
 	j, ok := c.jammed[l]
 	if !ok || j.owner != owner {
 		panic("wireless: unjam of line that is not jammed by this owner")
@@ -243,17 +246,17 @@ func (c *Channel) Unjam(l addrspace.Line, owner int) {
 
 // JammedFor reports whether an unprivileged transmission for the line
 // would be rejected.
-func (c *Channel) JammedFor(l addrspace.Line) bool {
+func (c *Channel[P]) JammedFor(l addrspace.Line) bool {
 	_, ok := c.jammed[l]
 	return ok
 }
 
 // RaiseTone adds one tone holder (a node that has not finished its part
 // of a global acknowledgment).
-func (c *Channel) RaiseTone() { c.toneHolds++ }
+func (c *Channel[P]) RaiseTone() { c.toneHolds++ }
 
 // LowerTone removes one tone holder.
-func (c *Channel) LowerTone() {
+func (c *Channel[P]) LowerTone() {
 	if c.toneHolds == 0 {
 		panic("wireless: tone lowered below zero")
 	}
@@ -261,31 +264,31 @@ func (c *Channel) LowerTone() {
 }
 
 // ToneHolds returns the current number of holders.
-func (c *Channel) ToneHolds() int { return c.toneHolds }
+func (c *Channel[P]) ToneHolds() int { return c.toneHolds }
 
 // WaitToneSilent registers r to run one tone-latency cycle after the
 // tone channel next falls silent (or immediately next Tick if already
 // silent). Used by the initiating directory in a ToneAck operation;
 // waiters fire in registration order, and r is typically a pooled
 // record, so registering allocates nothing once warm.
-func (c *Channel) WaitToneSilent(r engine.Runner) {
+func (c *Channel[P]) WaitToneSilent(r engine.Runner) {
 	c.toneWaiters = append(c.toneWaiters, r)
 }
 
 // Busy reports whether the data channel is occupied at cycle now.
-func (c *Channel) Busy(now uint64) bool { return now < c.busyUntil }
+func (c *Channel[P]) Busy(now uint64) bool { return now < c.busyUntil }
 
 // ActiveOn reports whether a transmission concerning the line is
 // currently on the air (past its collision-detect cycle, guaranteed to
 // deliver). Directories must not snapshot or transfer the line's data
 // while this holds, since the in-flight update will merge imminently.
-func (c *Channel) ActiveOn(l addrspace.Line) bool {
+func (c *Channel[P]) ActiveOn(l addrspace.Line) bool {
 	return c.active != nil && c.active.msg.Line == l
 }
 
 // Idle reports whether the channel has no queued or active work and no
 // tone activity; the machine uses it to skip work.
-func (c *Channel) Idle() bool {
+func (c *Channel[P]) Idle() bool {
 	return c.active == nil && len(c.queue) == 0 && c.toneHolds == 0 && len(c.toneWaiters) == 0
 }
 
@@ -297,7 +300,7 @@ const never = ^uint64(0)
 // transmission, fire tone waiters, or attempt a transmission start.
 // Statistics for skipped cycles are settled by FastForward. Returns
 // never when the channel cannot make progress without external input.
-func (c *Channel) NextWake(now uint64) uint64 {
+func (c *Channel[P]) NextWake(now uint64) uint64 {
 	wake := never
 	if c.active != nil {
 		// Completion fires on the first tick with now >= busyUntil.
@@ -341,7 +344,7 @@ func (c *Channel) NextWake(now uint64) uint64 {
 // the counters Tick accrues on cycles where nothing completes, starts,
 // or fires. Call only when the machine would have ticked those cycles
 // (i.e. the channel is not Idle), matching the run loop's gate.
-func (c *Channel) FastForward(from, to uint64) {
+func (c *Channel[P]) FastForward(from, to uint64) {
 	if to <= from+1 {
 		return
 	}
@@ -362,7 +365,7 @@ func (c *Channel) FastForward(from, to uint64) {
 // transmission's completion, starts new transmissions when the medium
 // is free (detecting collisions among same-cycle starters), and fires
 // tone waiters.
-func (c *Channel) Tick(now uint64) {
+func (c *Channel[P]) Tick(now uint64) {
 	if now < c.busyUntil {
 		c.BusyCycles.Inc()
 	}
@@ -494,7 +497,7 @@ queue:
 // has burned MaxTries attempts gives up with TxAborted(now, false) — the
 // jammed=false discriminates a fault abort from a jam — otherwise the
 // request re-queues behind an exponential backoff and contends again.
-func (c *Channel) corrupt(now uint64, req *txRequest) {
+func (c *Channel[P]) corrupt(now uint64, req *txRequest[P]) {
 	c.Corrupted.Inc()
 	req.tries++
 	exhausted := !req.msg.Privileged && c.MaxTries > 0 && req.tries >= c.MaxTries
@@ -522,7 +525,7 @@ func (c *Channel) corrupt(now uint64, req *txRequest) {
 	c.queue = append(c.queue, req)
 }
 
-func (c *Channel) removeRequest(r *txRequest) {
+func (c *Channel[P]) removeRequest(r *txRequest[P]) {
 	for i, q := range c.queue {
 		if q == r {
 			c.queue = append(c.queue[:i], c.queue[i+1:]...)
@@ -533,7 +536,7 @@ func (c *Channel) removeRequest(r *txRequest) {
 
 // backoff returns a uniform draw from the BRS exponential window for the
 // given retry count, in cycles.
-func (c *Channel) backoff(tries int) uint64 {
+func (c *Channel[P]) backoff(tries int) uint64 {
 	exp := tries
 	if exp > 6 {
 		exp = 6
@@ -544,7 +547,7 @@ func (c *Channel) backoff(tries int) uint64 {
 }
 
 // CollisionProbability returns collisions / attempts (Table VI metric).
-func (c *Channel) CollisionProbability() float64 {
+func (c *Channel[P]) CollisionProbability() float64 {
 	a := c.Attempts.Value()
 	if a == 0 {
 		return 0
@@ -555,9 +558,9 @@ func (c *Channel) CollisionProbability() float64 {
 // tickToken arbitrates the medium by rotating a virtual token: one node
 // may transmit per rotation stop; everyone else waits. Collision-free
 // by construction, so jamming is the only abort source.
-func (c *Channel) tickToken(now uint64) {
+func (c *Channel[P]) tickToken(now uint64) {
 	for hops := 0; hops < c.Nodes; hops++ {
-		var winner *txRequest
+		var winner *txRequest[P]
 		for _, r := range c.queue {
 			if r.msg.Sender == c.token {
 				winner = r

@@ -7,10 +7,10 @@ import (
 	"repro/internal/xrand"
 )
 
-func newTestChannel() (*Channel, *[]Message) {
-	c := NewChannel(xrand.New(1))
-	var got []Message
-	c.SetBroadcast(func(now uint64, msg Message) { got = append(got, msg) })
+func newTestChannel() (*Channel[any], *[]Message[any]) {
+	c := NewChannel[any](xrand.New(1))
+	var got []Message[any]
+	c.SetBroadcast(func(now uint64, msg Message[any]) { got = append(got, msg) })
 	return c, &got
 }
 
@@ -32,7 +32,7 @@ func (f cbs) TxAborted(now uint64, jammed bool) {
 	}
 }
 
-func pump(c *Channel, from, to uint64) uint64 {
+func pump(c *Channel[any], from, to uint64) uint64 {
 	for now := from; now <= to; now++ {
 		c.Tick(now)
 	}
@@ -42,7 +42,7 @@ func pump(c *Channel, from, to uint64) uint64 {
 func TestSingleTransmission(t *testing.T) {
 	c, got := newTestChannel()
 	doneAt := uint64(0)
-	c.Transmit(Message{Sender: 1, Line: 10, Payload: "x"},
+	c.Transmit(Message[any]{Sender: 1, Line: 10, Payload: "x"},
 		cbs{done: func(now uint64) { doneAt = now }})
 	pump(c, 1, 20)
 	if len(*got) != 1 {
@@ -63,7 +63,7 @@ func TestSingleTransmission(t *testing.T) {
 func TestCollisionThenBackoffResolves(t *testing.T) {
 	c, got := newTestChannel()
 	for i := 0; i < 4; i++ {
-		c.Transmit(Message{Sender: i, Line: addrspace.Line(i), Payload: i}, nil)
+		c.Transmit(Message[any]{Sender: i, Line: addrspace.Line(i), Payload: i}, nil)
 	}
 	pump(c, 1, 500)
 	if len(*got) != 4 {
@@ -80,11 +80,11 @@ func TestCollisionThenBackoffResolves(t *testing.T) {
 func TestSerialization(t *testing.T) {
 	// At most one transmission may occupy the medium; deliveries are
 	// therefore spaced by at least the packet length.
-	c := NewChannel(xrand.New(7))
+	c := NewChannel[any](xrand.New(7))
 	var times []uint64
-	c.SetBroadcast(func(now uint64, msg Message) { times = append(times, now) })
+	c.SetBroadcast(func(now uint64, msg Message[any]) { times = append(times, now) })
 	for i := 0; i < 6; i++ {
-		c.Transmit(Message{Sender: i, Line: 5, Payload: i}, nil)
+		c.Transmit(Message[any]{Sender: i, Line: 5, Payload: i}, nil)
 	}
 	pump(c, 1, 2000)
 	if len(times) != 6 {
@@ -102,7 +102,7 @@ func TestJamAbortsUnprivileged(t *testing.T) {
 	c.Jam(10, 3)
 	aborted := false
 	jammedFlag := false
-	c.Transmit(Message{Sender: 1, Line: 10, Payload: "x"},
+	c.Transmit(Message[any]{Sender: 1, Line: 10, Payload: "x"},
 		cbs{abort: func(now uint64, jammed bool) { aborted, jammedFlag = true, jammed }})
 	pump(c, 1, 50)
 	if !aborted || !jammedFlag {
@@ -119,7 +119,7 @@ func TestJamAbortsUnprivileged(t *testing.T) {
 func TestJamPassesPrivileged(t *testing.T) {
 	c, got := newTestChannel()
 	c.Jam(10, 3)
-	c.Transmit(Message{Sender: 3, Line: 10, Payload: "dir", Privileged: true},
+	c.Transmit(Message[any]{Sender: 3, Line: 10, Payload: "dir", Privileged: true},
 		cbs{abort: func(uint64, bool) { t.Fatal("privileged broadcast aborted") }})
 	pump(c, 1, 50)
 	if len(*got) != 1 {
@@ -130,7 +130,7 @@ func TestJamPassesPrivileged(t *testing.T) {
 func TestJamOtherLinePasses(t *testing.T) {
 	c, got := newTestChannel()
 	c.Jam(10, 3)
-	c.Transmit(Message{Sender: 1, Line: 11, Payload: "y"},
+	c.Transmit(Message[any]{Sender: 1, Line: 11, Payload: "y"},
 		cbs{abort: func(uint64, bool) { t.Fatal("unrelated line aborted") }})
 	pump(c, 1, 50)
 	if len(*got) != 1 {
@@ -223,8 +223,8 @@ func TestToneUnderflowPanics(t *testing.T) {
 func TestCancelQueued(t *testing.T) {
 	c, got := newTestChannel()
 	// Occupy the medium so the second request stays queued.
-	c.Transmit(Message{Sender: 0, Line: 1, Payload: "a"}, nil)
-	tx := c.Transmit(Message{Sender: 1, Line: 2, Payload: "b"}, nil)
+	c.Transmit(Message[any]{Sender: 0, Line: 1, Payload: "a"}, nil)
+	tx := c.Transmit(Message[any]{Sender: 1, Line: 2, Payload: "b"}, nil)
 	c.Tick(1) // first becomes active
 	if !c.Cancel(tx) {
 		t.Fatal("cancel of queued request failed")
@@ -237,7 +237,7 @@ func TestCancelQueued(t *testing.T) {
 
 func TestCancelActiveFails(t *testing.T) {
 	c, got := newTestChannel()
-	tx := c.Transmit(Message{Sender: 0, Line: 1, Payload: "a"}, nil)
+	tx := c.Transmit(Message[any]{Sender: 0, Line: 1, Payload: "a"}, nil)
 	c.Tick(1) // becomes active
 	if c.Cancel(tx) {
 		t.Fatal("cancel of active transmission succeeded")
@@ -250,7 +250,7 @@ func TestCancelActiveFails(t *testing.T) {
 
 func TestActiveOn(t *testing.T) {
 	c, _ := newTestChannel()
-	c.Transmit(Message{Sender: 0, Line: 42, Payload: "a"}, nil)
+	c.Transmit(Message[any]{Sender: 0, Line: 42, Payload: "a"}, nil)
 	c.Tick(1)
 	if !c.ActiveOn(42) {
 		t.Fatal("ActiveOn missed the active line")
@@ -269,7 +269,7 @@ func TestIdle(t *testing.T) {
 	if !c.Idle() {
 		t.Fatal("fresh channel not idle")
 	}
-	c.Transmit(Message{Sender: 0, Line: 1}, nil)
+	c.Transmit(Message[any]{Sender: 0, Line: 1}, nil)
 	if c.Idle() {
 		t.Fatal("queued channel idle")
 	}
@@ -286,7 +286,7 @@ func TestIdle(t *testing.T) {
 
 func TestBusyCyclesCounted(t *testing.T) {
 	c, _ := newTestChannel()
-	c.Transmit(Message{Sender: 0, Line: 1}, nil)
+	c.Transmit(Message[any]{Sender: 0, Line: 1}, nil)
 	pump(c, 1, 20)
 	if c.BusyCycles.Value() == 0 {
 		t.Fatal("busy cycles not counted")
@@ -297,7 +297,7 @@ func TestManyContendersAllDeliver(t *testing.T) {
 	c, got := newTestChannel()
 	const n = 32
 	for i := 0; i < n; i++ {
-		c.Transmit(Message{Sender: i, Line: addrspace.Line(i % 4), Payload: i}, nil)
+		c.Transmit(Message[any]{Sender: i, Line: addrspace.Line(i % 4), Payload: i}, nil)
 	}
 	pump(c, 1, 20000)
 	if len(*got) != n {
@@ -314,13 +314,13 @@ func TestManyContendersAllDeliver(t *testing.T) {
 }
 
 func TestTokenMACDeliversWithoutCollisions(t *testing.T) {
-	c := NewChannel(xrand.New(3))
+	c := NewChannel[any](xrand.New(3))
 	c.Mac = MACToken
 	c.Nodes = 8
-	var got []Message
-	c.SetBroadcast(func(now uint64, msg Message) { got = append(got, msg) })
+	var got []Message[any]
+	c.SetBroadcast(func(now uint64, msg Message[any]) { got = append(got, msg) })
 	for i := 0; i < 8; i++ {
-		c.Transmit(Message{Sender: i, Line: addrspace.Line(i), Payload: i}, nil)
+		c.Transmit(Message[any]{Sender: i, Line: addrspace.Line(i), Payload: i}, nil)
 	}
 	pump(c, 1, 2000)
 	if len(got) != 8 {
@@ -332,14 +332,14 @@ func TestTokenMACDeliversWithoutCollisions(t *testing.T) {
 }
 
 func TestTokenMACRespectsJam(t *testing.T) {
-	c := NewChannel(xrand.New(3))
+	c := NewChannel[any](xrand.New(3))
 	c.Mac = MACToken
 	c.Nodes = 4
-	var got []Message
-	c.SetBroadcast(func(now uint64, msg Message) { got = append(got, msg) })
+	var got []Message[any]
+	c.SetBroadcast(func(now uint64, msg Message[any]) { got = append(got, msg) })
 	c.Jam(10, 2)
 	aborted := false
-	c.Transmit(Message{Sender: 1, Line: 10, Payload: "x"},
+	c.Transmit(Message[any]{Sender: 1, Line: 10, Payload: "x"},
 		cbs{abort: func(uint64, bool) { aborted = true }})
 	pump(c, 1, 100)
 	if !aborted || len(got) != 0 {
@@ -349,8 +349,8 @@ func TestTokenMACRespectsJam(t *testing.T) {
 
 // corruptFirstN returns a FaultCorrupt hook that corrupts the first n
 // completed transmissions and passes the rest.
-func corruptFirstN(n int) func(Message) bool {
-	return func(Message) bool {
+func corruptFirstN(n int) func(Message[any]) bool {
+	return func(Message[any]) bool {
 		n--
 		return n >= 0
 	}
@@ -360,11 +360,11 @@ func TestFaultCorruptRetriesThenDelivers(t *testing.T) {
 	c, got := newTestChannel()
 	c.FaultCorrupt = corruptFirstN(2)
 	var faults []bool
-	c.OnTxFault = func(now uint64, msg Message, exhausted bool) {
+	c.OnTxFault = func(now uint64, msg Message[any], exhausted bool) {
 		faults = append(faults, exhausted)
 	}
 	doneCount := 0
-	c.Transmit(Message{Sender: 1, Line: 10, Payload: "x"},
+	c.Transmit(Message[any]{Sender: 1, Line: 10, Payload: "x"},
 		cbs{done: func(uint64) { doneCount++ }})
 	pump(c, 1, 500)
 	if len(*got) != 1 || doneCount != 1 {
@@ -383,16 +383,16 @@ func TestFaultCorruptRetriesThenDelivers(t *testing.T) {
 
 func TestFaultExhaustionAborts(t *testing.T) {
 	c, got := newTestChannel()
-	c.FaultCorrupt = func(Message) bool { return true }
+	c.FaultCorrupt = func(Message[any]) bool { return true }
 	c.MaxTries = 3
 	sawExhausted := false
-	c.OnTxFault = func(now uint64, msg Message, exhausted bool) {
+	c.OnTxFault = func(now uint64, msg Message[any], exhausted bool) {
 		if exhausted {
 			sawExhausted = true
 		}
 	}
 	aborted, jammedFlag := false, true
-	c.Transmit(Message{Sender: 1, Line: 10, Payload: "x"}, cbs{
+	c.Transmit(Message[any]{Sender: 1, Line: 10, Payload: "x"}, cbs{
 		done:  func(uint64) { t.Fatal("done fired on a corrupted transmission") },
 		abort: func(now uint64, jammed bool) { aborted, jammedFlag = true, jammed },
 	})
@@ -419,7 +419,7 @@ func TestFaultPrivilegedRetriesUnbounded(t *testing.T) {
 	c, got := newTestChannel()
 	c.MaxTries = 2
 	c.FaultCorrupt = corruptFirstN(10) // well past MaxTries
-	c.Transmit(Message{Sender: 3, Line: 10, Payload: "dir", Privileged: true},
+	c.Transmit(Message[any]{Sender: 3, Line: 10, Payload: "dir", Privileged: true},
 		cbs{abort: func(uint64, bool) { t.Fatal("privileged broadcast gave up") }})
 	pump(c, 1, 5000)
 	if len(*got) != 1 {
@@ -433,7 +433,7 @@ func TestFaultPrivilegedRetriesUnbounded(t *testing.T) {
 func TestFaultRequeuedCancelWorks(t *testing.T) {
 	c, got := newTestChannel()
 	c.FaultCorrupt = corruptFirstN(1)
-	tx := c.Transmit(Message{Sender: 1, Line: 10, Payload: "x"}, nil)
+	tx := c.Transmit(Message[any]{Sender: 1, Line: 10, Payload: "x"}, nil)
 	// Run until the corruption re-queues the request, then withdraw it.
 	for now := uint64(1); c.Corrupted.Value() == 0; now++ {
 		c.Tick(now)
@@ -510,7 +510,7 @@ func TestFaultCollisionJamInteraction(t *testing.T) {
 	c.FaultCorrupt = corruptFirstN(3)
 	c.Jam(99, 7)
 	jamAborts := 0
-	c.Transmit(Message{Sender: 0, Line: 99, Payload: "jammed"}, cbs{
+	c.Transmit(Message[any]{Sender: 0, Line: 99, Payload: "jammed"}, cbs{
 		abort: func(now uint64, jammed bool) {
 			if !jammed {
 				t.Fatal("jam abort flagged as fault")
@@ -519,7 +519,7 @@ func TestFaultCollisionJamInteraction(t *testing.T) {
 		},
 	})
 	for i := 1; i <= 4; i++ {
-		c.Transmit(Message{Sender: i, Line: addrspace.Line(i), Payload: i},
+		c.Transmit(Message[any]{Sender: i, Line: addrspace.Line(i), Payload: i},
 			cbs{abort: func(uint64, bool) { t.Fatal("clean-line sender aborted") }})
 	}
 	pump(c, 1, 5000)
@@ -548,14 +548,14 @@ func TestFaultCollisionJamInteraction(t *testing.T) {
 }
 
 func TestTokenMACRoundRobinFair(t *testing.T) {
-	c := NewChannel(xrand.New(3))
+	c := NewChannel[any](xrand.New(3))
 	c.Mac = MACToken
 	c.Nodes = 4
 	var order []int
-	c.SetBroadcast(func(now uint64, msg Message) { order = append(order, msg.Sender) })
+	c.SetBroadcast(func(now uint64, msg Message[any]) { order = append(order, msg.Sender) })
 	// All four nodes queue; the token visits them in index order.
 	for i := 0; i < 4; i++ {
-		c.Transmit(Message{Sender: i, Line: addrspace.Line(i), Payload: i}, nil)
+		c.Transmit(Message[any]{Sender: i, Line: addrspace.Line(i), Payload: i}, nil)
 	}
 	pump(c, 1, 200)
 	if len(order) != 4 {
@@ -574,9 +574,9 @@ func TestTokenMACRoundRobinFair(t *testing.T) {
 // broadcast that is still queued.
 func TestCancelStaleHandle(t *testing.T) {
 	c, got := newTestChannel()
-	first := c.Transmit(Message{Sender: 0, Line: 1, Payload: "a"}, nil)
+	first := c.Transmit(Message[any]{Sender: 0, Line: 1, Payload: "a"}, nil)
 	pump(c, 1, 20)
-	c.Transmit(Message{Sender: 0, Line: 2, Payload: "b"}, nil) // reuses the record
+	c.Transmit(Message[any]{Sender: 0, Line: 2, Payload: "b"}, nil) // reuses the record
 	if c.Cancel(first) {
 		t.Fatal("a delivered transmission's handle canceled a later request")
 	}
