@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/addrspace"
-	"repro/internal/pool"
 )
 
 // State is a cache-line coherence state as seen by the holding cache.
@@ -90,34 +89,34 @@ func (c Config) Sets() int {
 // never resized or moved, which is what keeps a *Line valid.
 const lineChunk = 64
 
-// noLine is the tag of an empty way. No line address LineOf returns
-// reaches it, and Install refuses it.
+// noLine is the line address of an empty way. No line address LineOf
+// returns reaches it, and Install refuses it.
 const noLine = ^addrspace.Line(0)
-
-// way is one slot of the way table: the resident line's address and
-// its storage, or noLine and nil when the way is empty.
-type way struct {
-	tag addrspace.Line
-	ln  *Line
-}
 
 // Cache is a set-associative array with true-LRU replacement. It is a
 // passive structure: the coherence controllers decide what to do on
 // misses and evictions; Cache only stores lines and picks victims.
 //
-// The way table holds sets*ways tags, set-major, 16 bytes each. Line
-// storage comes from chunks of lineChunk lines, allocated only when
-// every line handed out so far is resident, so storage follows the most
-// lines ever resident at once, rounded up to a chunk. An invalidated or
-// emptied line goes on a free list and the next install reuses it.
+// The way table is two parallel set-major arrays of sets*ways entries,
+// 12 bytes a way and no pointers: tags holds the complement of each
+// way's line address and idx one more than its line's storage index,
+// line i being chunks[i/lineChunk][i%lineChunk]. Both encodings make an
+// empty way all zeros (the complement of noLine, and no line), so a
+// new table needs no initializing pass. Chunks are allocated only when
+// every line handed out so far is resident, so storage follows the
+// most lines ever resident at once, rounded up to a chunk. An
+// invalidated or emptied line's idx goes on a free list and the next
+// install reuses it.
 type Cache struct {
-	sets  int
-	ways  int
-	mask  uint64 // sets-1 when sets is a power of two, else 0
-	table []way  // sets*ways, set-major
-	chunk []Line // the chunk new lines are cut from
-	free  pool.Free[Line]
-	clock uint64 // LRU stamp source
+	sets   int
+	ways   int
+	mask   uint64           // sets-1 when sets is a power of two, else 0
+	tags   []addrspace.Line // sets*ways, set-major: ^line, 0 when empty
+	idx    []int32          // sets*ways, set-major: index+1, 0 when empty
+	chunks [][]Line         // line storage; the last one is cut from
+	lines  int32            // lines handed out from chunks
+	free   []int32          // idx values of released lines
+	clock  uint64           // LRU stamp source
 
 	// Stats maintained by callers via Touch/Install; exposed for
 	// convenience because every controller needs them.
@@ -125,16 +124,17 @@ type Cache struct {
 	Misses uint64
 }
 
-// New builds an empty cache from the configuration.
+// New builds an empty cache from the configuration. The chunk list is
+// sized for a full cache up front, so installs never grow it.
 func New(cfg Config) *Cache {
 	sets := cfg.Sets()
+	n := sets * cfg.Ways
 	c := &Cache{
-		sets:  sets,
-		ways:  cfg.Ways,
-		table: make([]way, sets*cfg.Ways),
-	}
-	for i := range c.table {
-		c.table[i].tag = noLine
+		sets:   sets,
+		ways:   cfg.Ways,
+		tags:   make([]addrspace.Line, n),
+		idx:    make([]int32, n),
+		chunks: make([][]Line, 0, (n+lineChunk-1)/lineChunk),
 	}
 	if sets&(sets-1) == 0 {
 		c.mask = uint64(sets) - 1
@@ -159,20 +159,34 @@ func (c *Cache) setIndex(l addrspace.Line) int {
 	return int(uint64(l) % uint64(c.sets))
 }
 
-// set returns the ways of the set l maps to.
-func (c *Cache) set(l addrspace.Line) []way {
-	base := c.setIndex(l) * c.ways
-	return c.table[base : base+c.ways]
+// base returns the way-table index of the first way of l's set.
+func (c *Cache) base(l addrspace.Line) int { return c.setIndex(l) * c.ways }
+
+// line returns the storage an idx value names, or nil for 0.
+func (c *Cache) line(v int32) *Line {
+	if v == 0 {
+		return nil
+	}
+	i := uint32(v - 1)
+	return &c.chunks[i/lineChunk][i%lineChunk]
+}
+
+// find returns the way tagged l, or -1.
+func (c *Cache) find(l addrspace.Line) int {
+	base := c.base(l)
+	for w, tag := range c.tags[base : base+c.ways] {
+		if tag == ^l {
+			return base + w
+		}
+	}
+	return -1
 }
 
 // Lookup returns the resident line or nil. It does not update LRU; use
 // Touch for an access.
 func (c *Cache) Lookup(l addrspace.Line) *Line {
-	set := c.set(l)
-	for i := range set {
-		if set[i].tag == l {
-			return set[i].ln
-		}
+	if w := c.find(l); w >= 0 {
+		return c.line(c.idx[w])
 	}
 	return nil
 }
@@ -187,29 +201,32 @@ func (c *Cache) Touch(l addrspace.Line) *Line {
 	return ln
 }
 
-// lruWay returns the least recently used way of a full set that is not
-// pinned NonEvict, or nil if every way is pinned.
-func lruWay(set []way) *way {
-	var oldest *way
-	for i := range set {
-		if set[i].ln.NonEvict {
+// lruWay returns the least recently used way of the full set starting
+// at way base that is not pinned NonEvict, or -1 if every way is
+// pinned.
+func (c *Cache) lruWay(base int) int {
+	oldest, stamp := -1, uint64(0)
+	for w, v := range c.idx[base : base+c.ways] {
+		ln := c.line(v)
+		if ln.NonEvict {
 			continue
 		}
-		if oldest == nil || set[i].ln.lru < oldest.ln.lru {
-			oldest = &set[i]
+		if oldest < 0 || ln.lru < stamp {
+			oldest, stamp = base+w, ln.lru
 		}
 	}
 	return oldest
 }
 
-// freeWay returns the first empty way of the set, or nil.
-func freeWay(set []way) *way {
-	for i := range set {
-		if set[i].ln == nil {
-			return &set[i]
+// freeWay returns the first empty way of the set starting at way base,
+// or -1.
+func (c *Cache) freeWay(base int) int {
+	for w, v := range c.idx[base : base+c.ways] {
+		if v == 0 {
+			return base + w
 		}
 	}
-	return nil
+	return -1
 }
 
 // Victim returns the line that would be evicted to make room for l: nil
@@ -218,15 +235,15 @@ func freeWay(set []way) *way {
 // must be retried later (RMW windows are a few cycles, so this resolves
 // quickly).
 func (c *Cache) Victim(l addrspace.Line) (victim *Line, ok bool) {
-	set := c.set(l)
-	if freeWay(set) != nil {
+	base := c.base(l)
+	if c.freeWay(base) >= 0 {
 		return nil, true
 	}
-	w := lruWay(set)
-	if w == nil {
+	w := c.lruWay(base)
+	if w < 0 {
 		return nil, false
 	}
-	return w.ln, true
+	return c.line(c.idx[w]), true
 }
 
 // Install places a line into the cache, returning the slot. If the line
@@ -240,17 +257,11 @@ func (c *Cache) Install(l addrspace.Line, st State, words [addrspace.WordsPerLin
 	if l == noLine {
 		panic("cache: install of the reserved no-line address")
 	}
-	set := c.set(l)
-	var w *way
-	for i := range set {
-		if set[i].tag == l {
-			w = &set[i]
-			break
-		}
-	}
-	if w == nil {
-		if w = freeWay(set); w == nil {
-			if w = lruWay(set); w == nil {
+	w := c.find(l)
+	if w < 0 {
+		base := c.base(l)
+		if w = c.freeWay(base); w < 0 {
+			if w = c.lruWay(base); w < 0 {
 				panic("cache: install into fully pinned set")
 			}
 			c.release(w)
@@ -258,38 +269,41 @@ func (c *Cache) Install(l addrspace.Line, st State, words [addrspace.WordsPerLin
 	}
 	c.clock++
 	if !st.Valid() {
-		if w.ln != nil {
+		if c.idx[w] != 0 {
 			c.release(w)
 		}
 		return nil
 	}
-	if w.ln == nil {
-		w.tag, w.ln = l, c.alloc()
+	if c.idx[w] == 0 {
+		c.tags[w], c.idx[w] = ^l, c.alloc()
 	}
-	*w.ln = Line{Addr: l, State: st, Words: words, lru: c.clock}
-	return w.ln
+	ln := c.line(c.idx[w])
+	*ln = Line{Addr: l, State: st, Words: words, lru: c.clock}
+	return ln
 }
 
-// alloc returns storage for a new line: the most recently freed line,
-// or the next line of the current chunk, starting a chunk when it is
-// used up. A cache with fewer ways than lineChunk gets a chunk of its
-// own size, which is all it ever needs.
-func (c *Cache) alloc() *Line {
-	if ln := c.free.Pop(); ln != nil {
-		return ln
+// alloc returns the idx value of storage for a new line: the most
+// recently freed line, or the next line of the last chunk, starting a
+// chunk when it is used up. A cache with fewer ways than lineChunk gets
+// a chunk of its own size, which is all it ever needs.
+func (c *Cache) alloc() int32 {
+	if n := len(c.free); n > 0 {
+		v := c.free[n-1]
+		c.free = c.free[:n-1]
+		return v
 	}
-	if len(c.chunk) == cap(c.chunk) {
-		c.chunk = make([]Line, 0, min(lineChunk, len(c.table)))
+	if c.lines%lineChunk == 0 {
+		c.chunks = append(c.chunks, make([]Line, min(lineChunk, len(c.idx))))
 	}
-	c.chunk = c.chunk[:len(c.chunk)+1]
-	return &c.chunk[len(c.chunk)-1]
+	c.lines++
+	return c.lines
 }
 
-// release empties a way and puts its line on the free list. The line
+// release empties way w and puts its line on the free list. The line
 // keeps its stale contents until Install overwrites all of it.
-func (c *Cache) release(w *way) {
-	c.free.Put(w.ln)
-	w.tag, w.ln = noLine, nil
+func (c *Cache) release(w int) {
+	c.free = append(c.free, c.idx[w])
+	c.tags[w], c.idx[w] = 0, 0
 }
 
 // Invalidate drops the line if resident, returning its former contents
@@ -298,13 +312,10 @@ func (c *Cache) release(w *way) {
 // copy: a returned pointer would force the snapshot onto the heap, and
 // invalidations run on the coherence hot path.
 func (c *Cache) Invalidate(l addrspace.Line) (old Line, ok bool) {
-	set := c.set(l)
-	for i := range set {
-		if w := &set[i]; w.tag == l && w.ln != nil {
-			old = *w.ln
-			c.release(w)
-			return old, true
-		}
+	if w := c.find(l); w >= 0 && c.idx[w] != 0 {
+		old = *c.line(c.idx[w])
+		c.release(w)
+		return old, true
 	}
 	return Line{}, false
 }
@@ -312,9 +323,9 @@ func (c *Cache) Invalidate(l addrspace.Line) (old Line, ok bool) {
 // ForEach calls fn for every valid resident line. Iteration order is
 // set-major and deterministic.
 func (c *Cache) ForEach(fn func(*Line)) {
-	for i := range c.table {
-		if ln := c.table[i].ln; ln != nil {
-			fn(ln)
+	for _, v := range c.idx {
+		if v != 0 {
+			fn(c.line(v))
 		}
 	}
 }
@@ -322,8 +333,8 @@ func (c *Cache) ForEach(fn func(*Line)) {
 // CountValid returns the number of resident lines.
 func (c *Cache) CountValid() int {
 	n := 0
-	for i := range c.table {
-		if c.table[i].ln != nil {
+	for _, v := range c.idx {
+		if v != 0 {
 			n++
 		}
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -378,8 +379,12 @@ func panics(fn func()) (p bool) {
 func checkArray(t *testing.T, data []byte) {
 	var g [2]byte
 	copy(g[:], data)
-	cfg := arrayGeometry(g[0], g[1])
-	data = data[min(len(data), 2):]
+	runArray(t, arrayGeometry(g[0], g[1]), data[min(len(data), 2):])
+}
+
+// runArray runs FuzzCacheArray's operations (data, after the geometry
+// bytes) on a Cache and a refCache of geometry cfg.
+func runArray(t *testing.T, cfg Config, data []byte) {
 	c, ref := New(cfg), newRef(cfg)
 	universe := c.Sets() * (c.Ways() + 2)
 	// held remembers the *Line Cache last returned for each line; while
@@ -482,4 +487,62 @@ func compareArrays(t *testing.T, step int, c *Cache, ref *refCache, universe int
 			}
 		}
 	}
+}
+
+// TestCacheArrayManyChunks runs FuzzCacheArray's checks on 32 sets of
+// 4 ways, whose 128 lines span two storage chunks (the fuzz geometries
+// fit in one), with operation streams that are half installs so the
+// second chunk fills.
+func TestCacheArrayManyChunks(t *testing.T) {
+	cfg := Config{SizeBytes: 32 * 4 * addrspace.LineSize, Ways: 4}
+	for seed := uint32(1); seed <= 8; seed++ {
+		data := make([]byte, 3*256)
+		x := seed
+		for i := range data {
+			x = x*1664525 + 1013904223 // a 32-bit LCG
+			data[i] = byte(x >> 24)
+			if i%3 == 0 && x&(1<<16) != 0 {
+				data[i] = 8 * byte(x>>8) // op%8 == 0: Install
+			}
+		}
+		runArray(t, cfg, data)
+	}
+	c := New(cfg)
+	for l := addrspace.Line(0); l < 128; l++ {
+		c.Install(l, Shared, [addrspace.WordsPerLine]uint64{})
+	}
+	if len(c.chunks) != 2 || c.CountValid() != 128 {
+		t.Fatalf("a full cache holds %d lines in %d chunks, want 128 in 2", c.CountValid(), len(c.chunks))
+	}
+}
+
+// TestWayTableHoldsNoPointers pins the way table's element types as
+// pointer-free, so a 64-core machine's 64 way tables are plain bytes
+// the garbage collector never scans.
+func TestWayTableHoldsNoPointers(t *testing.T) {
+	c := New(Config{SizeBytes: 64 << 10, Ways: 2})
+	for _, table := range []any{c.tags, c.idx} {
+		if el := reflect.TypeOf(table).Elem(); hasPointers(el) {
+			t.Errorf("way table element %v holds pointers", el)
+		}
+	}
+}
+
+// hasPointers reports whether a value of type t contains a pointer.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+		return true
+	}
+	return false
 }

@@ -105,21 +105,26 @@ func (e *mockEnv) pump() {
 	batch := e.wired
 	e.wired = nil
 	for _, wm := range batch {
-		switch wm.port {
-		case PortL1:
-			e.l1s[wm.dst].HandleWired(e.now, wm.m)
-		case PortHome:
-			e.homes[wm.dst].HandleWired(e.now, wm.m)
-		case PortMC:
-			// Immediate memory: respond with the line contents.
-			resp := &Msg{Type: MsgMemData, Line: wm.m.Line, HasData: true, Words: e.memory.ReadLine(wm.m.Line)}
-			if wm.m.Type == MsgMemRead {
-				e.homes[wm.m.Requester].HandleWired(e.now, resp)
-			}
-		}
+		e.deliver(wm)
 	}
 	e.wchan.Tick(e.now)
 	e.events.RunDue(e.now)
+}
+
+// deliver hands one wired message to its destination now.
+func (e *mockEnv) deliver(wm wiredMsg) {
+	switch wm.port {
+	case PortL1:
+		e.l1s[wm.dst].HandleWired(e.now, wm.m)
+	case PortHome:
+		e.homes[wm.dst].HandleWired(e.now, wm.m)
+	case PortMC:
+		// Immediate memory: respond with the line contents.
+		resp := &Msg{Type: MsgMemData, Line: wm.m.Line, HasData: true, Words: e.memory.ReadLine(wm.m.Line)}
+		if wm.m.Type == MsgMemRead {
+			e.homes[wm.m.Requester].HandleWired(e.now, resp)
+		}
+	}
 }
 
 // home returns the controller that owns the line.
@@ -509,6 +514,18 @@ func TestMsgSize(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(Msg{}); n != 120 {
 		t.Fatalf("Msg is %d bytes, want 120", n)
+	}
+}
+
+// TestMemRequestSize pins a MemRequest at 88 bytes on 64-bit hosts:
+// every core holds one per load-queue entry, one for its RMW and one
+// per store in its write buffer.
+func TestMemRequestSize(t *testing.T) {
+	if unsafe.Sizeof(int(0)) != 8 {
+		t.Skip("sized for 64-bit ints")
+	}
+	if n := unsafe.Sizeof(MemRequest{}); n != 88 {
+		t.Fatalf("MemRequest is %d bytes, want 88", n)
 	}
 }
 

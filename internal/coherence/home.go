@@ -276,6 +276,15 @@ type HomeCtrl struct {
 	reqFree   pool.Free[requestRunner]
 	lruTick   uint64
 
+	// busyQ is a ring of the entries that turned busy, in start order,
+	// busyLen of them from busyHead on, for the age watchdog's
+	// oldestBusy. Removal is lazy: a reference whose entry is no longer
+	// busy with a transaction of the same start is dropped once it
+	// reaches the front.
+	busyQ    []busyRef
+	busyHead int
+	busyLen  int
+
 	// Memory backing store: the golden contents of lines not resident in
 	// any LLC slice. Shared across slices via the machine (set once).
 	Memory *MemoryImage
@@ -415,21 +424,67 @@ func (h *HomeCtrl) OldestStart() (uint64, bool) {
 	return 0, false
 }
 
+// busyRef is one busyQ reference: an entry and the start cycle of the
+// transaction it was made busy with.
+type busyRef struct {
+	e       *DirEntry
+	started uint64
+}
+
+// live reports whether r's entry is still busy with a transaction of
+// r's start. A later transaction of the same start is the same answer
+// at the same place in start order, so it counts as live too.
+func (r busyRef) live() bool { return r.e.busy != nil && r.e.busy.started == r.started }
+
 // oldestBusy returns the busy entry with the least (started, line), or
-// nil; forEach order cannot perturb the winner.
+// nil. Every busy entry has a live reference in busyQ, and the queue is
+// in start order, so the answer is the least line among the live
+// references that share the front's start.
 func (h *HomeCtrl) oldestBusy() *DirEntry {
-	var best *DirEntry
-	h.entries.forEach(func(_ addrspace.Line, e *DirEntry) bool {
-		if !e.Busy() {
-			return true
+	h.dropStale()
+	if h.busyLen == 0 {
+		return nil
+	}
+	mask := len(h.busyQ) - 1
+	front := h.busyQ[h.busyHead]
+	best := front.e
+	for i := 1; i < h.busyLen; i++ {
+		r := h.busyQ[(h.busyHead+i)&mask]
+		if r.started != front.started {
+			break
 		}
-		if best == nil || e.busy.started < best.busy.started ||
-			(e.busy.started == best.busy.started && e.Line < best.Line) {
-			best = e
+		if r.live() && r.e.Line < best.Line {
+			best = r.e
 		}
-		return true
-	})
+	}
 	return best
+}
+
+// dropStale removes the references at the front of busyQ that are no
+// longer live.
+func (h *HomeCtrl) dropStale() {
+	mask := len(h.busyQ) - 1
+	for h.busyLen > 0 && !h.busyQ[h.busyHead].live() {
+		h.busyHead = (h.busyHead + 1) & mask
+		h.busyLen--
+	}
+}
+
+// pushBusy appends e, turning busy with a transaction started now, to
+// busyQ, doubling the ring when it is full. It drops stale references
+// first, so the ring holds only the transactions started since the
+// oldest one still in flight.
+func (h *HomeCtrl) pushBusy(e *DirEntry, now uint64) {
+	h.dropStale()
+	if h.busyLen == len(h.busyQ) {
+		q := make([]busyRef, max(2*len(h.busyQ), 16))
+		for i := range h.busyLen {
+			q[i] = h.busyQ[(h.busyHead+i)&(len(h.busyQ)-1)]
+		}
+		h.busyQ, h.busyHead = q, 0
+	}
+	h.busyQ[(h.busyHead+h.busyLen)&(len(h.busyQ)-1)] = busyRef{e, now}
+	h.busyLen++
 }
 
 // NoteWirelessFault records one failed wireless broadcast concerning a
@@ -580,10 +635,13 @@ func (h *HomeCtrl) later(m *Msg, first bool) *requestRunner {
 	return r
 }
 
-// newTxn starts a transaction record, reusing a finished one (and its
-// ackIDs array) when the free list has one. t holds the fields to set.
-func (h *HomeCtrl) newTxn(t txn) *txn {
+// newTxn starts a transaction record for entry e, reusing a finished
+// one (and its ackIDs array) when the free list has one, and queues e
+// for oldestBusy. t holds the fields to set; the caller makes the
+// record e.busy.
+func (h *HomeCtrl) newTxn(e *DirEntry, t txn) *txn {
 	t.started = h.env.Now()
+	h.pushBusy(e, t.started)
 	p := h.txnFree.Get()
 	t.ackIDs = p.ackIDs[:0]
 	*p = t
@@ -728,7 +786,7 @@ func (h *HomeCtrl) evictVictim() bool {
 		return true
 	case DirShared:
 		// Invalidate all sharers, then drop.
-		t := h.newTxn(txn{kind: txEvict})
+		t := h.newTxn(victim, txn{kind: txEvict})
 		victim.busy = t
 		t.acksLeft = h.sendInvalidations(victim, -1)
 		if t.acksLeft == 0 {
@@ -736,13 +794,13 @@ func (h *HomeCtrl) evictVictim() bool {
 		}
 		return true
 	case DirOwned:
-		t := h.newTxn(txn{kind: txEvict, acksLeft: 1})
+		t := h.newTxn(victim, txn{kind: txEvict, acksLeft: 1})
 		victim.busy = t
 		h.send(victim.Owner, PortL1, Msg{Type: MsgRecall, Line: victim.Line})
 		return true
 	case DirWireless:
 		// Table II W->I: broadcast WirInv; write back if dirty.
-		t := h.newTxn(txn{kind: txEvict})
+		t := h.newTxn(victim, txn{kind: txEvict})
 		t.evict = wEviction{h: h, e: victim}
 		victim.busy = t
 		h.Stats.WirInvs.Inc()
@@ -788,7 +846,7 @@ func (h *HomeCtrl) writebackIfDirty(e *DirEntry) {
 // a read with no other sharers.
 func (h *HomeCtrl) serveUncached(e *DirEntry, m *Msg) {
 	if !e.HasData {
-		e.busy = h.newTxn(txn{kind: txFetchMem, requester: m.Src, reqType: m.Type, reqID: m.ReqID})
+		e.busy = h.newTxn(e, txn{kind: txFetchMem, requester: m.Src, reqType: m.Type, reqID: m.ReqID})
 		h.Stats.MemReads.Inc()
 		h.send(h.env.MCOf(e.Line), PortMC, Msg{Type: MsgMemRead, Line: e.Line, Requester: h.id})
 		return
@@ -846,7 +904,7 @@ func (h *HomeCtrl) serveShared(e *DirEntry, m *Msg) {
 		h.startSToW(e, m)
 		return
 	}
-	t := h.newTxn(txn{kind: txInvAll, requester: m.Src, reqID: m.ReqID})
+	t := h.newTxn(e, txn{kind: txInvAll, requester: m.Src, reqID: m.ReqID})
 	e.busy = t
 	t.acksLeft = h.sendInvalidations(e, m.Src)
 	if t.acksLeft == 0 {
@@ -981,11 +1039,11 @@ func (h *HomeCtrl) serveOwned(e *DirEntry, m *Msg) {
 		return
 	}
 	if m.Type == MsgGetS {
-		e.busy = h.newTxn(txn{kind: txFwdGetS, requester: m.Src, reqID: m.ReqID})
+		e.busy = h.newTxn(e, txn{kind: txFwdGetS, requester: m.Src, reqID: m.ReqID})
 		h.send(e.Owner, PortL1, Msg{Type: MsgFwdGetS, Line: e.Line, Requester: m.Src, ReqID: m.ReqID})
 		return
 	}
-	e.busy = h.newTxn(txn{kind: txFwdGetX, requester: m.Src, reqID: m.ReqID})
+	e.busy = h.newTxn(e, txn{kind: txFwdGetX, requester: m.Src, reqID: m.ReqID})
 	h.send(e.Owner, PortL1, Msg{Type: MsgFwdGetX, Line: e.Line, Requester: m.Src, ReqID: m.ReqID})
 }
 
@@ -1011,7 +1069,7 @@ func (h *HomeCtrl) serveWireless(e *DirEntry, m *Msg) (kept bool) {
 	}
 	// Table II W->W case 1: add the sharer over the wired network while
 	// jamming wireless transactions on the line.
-	t := h.newTxn(txn{kind: txWAddSharer, requester: m.Src})
+	t := h.newTxn(e, txn{kind: txWAddSharer, requester: m.Src})
 	e.busy = t
 	h.env.Jam(e.Line, h.id)
 	h.send(m.Src, PortL1, Msg{
@@ -1025,7 +1083,7 @@ func (h *HomeCtrl) serveWireless(e *DirEntry, m *Msg) (kept bool) {
 // for the ToneAck to complete.
 func (h *HomeCtrl) startSToW(e *DirEntry, m *Msg) {
 	h.Stats.SToW.Inc()
-	t := h.newTxn(txn{kind: txSToW, requester: m.Src})
+	t := h.newTxn(e, txn{kind: txSToW, requester: m.Src})
 	e.busy = t
 	h.env.Jam(e.Line, h.id)
 	t.upgrade = upgrade{h: h, e: e, t: t, newCount: e.sharerCountNow() + 1}
@@ -1198,7 +1256,7 @@ func (h *HomeCtrl) ackPut(m *Msg) {
 // the downgrade decision and its commit.
 func (h *HomeCtrl) startWToS(e *DirEntry) {
 	h.Stats.WToS.Inc()
-	t := h.newTxn(txn{kind: txWToS, acksLeft: e.SharerCount})
+	t := h.newTxn(e, txn{kind: txWToS, acksLeft: e.SharerCount})
 	e.busy = t
 	h.env.Jam(e.Line, h.id)
 	t.cancelTx = h.env.TransmitWireless(Msg{Type: MsgWirDwgr, Line: e.Line, Src: h.id}, true, nil)

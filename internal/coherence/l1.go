@@ -41,17 +41,19 @@ func (k RMWKind) Apply(old, operand, expected uint64) uint64 {
 	panic("coherence: unknown RMW kind")
 }
 
-// MemRequest is one memory operation issued by a core to its L1.
+// MemRequest is one memory operation issued by a core to its L1. Its
+// one-byte fields sit together so that it packs into 88 bytes
+// (TestMemRequestSize): every core holds one per load-queue entry.
 type MemRequest struct {
-	IsWrite  bool
-	IsRMW    bool
+	IsWrite bool
+	IsRMW   bool
+	RMW     RMWKind
+	// Tag is the issuer's own: the L1 never reads it. It lets one Done
+	// shared by many requests tell them apart.
+	Tag      int32
 	Addr     addrspace.Addr
 	Value    uint64 // store value / RMW operand
 	Expected uint64 // RMWCompareSwap comparand
-	RMW      RMWKind
-	// Tag is the issuer's own: the L1 never reads it. It lets one Done
-	// shared by many requests tell them apart.
-	Tag int32
 	// Done fires when the operation completes, with the request itself.
 	// Loads receive the value read; RMWs receive the old value; stores
 	// receive the stored value.
@@ -61,19 +63,20 @@ type MemRequest struct {
 	// A request keeps one span across NACK retries, wireless aborts and
 	// wired fallbacks, so a span's latency is the core's full wait.
 	// obsClass records the protocol path the span was opened under.
-	obsSpan  uint64
-	obsClass obs.Class
+	obsSpan uint64
 
 	// missStart records the cycle of the first L1 miss this request
-	// took and moreMisses those of later ones (a requeued request can
-	// miss more than once); completion observes one MissLatency sample
-	// per miss and clears them. Kept as fields rather than a
-	// Done-wrapping closure so request objects can be pooled and reused
-	// without chaining wrappers across lifetimes; the common single miss
-	// needs no slice.
+	// took (missed) and moreMisses those of later ones (a requeued
+	// request can miss more than once); completion observes one
+	// MissLatency sample per miss and clears them. Kept as fields rather
+	// than a Done-wrapping closure so request objects can be pooled and
+	// reused without chaining wrappers across lifetimes; the common
+	// single miss needs no slice.
 	missStart  uint64
-	missed     bool
 	moreMisses []uint64
+
+	obsClass obs.Class
+	missed   bool
 }
 
 type pendingKind uint8

@@ -100,17 +100,21 @@ func (c *Config) Fill() {
 
 // robEntry is one ROB ring slot. A compute entry stands for count
 // consecutive compute instructions (see pushCompute); every other kind
-// stands for one instruction. Memory operands live in the slot's
-// request (Core.slotReqs), not here.
+// stands for one instruction. A store's and an RMW's operands live here
+// until the store retires or the RMW launches; a load's request is
+// built at issue (Core.loadReqs), so its slot keeps only the address.
 type robEntry struct {
 	kind       InstrKind
-	done       bool // load/RMW: Done has fired
-	issuedMem  bool // RMW: launched at the ROB head
-	wantResult bool // load/RMW: hand the value to the source at retire
+	rmw        coherence.RMWKind // RMW: the atomic operation
+	done       bool              // load/RMW: Done has fired
+	wantResult bool              // load/RMW: hand the value to the source at retire
 	count      int32
 	issueCycle uint64 // loads, stores, RMWs and pauses
-	readyAt    uint64 // pauses
-	value      uint64 // load/RMW result once done
+	readyAt    uint64 // pauses; an RMW's comparand
+	// value is a store's value or an RMW's operand, then a load's or
+	// an RMW's result once done.
+	value uint64
+	addr  addrspace.Addr // loads, stores and RMWs
 }
 
 // never marks a wake-up that depends purely on an external completion
@@ -201,13 +205,19 @@ type Core struct {
 	// it, to check the drain against the cycles it replaces.
 	noDrain bool
 
-	// Allocation-free memory requests: slotReqs[i] is the request for
-	// ROB slot i (loads and RMWs complete before their slot retires, so
-	// the request is never live across a slot reuse); tokens carry
-	// retired stores through the write buffer and storeFree lists the
-	// idle ones. Every request completes through memDone, which finds
-	// the slot or token from the request's Tag.
-	slotReqs  []coherence.MemRequest
+	// Allocation-free memory requests, sized to what can be in flight.
+	// Loads enter and retire in program order, so loadReqs is a ring:
+	// the k-th load in the ROB (oldest first) uses slot loadHead+k,
+	// which its retirement frees. An RMW launches only at the ROB head
+	// and retires before the next can get there, so rmwReq serves them
+	// all, and rmwIssued says the head RMW has launched. A load's or
+	// RMW's Tag is its ROB slot. tokens carry retired stores through the
+	// write buffer, Tag indexing tokens, and storeFree lists the idle
+	// ones. Every request completes through memDone.
+	loadReqs  []coherence.MemRequest
+	loadHead  int
+	rmwReq    coherence.MemRequest
+	rmwIssued bool
 	tokens    []*storeToken
 	storeFree []int32
 	memDone   func(r *coherence.MemRequest, at, v uint64)
@@ -220,21 +230,23 @@ type Core struct {
 func New(id int, cfg Config, src InstrSource, mem MemPort) *Core {
 	cfg.Fill()
 	c := &Core{
-		id:       id,
-		cfg:      cfg,
-		mem:      mem,
-		src:      src,
-		rob:      make([]robEntry, cfg.ROBSize),
-		slotReqs: make([]coherence.MemRequest, cfg.ROBSize),
+		id:  id,
+		cfg: cfg,
+		mem: mem,
+		src: src,
+		rob: make([]robEntry, cfg.ROBSize),
+		// The ROB bounds the loads in flight as well as the load queue.
+		loadReqs: make([]coherence.MemRequest, min(cfg.LoadQueue, cfg.ROBSize)),
 	}
-	// One completion callback per core: the rob and slotReqs arrays
+	// One completion callback per core: the rob and loadReqs arrays
 	// are never reallocated, so a slot's index names it for the whole
 	// run, and the steady-state memory path allocates nothing.
 	c.memDone = c.complete
-	for i := range c.slotReqs {
-		c.slotReqs[i].Tag = int32(i)
-		c.slotReqs[i].Done = c.memDone
+	for i := range c.loadReqs {
+		c.loadReqs[i].Done = c.memDone
 	}
+	c.rmwReq.IsRMW = true
+	c.rmwReq.Done = c.memDone
 	return c
 }
 
@@ -254,9 +266,9 @@ func (c *Core) Describe() string {
 		h := &c.rob[c.robHead]
 		var addr addrspace.Addr
 		if h.kind != KCompute && h.kind != KPause {
-			addr = c.slotReqs[c.robHead].Addr
+			addr = h.addr
 		}
-		head = fmt.Sprintf("kind=%d done=%v issuedMem=%v addr=%#x", h.kind, h.done, h.issuedMem, addr)
+		head = fmt.Sprintf("kind=%d done=%v issuedMem=%v addr=%#x", h.kind, h.done, c.rmwIssued, addr)
 		if h.kind != KCompute {
 			head += fmt.Sprintf(" age=%d", c.Stats.Cycles-h.issueCycle)
 		}
@@ -394,7 +406,7 @@ func (c *Core) drain(from uint64, m int) {
 			}
 		} else { // a completed load: computeJump admits nothing else
 			c.Stats.LoadROBLatency += from + uint64(pos/width) - h.issueCycle
-			c.loadsInFlight--
+			c.retireLoad()
 			c.robCount--
 			pos++
 		}
@@ -486,7 +498,7 @@ func (c *Core) nextWake(now uint64) uint64 {
 				return now + 1
 			}
 		case KRMW:
-			if !h.issuedMem || h.done {
+			if !c.rmwIssued || h.done {
 				return now + 1
 			}
 		case KStore:
@@ -567,24 +579,25 @@ func (c *Core) retire(now uint64) int {
 				return n
 			}
 			c.Stats.LoadROBLatency += now - h.issueCycle
-			c.loadsInFlight--
+			c.retireLoad()
 		case KRMW:
-			if !h.issuedMem {
+			if !c.rmwIssued {
 				// RMWs execute when they reach their turn in the
 				// consistency order (§IV-C): issue at ROB head.
-				c.issueRMW(h, c.robHead)
+				c.issueRMW(h)
 				return n
 			}
 			if !h.done {
 				return n
 			}
+			c.rmwIssued = false
 			c.Stats.LoadROBLatency += now - h.issueCycle
 		case KStore:
 			if c.wbInFlight >= c.cfg.WriteBuffer {
 				return n // write buffer full: retirement stalls
 			}
 			c.Stats.StoreROBLatency += now - h.issueCycle
-			c.issueStore(now, c.robHead)
+			c.issueStore(now, h)
 		}
 		if h.wantResult {
 			c.lastResult = h.value
@@ -597,6 +610,14 @@ func (c *Core) retire(now uint64) int {
 		n++
 	}
 	return n
+}
+
+// retireLoad frees the oldest load's load-queue slot.
+func (c *Core) retireLoad() {
+	c.loadsInFlight--
+	if c.loadHead++; c.loadHead == len(c.loadReqs) {
+		c.loadHead = 0
+	}
 }
 
 func (c *Core) advanceHead() {
@@ -690,7 +711,6 @@ func (c *Core) pushTimed(kind InstrKind, now, readyAt uint64, n int) {
 	slot := &c.rob[c.robTail]
 	slot.kind = kind
 	slot.done = false
-	slot.issuedMem = false
 	slot.wantResult = false
 	slot.count = int32(n)
 	slot.readyAt = readyAt
@@ -721,15 +741,13 @@ func (c *Core) pushCompute(now uint64, n int) {
 	c.pushTimed(KCompute, now, now+1, n)
 }
 
-// pushMem appends a load, store or RMW entry and writes its operands
-// into the slot's request, where the RMW launch, the store's write
-// buffer entry and Describe read them.
+// pushMem appends a load, store or RMW entry with its operands, where
+// the RMW launch, the store's write buffer entry and Describe read
+// them.
 func (c *Core) pushMem(kind InstrKind, now uint64, ins *Instr) *robEntry {
 	e := &c.rob[c.robTail]
-	*e = robEntry{kind: kind, count: 1, issueCycle: now}
-	r := &c.slotReqs[c.robTail]
-	r.IsWrite, r.IsRMW = false, kind == KRMW
-	r.Addr, r.Value, r.Expected, r.RMW = ins.Addr, ins.Value, ins.Expected, ins.RMW
+	*e = robEntry{kind: kind, rmw: ins.RMW, count: 1, issueCycle: now,
+		readyAt: ins.Expected, value: ins.Value, addr: ins.Addr}
 	c.robTail++
 	if c.robTail == c.cfg.ROBSize {
 		c.robTail = 0
@@ -741,7 +759,12 @@ func (c *Core) pushMem(kind InstrKind, now uint64, ins *Instr) *robEntry {
 
 func (c *Core) pushLoad(now uint64, ins *Instr) {
 	c.Stats.Loads++
-	r := &c.slotReqs[c.robTail]
+	i := c.loadHead + c.loadsInFlight
+	if i >= len(c.loadReqs) {
+		i -= len(c.loadReqs)
+	}
+	r := &c.loadReqs[i]
+	r.Tag, r.Addr = int32(c.robTail), ins.Addr
 	e := c.pushMem(KLoad, now, ins)
 	if ins.WantResult {
 		e.wantResult = true
@@ -771,22 +794,25 @@ func (c *Core) pushRMW(now uint64, ins *Instr) {
 	}
 }
 
-// issueRMW launches the atomic once the RMW reaches the ROB head.
-func (c *Core) issueRMW(e *robEntry, idx int) {
-	e.issuedMem = true
+// issueRMW launches the RMW e, which has reached the ROB head.
+func (c *Core) issueRMW(e *robEntry) {
+	c.rmwIssued = true
 	c.memPending++
-	c.mem.Access(&c.slotReqs[idx])
+	r := &c.rmwReq
+	r.Tag = int32(c.robHead)
+	r.Addr, r.Value, r.Expected, r.RMW = e.addr, e.value, e.readyAt, e.rmw
+	c.mem.Access(r)
 }
 
-// issueStore moves the retiring store in ROB slot idx into the write
-// buffer; completion frees the buffer entry asynchronously. Stores
-// outlive their ROB slot, so they travel in a pooled storeToken.
-func (c *Core) issueStore(now uint64, idx int) {
+// issueStore moves the retiring store e into the write buffer;
+// completion frees the buffer entry asynchronously. Stores outlive
+// their ROB slot, so they travel in a pooled storeToken.
+func (c *Core) issueStore(now uint64, e *robEntry) {
 	c.wbInFlight++
 	t := c.takeStoreToken()
 	t.start = now
-	t.req.Addr = c.slotReqs[idx].Addr
-	t.req.Value = c.slotReqs[idx].Value
+	t.req.Addr = e.addr
+	t.req.Value = e.value
 	c.mem.Access(&t.req)
 }
 

@@ -1,7 +1,9 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/addrspace"
 	"repro/internal/coherence"
@@ -55,7 +57,14 @@ func newFakeMem(now *uint64, lat uint64) *fakeMem {
 	return &fakeMem{now: now, latency: lat, values: map[addrspace.Addr]uint64{}}
 }
 
+// Access panics if r is still outstanding: a core must not reuse a
+// request before its Done has fired.
 func (f *fakeMem) Access(r *coherence.MemRequest) {
+	for _, p := range f.pending {
+		if p == r {
+			panic(fmt.Sprintf("cycle %d: request %+v reissued while outstanding", *f.now, *r))
+		}
+	}
 	lat := f.latency
 	if len(f.lats) > 0 {
 		lat = f.lats[f.accesses%len(f.lats)]
@@ -369,5 +378,17 @@ func TestPauseOccupiesTimeNotInstructions(t *testing.T) {
 	}
 	if r.c.Stats.MemStallCycles > 2 {
 		t.Fatalf("pause charged %d memory-stall cycles", r.c.Stats.MemStallCycles)
+	}
+}
+
+// TestROBEntrySize pins a robEntry at 40 bytes on 64-bit hosts: a core
+// holds ROBSize of them (180 in Table III), which with its load-queue
+// requests is most of what building a core allocates.
+func TestROBEntrySize(t *testing.T) {
+	if unsafe.Sizeof(int(0)) != 8 {
+		t.Skip("sized for 64-bit ints")
+	}
+	if n := unsafe.Sizeof(robEntry{}); n != 40 {
+		t.Fatalf("robEntry is %d bytes, want 40", n)
 	}
 }

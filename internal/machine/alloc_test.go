@@ -168,17 +168,17 @@ func fastForwardRunAllocs(t *testing.T, p coherence.Protocol) uint64 {
 // paper's 64-core WiDir machine allocates: workload.Program for barnes
 // plus NewSystem(DefaultConfig(64, WiDir)). L1 lines and directory
 // entries are allocated as a run touches them, so set-up holds the L1
-// way tables, the cores' ROBs and requests, and the controllers' empty
-// tables. The ceiling is the maximum seen plus the spread seen over 880
-// runs in 44 processes of -count=20 on linux/amd64 with go1.24:
-// 2,989,400–2,994,648 bytes, the top of the range from the first run in
-// a process. Building every L1 line eagerly, as before, allocated 8.62
-// MB.
+// way tables, the cores' ROBs and load-queue requests, and the
+// controllers' empty tables. The ceiling is the maximum seen plus the
+// spread seen over 880 runs in 44 processes of -count=20 on
+// linux/amd64 with go1.24: 1,946,704–1,952,232 bytes. A request per
+// ROB slot and a {tag, *Line} way table, as before, allocated
+// 2,997,328–2,999,240; building every L1 line eagerly, 8.62 MB.
 func TestNewSystemAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-runtime bookkeeping allocates nondeterministically")
 	}
-	const ceiling = 2_994_648 + 5_248
+	const ceiling = 1_952_232 + 5_528
 	prof, ok := workload.ByName("barnes")
 	if !ok {
 		t.Fatal("unknown app barnes")
