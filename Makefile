@@ -55,8 +55,8 @@ mcheck:
 # Fuzz smoke (DESIGN.md §14): ten seconds of FuzzWheel, which drives
 # the timing wheel under the event queue and the mesh with
 # Push/PopDue/Next sequences and checks it against a sorted reference
-# list, then five seconds each of the -fault-links parser (FuzzParseLinks),
-# the .widirspec parser (FuzzParseSpec), the result cache's entry
+# list, then five seconds each of the .widirspec parser
+# (FuzzParseSpec), the result cache's entry
 # decoding (FuzzCacheGet), the core's compute drain against a core
 # that ticks through every cycle (FuzzCoreDrain), the L1 array against
 # the flat array it replaced (FuzzCacheArray), widirsim's -config
@@ -67,7 +67,6 @@ mcheck:
 # a short window minimizing instead of fuzzing.
 fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWheel$$' -fuzztime 10s -fuzzminimizetime 100x
-	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseLinks$$' -fuzztime 5s -fuzzminimizetime 100x
 	$(GO) test ./internal/protomodel -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s -fuzzminimizetime 100x
 	$(GO) test ./internal/exp -run '^$$' -fuzz '^FuzzCacheGet$$' -fuzztime 5s -fuzzminimizetime 100x
 	$(GO) test ./internal/cpu -run '^$$' -fuzz '^FuzzCoreDrain$$' -fuzztime 5s -fuzzminimizetime 100x

@@ -6,6 +6,13 @@
 // as a table or, with -csv, one CSV row per run. Baseline runs only the
 // first threshold: MaxWiredSharers is a WiDir knob.
 //
+// Every machine field beyond core count, threshold and protocol (the
+// fault schedule, the checker, cache sizes, ...) is set with -config: a
+// JSON machine.Config, in the -dump-config format or any subset of its
+// fields, decoded over each run's configuration. A file that names the
+// machine size (Nodes, MeshW, MeshH) or MaxWiredSharers fixes that axis,
+// so it takes a single -cores or -maxwired value; -protocol always wins.
+//
 // With -events or -perfetto, each run also captures a cycle-stamped
 // event trace into a ring of -buf events, prints its wired-vs-wireless
 // request-latency summary, and exports the events kept by -core,
@@ -25,6 +32,7 @@
 //	widirsim -app radiosity,barnes -cores 16,32,64 -maxwired 2,3,4 -csv > sweep.csv
 //	widirsim -app fmm -cores 16 -scale 0.1 -protocol both \
 //	    -events trace.jsonl -perfetto trace.json
+//	widirsim -app fmm -cores 16,32 -config faults.json
 package main
 
 import (
@@ -42,7 +50,6 @@ import (
 	"repro/internal/addrspace"
 	"repro/internal/coherence"
 	"repro/internal/exp"
-	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -84,15 +91,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list      = fs.Bool("list", false, "list applications and exit")
 		traceLine = fs.Uint64("trace-line", 0, "stream this cache-line number's events to stderr as JSONL, and keep only its events in trace exports")
 		latency   = fs.Bool("latency", false, "print the per-miss latency distribution after each run")
-		confPath  = fs.String("config", "", "load the machine configuration from a JSON file (overrides -cores/-maxwired)")
+		confPath  = fs.String("config", "", "JSON machine configuration decoded over each run's: the fields it names (faults, checker, ...) override -cores/-maxwired, not -protocol")
 		dumpConf  = fs.Bool("dump-config", false, "print the default machine configuration as JSON and exit")
-
-		faultBER   = fs.Float64("fault-ber", 0, "wireless fault injection: per-transmission corruption probability")
-		faultSeed  = fs.Uint64("fault-seed", 0, "fault schedule seed (0 derives it from -seed)")
-		faultLinks = fs.String("fault-links", "", "afflicted mesh links as 'src-dst,src-dst' (empty = all, when a link rate is set)")
-		faultStall = fs.Float64("fault-stall", 0, "per-packet stall probability on afflicted links")
-		faultDrop  = fs.Float64("fault-drop", 0, "per-packet drop+retransmit probability on afflicted links")
-		checker    = fs.Bool("checker", false, "run the SWMR/value-coherence checker during the simulation")
 
 		events   = fs.String("events", "", "capture a trace and write the kept events as JSONL to this file ('-' = stdout)")
 		perfetto = fs.String("perfetto", "", "capture a trace and write the kept events as Chrome trace-event JSON to this file")
@@ -140,10 +140,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-scale %v must be positive", *scale))
 	}
 
-	links, err := fault.ParseLinks(*faultLinks)
-	if err != nil {
-		return fail(err)
-	}
 	filter := obs.NewFilter()
 	if filter.Kinds, err = obs.ParseKinds(*class); err != nil {
 		return fail(err)
@@ -162,77 +158,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-buf %d must be positive", *bufCap))
 	}
 
-	configFor := func(n, th int) machine.Config {
-		cfg := machine.DefaultConfig(n, coherence.WiDir)
-		cfg.MaxWiredSharers = th
-		if th > cfg.MaxPointers {
-			cfg.MaxPointers = th
-		}
-		return cfg
-	}
-	var fileCfg *machine.Config
+	var conf []byte
 	if *confPath != "" {
-		if len(cores) > 1 || len(thresholds) > 1 {
-			return fail(fmt.Errorf("-config takes one -cores and one -maxwired value"))
-		}
-		cfg, err := loadConfig(*confPath, configFor(cores[0], thresholds[0]))
-		if err != nil {
+		if conf, err = os.ReadFile(*confPath); err != nil {
 			return fail(err)
 		}
-		fileCfg = &cfg
 	}
-	// The fault schedule is the -config file's (if any), with each
-	// -fault-* flag given on the command line overriding its field.
-	var fcfg fault.Config
-	if fileCfg != nil {
-		fcfg = fileCfg.Fault
+	for i := range apps {
+		apps[i] = apps[i].Scale(*scale)
 	}
-	fs.Visit(func(fl *flag.Flag) {
-		switch fl.Name {
-		case "fault-ber":
-			fcfg.WirelessBER = *faultBER
-		case "fault-seed":
-			fcfg.Seed = *faultSeed
-		case "fault-links":
-			fcfg.Links = links
-		case "fault-stall":
-			fcfg.LinkStallPct = *faultStall
-		case "fault-drop":
-			fcfg.LinkDropPct = *faultDrop
-		}
-	})
-	if len(fcfg.Links) > 0 && fcfg.LinkStallPct == 0 && fcfg.LinkDropPct == 0 {
-		return fail(fmt.Errorf("fault links need a stall or drop rate (-fault-stall, -fault-drop) to inject anything"))
-	}
-
-	// Enumerate every run up front so the worker pool can fan them out
-	// while the output still prints in cartesian order.
-	multi := len(cores) > 1 || len(thresholds) > 1
-	var jobs []job
-	for _, app := range apps {
-		app = app.Scale(*scale)
-		for _, n := range cores {
-			for _, p := range protos {
-				ths := thresholds
-				if p == coherence.Baseline {
-					ths = thresholds[:1]
-				}
-				for _, th := range ths {
-					cfg := configFor(n, th)
-					if fileCfg != nil {
-						cfg = *fileCfg
-					}
-					cfg.Protocol = p // the -protocol flag selects the protocol, even over -config
-					cfg.Fault = fcfg
-					cfg.EnableChecker = cfg.EnableChecker || *checker
-					label := app.Name + "/" + p.String()
-					if multi {
-						label += fmt.Sprintf(" (%d cores, maxwired %d)", n, th)
-					}
-					jobs = append(jobs, job{label: label, app: app, cfg: cfg})
-				}
-			}
-		}
+	jobs, err := jobsFor(apps, cores, protos, thresholds, conf)
+	if err != nil {
+		return fail(fmt.Errorf("-config %s: %w", *confPath, err))
 	}
 	if *events == "-" && len(jobs) > 1 {
 		return fail(fmt.Errorf("-events - takes a single run; name a file to export %d runs", len(jobs)))
@@ -324,6 +261,65 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// configFor is the default machine for n cores with WiDir threshold th.
+func configFor(n, th int) machine.Config {
+	cfg := machine.DefaultConfig(n, coherence.WiDir)
+	cfg.MaxWiredSharers = th
+	if th > cfg.MaxPointers {
+		cfg.MaxPointers = th
+	}
+	return cfg
+}
+
+// jobsFor enumerates every run up front, so the worker pool can fan
+// them out while the output still prints in cartesian order. conf, a
+// -config file's JSON (nil for none), is decoded over each job's
+// configFor. A field conf names is the same in every job, so conf may
+// not name a field that a -cores or -maxwired sweep varies; the
+// protocol is always the job's.
+func jobsFor(apps []workload.Profile, cores []int, protos []coherence.Protocol, thresholds []int, conf []byte) ([]job, error) {
+	if conf != nil {
+		var named struct{ Nodes, MeshW, MeshH, MaxWiredSharers json.RawMessage }
+		if err := json.Unmarshal(conf, &named); err != nil {
+			return nil, err
+		}
+		if len(cores) > 1 && (named.Nodes != nil || named.MeshW != nil || named.MeshH != nil) {
+			return nil, fmt.Errorf("names the machine size (Nodes, MeshW or MeshH), so it takes one -cores value")
+		}
+		if len(thresholds) > 1 && named.MaxWiredSharers != nil {
+			return nil, fmt.Errorf("names MaxWiredSharers, so it takes one -maxwired value")
+		}
+	}
+	multi := len(cores) > 1 || len(thresholds) > 1
+	var jobs []job
+	for _, app := range apps {
+		for _, n := range cores {
+			for _, p := range protos {
+				ths := thresholds
+				if p == coherence.Baseline {
+					ths = thresholds[:1]
+				}
+				for _, th := range ths {
+					cfg := configFor(n, th)
+					if conf != nil {
+						var err error
+						if cfg, err = loadConfig(conf, cfg); err != nil {
+							return nil, err
+						}
+					}
+					cfg.Protocol = p
+					label := app.Name + "/" + p.String()
+					if multi {
+						label += fmt.Sprintf(" (%d cores, maxwired %d)", n, th)
+					}
+					jobs = append(jobs, job{label: label, app: app, cfg: cfg})
+				}
+			}
+		}
+	}
+	return jobs, nil
 }
 
 // exportTrace prints one traced run's capture counts and span summary
@@ -419,23 +415,18 @@ func dumpConfig(w io.Writer, cores int) error {
 	return enc.Encode(machine.DefaultConfig(cores, coherence.WiDir))
 }
 
-// loadConfig reads a JSON machine configuration over base: fields the
-// file names replace base's, the rest keep their value. A field the
+// loadConfig decodes a JSON machine configuration over base: fields
+// the data names replace base's, the rest keep their value. A field the
 // Config type does not have is an error, so a file naming a removed
 // option fails instead of silently running without it.
-func loadConfig(path string, base machine.Config) (machine.Config, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return machine.Config{}, err
-	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
+func loadConfig(data []byte, base machine.Config) (machine.Config, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&base); err != nil {
-		return machine.Config{}, fmt.Errorf("parsing %s: %w", path, err)
+		return machine.Config{}, err
 	}
 	if dec.More() {
-		return machine.Config{}, fmt.Errorf("parsing %s: trailing data after the configuration", path)
+		return machine.Config{}, fmt.Errorf("trailing data after the configuration")
 	}
 	return base, nil
 }

@@ -33,7 +33,7 @@ func TestDumpConfigRoundTrips(t *testing.T) {
 	if err := dumpConfig(&buf, 16); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadConfig(writeConfig(t, buf.Bytes()), machine.DefaultConfig(64, coherence.Baseline))
+	got, err := loadConfig(buf.Bytes(), machine.DefaultConfig(64, coherence.Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,36 +51,64 @@ func TestLoadConfigRejectsUnknownField(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := strings.Replace(buf.String(), "{", "{\n  \"FlitLevelNoC\": true,", 1)
-	_, err := loadConfig(writeConfig(t, []byte(data)), machine.DefaultConfig(16, coherence.WiDir))
+	_, err := loadConfig([]byte(data), machine.DefaultConfig(16, coherence.WiDir))
 	if err == nil || !strings.Contains(err.Error(), "FlitLevelNoC") {
 		t.Fatalf("loadConfig error = %v, want an unknown-field error naming FlitLevelNoC", err)
 	}
 }
 
 // TestConfigFileKeepsFault: a -config file's Fault section drives the
-// run as the equivalent -fault-* flags do; the flags, left unset, do
-// not wipe it, and a flag given merges with the file's other fields.
+// run. A wireless BER corrupts transmissions, so the run's table moves
+// off the fault-free one, and a link schedule reaches the injector with
+// its links, rate and stall length as the file names them.
 func TestConfigFileKeepsFault(t *testing.T) {
-	path := writeConfig(t, []byte(`{"Fault": {"WirelessBER": 0.25, "Seed": 3}}`))
 	run := []string{"-app", "fmm", "-cores", "16", "-scale", "0.05", "-protocol", "widir"}
-	code, fileOut, fileErr := runSim(t, append(run, "-config", path)...)
+	code, clean, stderr := runSim(t, run...)
 	if code != 0 {
-		t.Fatalf("-config: exit %d: %s", code, fileErr)
+		t.Fatalf("fault-free run: exit %d: %s", code, stderr)
 	}
-	code, flagOut, flagErr := runSim(t, append(run, "-fault-ber", "0.25", "-fault-seed", "3")...)
+	ber := writeConfig(t, []byte(`{"Fault": {"WirelessBER": 0.25, "Seed": 3}}`))
+	code, faulty, stderr := runSim(t, append(run, "-config", ber)...)
+	if code != 0 || !strings.Contains(stderr, "faults (wireless BER 0.25)") || strings.Contains(stderr, "corrupted=0 ") {
+		t.Fatalf("-config WirelessBER: exit %d, stderr %q", code, stderr)
+	}
+	if faulty == clean {
+		t.Fatalf("a wireless BER of 0.25 left the run unchanged:\n%s", faulty)
+	}
+	links := writeConfig(t, []byte(`{"Fault": {"LinkStallPct": 0.05, "LinkStallCycles": 8, "Links": [{"Src": 0, "Dst": 1}]}}`))
+	code, _, stderr = runSim(t, append(run, "-config", links)...)
+	if code != 0 || !strings.Contains(stderr, "faults (link stall 5%/8cy; links 0-1)") {
+		t.Fatalf("-config link stalls: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// TestConfigFileOverlaysSweep: a -config file is decoded over every
+// job of a -cores sweep, each keeping its own core count and the
+// -protocol flag's protocol, and the sweep runs.
+func TestConfigFileOverlaysSweep(t *testing.T) {
+	conf := writeConfig(t, []byte(`{"EnableChecker": true, "Protocol": 0}`))
+	args := []string{"-app", "fmm", "-cores", "16,32", "-scale", "0.05", "-protocol", "widir", "-csv", "-config", conf}
+	code, stdout, stderr := runSim(t, args...)
 	if code != 0 {
-		t.Fatalf("-fault-*: exit %d: %s", code, flagErr)
+		t.Fatalf("exit %d: %s", code, stderr)
 	}
-	if !strings.Contains(fileErr, "faults (") {
-		t.Fatalf("the -config run injected no faults; stderr: %q", fileErr)
+	rows := strings.Split(strings.TrimSpace(stdout), "\n")
+	if len(rows) != 3 || !strings.HasPrefix(rows[1], "fmm,WiDir,16,") || !strings.HasPrefix(rows[2], "fmm,WiDir,32,") {
+		t.Fatalf("want a WiDir row for 16 and for 32 cores:\n%s", stdout)
 	}
-	if fileOut != flagOut || fileErr != flagErr {
-		t.Fatalf("-config Fault and -fault-* flags differ:\n%s%s\nvs\n%s%s", fileErr, fileOut, flagErr, flagOut)
+	data, err := os.ReadFile(conf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	stall := writeConfig(t, []byte(`{"Fault": {"LinkStallPct": 0.05, "LinkStallCycles": 8}}`))
-	code, _, stderr := runSim(t, append(run, "-config", stall, "-fault-links", "0-1")...)
-	if code != 0 || !strings.Contains(stderr, "link stall 5%/8cy; links 0-1") {
-		t.Fatalf("-config stall rate with -fault-links: exit %d, stderr %q", code, stderr)
+	prof, _ := workload.ByName("fmm")
+	jobs, err := jobsFor([]workload.Profile{prof}, []int{16, 32}, []coherence.Protocol{coherence.WiDir}, []int{3}, data)
+	if err != nil || len(jobs) != 2 {
+		t.Fatalf("jobsFor: %d jobs, error %v", len(jobs), err)
+	}
+	for i, n := range []int{16, 32} {
+		if c := jobs[i].cfg; !c.EnableChecker || c.Nodes != n || c.Protocol != coherence.WiDir {
+			t.Errorf("job %d: EnableChecker %v, Nodes %d, Protocol %v; want true, %d, WiDir", i, c.EnableChecker, c.Nodes, c.Protocol, n)
+		}
 	}
 }
 
@@ -99,7 +127,7 @@ func FuzzLoadConfig(f *testing.F) {
 	f.Add([]byte(strings.Replace(dump.String(), "{", "{\n  \"FlitLevelNoC\": true,", 1)))
 	f.Add([]byte(`{"L1SizeBytes": 384, "L1Ways": 2}`)) // 3 sets
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, err := loadConfig(writeConfig(t, data), machine.DefaultConfig(16, coherence.WiDir))
+		cfg, err := loadConfig(data, machine.DefaultConfig(16, coherence.WiDir))
 		if err != nil {
 			return
 		}
@@ -227,7 +255,8 @@ func TestTraceLineStreamsLineEvents(t *testing.T) {
 // TestRejectsBadInput: invalid values and invalid flag combinations exit
 // nonzero without running anything.
 func TestRejectsBadInput(t *testing.T) {
-	conf := writeConfig(t, []byte(`{"L1Ways": 2}`))
+	sized := writeConfig(t, []byte(`{"L1Ways": 2, "Nodes": 16}`))
+	wired := writeConfig(t, []byte(`{"maxWiredSharers": 2}`))
 	cases := []struct {
 		name string
 		args []string
@@ -235,7 +264,9 @@ func TestRejectsBadInput(t *testing.T) {
 	}{
 		{"zero scale", []string{"-scale", "0"}, "-scale"},
 		{"zero cores", []string{"-cores", "0"}, "-cores"},
-		{"config with two core counts", []string{"-config", conf, "-cores", "16,32"}, "-config"},
+		{"config with two core counts", []string{"-config", sized, "-cores", "16,32"}, "one -cores value"},
+		{"config naming MaxWiredSharers with two thresholds", []string{"-config", wired, "-maxwired", "2,3"}, "one -maxwired value"},
+		{"config with an unknown field", []string{"-config", writeConfig(t, []byte(`{"FlitLevelNoC": true}`))}, "unknown field"},
 		{"events with two apps", []string{"-app", "fmm,barnes", "-events", filepath.Join(t.TempDir(), "t.jsonl")}, "traced run"},
 		{"events to stdout with two runs", []string{"-app", "fmm", "-protocol", "both", "-events", "-"}, "-events -"},
 	}

@@ -267,7 +267,7 @@ func TestWirelessWriteUpdatesAllSharers(t *testing.T) {
 	if entry.Words[0] != 1234 || !entry.Dirty {
 		t.Fatalf("home copy not merged: %+v", entry)
 	}
-	if e.l1s[2].Stats.WirelessWrites.Value() != 1 {
+	if e.l1s[2].Stats.WirelessWrites != 1 {
 		t.Fatal("wireless write not counted")
 	}
 }
@@ -279,12 +279,12 @@ func TestWirelessReadIsLocal(t *testing.T) {
 		e.complete(t, core, &MemRequest{Addr: a})
 	}
 	e.pumpN(50)
-	misses := e.l1s[1].Stats.LoadMisses.Value()
+	misses := e.l1s[1].Stats.LoadMisses
 	e.complete(t, 1, &MemRequest{Addr: a})
-	if e.l1s[1].Stats.LoadMisses.Value() != misses {
+	if e.l1s[1].Stats.LoadMisses != misses {
 		t.Fatal("W-state read missed")
 	}
-	if e.l1s[1].Stats.WirelessReads.Value() == 0 {
+	if e.l1s[1].Stats.WirelessReads == 0 {
 		t.Fatal("wireless read not counted")
 	}
 }
@@ -306,7 +306,7 @@ func TestUpdateCountDecay(t *testing.T) {
 	if e.l1s[3].Cache().Lookup(8) != nil {
 		t.Fatal("idle sharer did not decay")
 	}
-	if e.l1s[3].Stats.SelfInvalidations.Value() == 0 {
+	if e.l1s[3].Stats.SelfInvalidations == 0 {
 		t.Fatal("self-invalidation not counted")
 	}
 }
@@ -379,12 +379,12 @@ func TestFailedCASDoesNotBroadcast(t *testing.T) {
 	if e.home(8).Entry(8).State != DirWireless {
 		t.Fatal("line did not reach W")
 	}
-	before := e.l1s[1].Stats.WirelessWrites.Value()
+	before := e.l1s[1].Stats.WirelessWrites
 	old := e.complete(t, 1, &MemRequest{IsRMW: true, RMW: RMWCompareSwap, Addr: a, Expected: 0, Value: 1})
 	if old != 1 {
 		t.Fatalf("CAS old = %d, want 1 (failure)", old)
 	}
-	if e.l1s[1].Stats.WirelessWrites.Value() != before {
+	if e.l1s[1].Stats.WirelessWrites != before {
 		t.Fatal("failed CAS consumed wireless bandwidth")
 	}
 }
@@ -414,7 +414,7 @@ func TestDirEntryEvictionWirInv(t *testing.T) {
 			t.Fatalf("core %d survived WirInv", core)
 		}
 	}
-	if e.homes[0].Stats.WirInvs.Value() == 0 {
+	if e.homes[0].Stats.WirInvs == 0 {
 		t.Fatal("WirInv not counted")
 	}
 }
@@ -446,7 +446,7 @@ func TestBaselineBroadcastBit(t *testing.T) {
 			t.Fatalf("core %d survived broadcast invalidation", core)
 		}
 	}
-	if e.home(6).Stats.BroadcastInvs.Value() == 0 {
+	if e.home(6).Stats.BroadcastInvs == 0 {
 		t.Fatal("broadcast invalidation not counted")
 	}
 	if v := e.complete(t, 1, &MemRequest{Addr: a}); v != 7 {
@@ -563,10 +563,10 @@ func TestCoarseVectorScheme(t *testing.T) {
 	}
 	// A write from core 7 (region 3) must invalidate regions 0 and 1
 	// only: cores 0..3 plus region-mates, not core 5 (region 2).
-	invsBefore := e.home(6).Stats.Invalidations.Value()
+	invsBefore := e.home(6).Stats.Invalidations
 	e.complete(t, 7, &MemRequest{IsWrite: true, Addr: a, Value: 9})
 	e.pumpN(20)
-	sent := e.home(6).Stats.Invalidations.Value() - invsBefore
+	sent := e.home(6).Stats.Invalidations - invsBefore
 	if sent != 4 {
 		t.Fatalf("Dir_iCV_2 sent %d invalidations, want 4 (two regions)", sent)
 	}
@@ -988,7 +988,7 @@ func TestNACKRetryResends(t *testing.T) {
 	e.l1s[2].Access(&MemRequest{Addr: a, Done: func(*MemRequest, uint64, uint64) {}})
 	var got *uint64
 	e.l1s[1].Access(&MemRequest{Addr: a, Done: func(_ *MemRequest, now uint64, v uint64) { vv := v; got = &vv }})
-	for i := 0; i < 300 && e.l1s[1].Stats.NACKs.Value() == 0; i++ {
+	for i := 0; i < 300 && e.l1s[1].Stats.NACKs == 0; i++ {
 		var kept []wiredMsg
 		for _, wm := range e.wired {
 			if wm.port != PortMC {
@@ -998,7 +998,7 @@ func TestNACKRetryResends(t *testing.T) {
 		e.wired = kept
 		e.pump()
 	}
-	if e.l1s[1].Stats.NACKs.Value() == 0 {
+	if e.l1s[1].Stats.NACKs == 0 {
 		t.Fatal("no NACK observed against a busy entry")
 	}
 	_ = got

@@ -32,7 +32,7 @@ func TestFaultDemotionWToS(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.NoteWirelessFault(e.now, line)
 	}
-	if got := h.Stats.FaultDemotions.Value(); got != 0 {
+	if got := h.Stats.FaultDemotions; got != 0 {
 		t.Fatalf("demoted after 3 failures (threshold 4): %d", got)
 	}
 	if st := h.Entry(line).State; st != DirWireless {
@@ -41,7 +41,7 @@ func TestFaultDemotionWToS(t *testing.T) {
 
 	// The fourth gives up on the wireless medium for the line.
 	h.NoteWirelessFault(e.now, line)
-	if got := h.Stats.FaultDemotions.Value(); got != 1 {
+	if got := h.Stats.FaultDemotions; got != 1 {
 		t.Fatalf("FaultDemotions = %d, want 1", got)
 	}
 	e.pumpN(100)
@@ -49,7 +49,7 @@ func TestFaultDemotionWToS(t *testing.T) {
 	if entry.State != DirShared {
 		t.Fatalf("directory state %v, want DS after fault demotion", entry.State)
 	}
-	if got := h.Stats.WToS.Value(); got != 1 {
+	if got := h.Stats.WToS; got != 1 {
 		t.Fatalf("WToS = %d, want 1", got)
 	}
 	for _, s := range entry.Sharers {
@@ -79,7 +79,7 @@ func TestFaultCounterResetsOnDelivery(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.NoteWirelessFault(e.now, line)
 	}
-	if got := h.Stats.FaultDemotions.Value(); got != 0 {
+	if got := h.Stats.FaultDemotions; got != 0 {
 		t.Fatalf("demoted despite successful delivery in between: %d", got)
 	}
 	if st := h.Entry(line).State; st != DirWireless {
@@ -99,12 +99,12 @@ func TestFaultDemotionDeferredWhileBusy(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		h.NoteWirelessFault(e.now, line)
 	}
-	if got := h.Stats.FaultDemotions.Value(); got != 0 {
+	if got := h.Stats.FaultDemotions; got != 0 {
 		t.Fatalf("demoted while busy: %d", got)
 	}
 	entry.busy = nil
 	h.NoteWirelessFault(e.now, line)
-	if got := h.Stats.FaultDemotions.Value(); got != 1 {
+	if got := h.Stats.FaultDemotions; got != 1 {
 		t.Fatalf("FaultDemotions = %d after entry went quiet, want 1", got)
 	}
 }

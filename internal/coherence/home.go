@@ -190,21 +190,19 @@ func (e *DirEntry) Busy() bool { return e.busy != nil }
 
 // HomeStats aggregates per-slice directory measurements.
 type HomeStats struct {
-	GetS            stats.Counter
-	GetX            stats.Counter
-	NACKs           stats.Counter
-	Invalidations   stats.Counter // wired Inv messages sent
-	BroadcastInvs   stats.Counter // Dir_3B overflow invalidation rounds
-	SToW            stats.Counter // wireless upgrades (Table II S->W)
-	WToS            stats.Counter // wireless downgrades (Table II W->S)
-	WirInvs         stats.Counter // W entry evictions (Table II W->I)
-	FaultDemotions  stats.Counter // W->S downgrades forced by channel faults
-	DirEvictions    stats.Counter
-	MemReads        stats.Counter
-	MemWrites       stats.Counter
-	LLCAccesses     stats.Counter    // energy accounting
+	GetS            uint64
+	GetX            uint64
+	NACKs           uint64
+	Invalidations   uint64 // wired Inv messages sent
+	BroadcastInvs   uint64 // Dir_3B overflow invalidation rounds
+	SToW            uint64 // wireless upgrades (Table II S->W)
+	WToS            uint64 // wireless downgrades (Table II W->S)
+	WirInvs         uint64 // W entry evictions (Table II W->I)
+	FaultDemotions  uint64 // W->S downgrades forced by channel faults
+	DirEvictions    uint64
+	LLCAccesses     uint64           // energy accounting
 	SharersAtUpd    *stats.Histogram // Fig. 5: sharers updated per wireless write
-	UpdateSharerSum stats.Counter    // numerator for the mean sharers metric
+	UpdateSharerSum uint64           // numerator for the mean sharers metric
 }
 
 // DirScheme selects how the directory handles pointer overflow.
@@ -508,7 +506,7 @@ func (h *HomeCtrl) NoteWirelessFault(now uint64, line addrspace.Line) {
 	}
 	fails := e.faultFails
 	e.faultFails = 0
-	h.Stats.FaultDemotions.Inc()
+	h.Stats.FaultDemotions++
 	if h.cfg.Trace != nil {
 		h.cfg.Trace.Emit(obs.Event{Cycle: now, Kind: obs.EvWFaultDemote,
 			Node: int32(h.id), Other: obs.NoNode, Line: line,
@@ -666,7 +664,7 @@ func (h *HomeCtrl) nack(m *Msg) {
 		h.cfg.Trace.Emit(obs.Event{Cycle: h.env.Now(), Kind: obs.EvNACK,
 			Node: int32(h.id), Other: int32(m.Src), Line: m.Line, B: m.ReqID})
 	}
-	h.Stats.NACKs.Inc()
+	h.Stats.NACKs++
 	h.send(m.Src, PortL1, Msg{Type: MsgNACK, Line: m.Line, ReqID: m.ReqID})
 }
 
@@ -674,11 +672,11 @@ func (h *HomeCtrl) nack(m *Msg) {
 // reports whether the request was kept for later (see reprocess).
 func (h *HomeCtrl) processRequest(now uint64, m *Msg) (kept bool) {
 	if m.Type == MsgGetS {
-		h.Stats.GetS.Inc()
+		h.Stats.GetS++
 	} else {
-		h.Stats.GetX.Inc()
+		h.Stats.GetX++
 	}
-	h.Stats.LLCAccesses.Inc()
+	h.Stats.LLCAccesses++
 	return h.reprocess(now, m)
 }
 
@@ -777,7 +775,7 @@ func (h *HomeCtrl) evictVictim() bool {
 	if victim == nil {
 		return false
 	}
-	h.Stats.DirEvictions.Inc()
+	h.Stats.DirEvictions++
 	switch victim.State {
 	case DirInvalid:
 		h.writebackIfDirty(victim)
@@ -803,7 +801,7 @@ func (h *HomeCtrl) evictVictim() bool {
 		t := h.newTxn(victim, txn{kind: txEvict})
 		t.evict = wEviction{h: h, e: victim}
 		victim.busy = t
-		h.Stats.WirInvs.Inc()
+		h.Stats.WirInvs++
 		if h.cfg.Trace != nil {
 			h.cfg.Trace.Emit(obs.Event{Cycle: h.env.Now(), Kind: obs.EvWInv,
 				Node: int32(h.id), Other: obs.NoNode, Line: victim.Line,
@@ -832,7 +830,6 @@ func (h *HomeCtrl) writebackIfDirty(e *DirEntry) {
 	if !e.Dirty || !e.HasData {
 		return
 	}
-	h.Stats.MemWrites.Inc()
 	if h.Memory != nil {
 		h.Memory.WriteLine(e.Line, e.Words)
 	}
@@ -847,7 +844,6 @@ func (h *HomeCtrl) writebackIfDirty(e *DirEntry) {
 func (h *HomeCtrl) serveUncached(e *DirEntry, m *Msg) {
 	if !e.HasData {
 		e.busy = h.newTxn(e, txn{kind: txFetchMem, requester: m.Src, reqType: m.Type, reqID: m.ReqID})
-		h.Stats.MemReads.Inc()
 		h.send(h.env.MCOf(e.Line), PortMC, Msg{Type: MsgMemRead, Line: e.Line, Requester: h.id})
 		return
 	}
@@ -919,7 +915,7 @@ func (h *HomeCtrl) serveShared(e *DirEntry, m *Msg) {
 func (h *HomeCtrl) sendInvalidations(e *DirEntry, skip int) int {
 	n := 0
 	if e.Broadcast {
-		h.Stats.BroadcastInvs.Inc()
+		h.Stats.BroadcastInvs++
 		for node := 0; node < h.env.Nodes(); node++ {
 			if node == skip {
 				continue
@@ -927,7 +923,7 @@ func (h *HomeCtrl) sendInvalidations(e *DirEntry, skip int) int {
 			if h.cfg.Scheme == DirCV && e.CoarseVec&(1<<uint(node/h.cfg.CoarseRegion)) == 0 {
 				continue // Dir_iCV_r: the node's region held no sharer
 			}
-			h.Stats.Invalidations.Inc()
+			h.Stats.Invalidations++
 			h.send(node, PortL1, Msg{Type: MsgInv, Line: e.Line})
 			n++
 		}
@@ -937,7 +933,7 @@ func (h *HomeCtrl) sendInvalidations(e *DirEntry, skip int) int {
 		if s == skip {
 			continue
 		}
-		h.Stats.Invalidations.Inc()
+		h.Stats.Invalidations++
 		h.send(s, PortL1, Msg{Type: MsgInv, Line: e.Line})
 		n++
 	}
@@ -1082,7 +1078,7 @@ func (h *HomeCtrl) serveWireless(e *DirEntry, m *Msg) (kept bool) {
 // the line, send the line to the requester over the wired NoC, and wait
 // for the ToneAck to complete.
 func (h *HomeCtrl) startSToW(e *DirEntry, m *Msg) {
-	h.Stats.SToW.Inc()
+	h.Stats.SToW++
 	t := h.newTxn(e, txn{kind: txSToW, requester: m.Src})
 	e.busy = t
 	h.env.Jam(e.Line, h.id)
@@ -1123,7 +1119,7 @@ func (h *HomeCtrl) HandleWireless(now uint64, m *Msg) {
 		updated = 0
 	}
 	h.Stats.SharersAtUpd.Observe(updated)
-	h.Stats.UpdateSharerSum.Add(uint64(updated))
+	h.Stats.UpdateSharerSum += uint64(updated)
 }
 
 // processOrDefer queues puts while the entry is busy (except the PutW
@@ -1164,7 +1160,7 @@ func (h *HomeCtrl) consumeBusyPut(e *DirEntry, m *Msg) bool {
 	if slices.Contains(e.busy.ackIDs, m.Src) {
 		return false
 	}
-	h.Stats.LLCAccesses.Inc()
+	h.Stats.LLCAccesses++
 	h.ackPut(m)
 	if m.Type != MsgPutW && !e.takeStaleWired(m.Src) {
 		// A wired-era notice from a node that was never part of the
@@ -1181,7 +1177,7 @@ func (h *HomeCtrl) consumeBusyPut(e *DirEntry, m *Msg) bool {
 // leniently: stale notices (from states the line has since left) are
 // acknowledged and ignored.
 func (h *HomeCtrl) processPut(e *DirEntry, m *Msg) {
-	h.Stats.LLCAccesses.Inc()
+	h.Stats.LLCAccesses++
 	defer h.ackPut(m)
 	switch e.State {
 	case DirInvalid:
@@ -1255,7 +1251,7 @@ func (h *HomeCtrl) ackPut(m *Msg) {
 // line is jammed for the duration so no update can serialize between
 // the downgrade decision and its commit.
 func (h *HomeCtrl) startWToS(e *DirEntry) {
-	h.Stats.WToS.Inc()
+	h.Stats.WToS++
 	t := h.newTxn(e, txn{kind: txWToS, acksLeft: e.SharerCount})
 	e.busy = t
 	h.env.Jam(e.Line, h.id)

@@ -139,19 +139,16 @@ var MissLatencyBins = []int{0, 20, 40, 80, 160, 320}
 
 // L1Stats aggregates the measurements the evaluation reports per core.
 type L1Stats struct {
-	LoadHits           stats.Counter
-	LoadMisses         stats.Counter
-	StoreHits          stats.Counter
-	StoreMisses        stats.Counter
-	WirelessWrites     stats.Counter // writes completed via WirUpd
-	WirelessReads      stats.Counter // loads that hit a W line
-	UpdatesReceived    stats.Counter // WirUpd merges from remote writers
-	SelfInvalidations  stats.Counter // UpdateCount decay (W -> I + PutW)
-	Evictions          stats.Counter
-	NACKs              stats.Counter
-	RMWRetries         stats.Counter // wireless RMW aborts (§IV-C)
-	WirelessTxFailures stats.Counter // wireless sends abandoned after fault retries
-	L1Accesses         stats.Counter // energy accounting
+	LoadHits          uint64
+	LoadMisses        uint64
+	StoreHits         uint64
+	StoreMisses       uint64
+	WirelessWrites    uint64 // writes completed via WirUpd
+	WirelessReads     uint64 // loads that hit a W line
+	UpdatesReceived   uint64 // WirUpd merges from remote writers
+	SelfInvalidations uint64 // UpdateCount decay (W -> I + PutW)
+	NACKs             uint64
+	L1Accesses        uint64 // energy accounting
 	// MissLatency is the distribution of load/RMW miss completion
 	// latencies (Access -> Done), in cycles.
 	MissLatency *stats.Histogram
@@ -380,7 +377,7 @@ func sortedLines[V any](m map[addrspace.Line]V) []addrspace.Line {
 //proto:transition l1 W CoreRMW -> W
 func (l *L1Ctrl) Access(r *MemRequest) {
 	line := addrspace.LineOf(r.Addr)
-	l.Stats.L1Accesses.Inc()
+	l.Stats.L1Accesses++
 
 	// A line with an in-flight transaction queues further accesses.
 	if p, ok := l.pending.get(line); ok {
@@ -424,9 +421,9 @@ func (l *L1Ctrl) serveHit(ln *cache.Line, r *MemRequest) {
 	w := addrspace.WordOf(r.Addr)
 	switch {
 	case !r.IsWrite && !r.IsRMW:
-		l.Stats.LoadHits.Inc()
+		l.Stats.LoadHits++
 		if ln.State == cache.Wireless {
-			l.Stats.WirelessReads.Inc()
+			l.Stats.WirelessReads++
 			ln.UpdateCount = 0 // Table I W->W: core reads
 		}
 		v := ln.Words[w]
@@ -444,7 +441,7 @@ func (l *L1Ctrl) serveHit(ln *cache.Line, r *MemRequest) {
 		old := ln.Words[w]
 		ln.Words[w] = r.RMW.Apply(old, r.Value, r.Expected)
 		ln.Dirty = true
-		l.Stats.StoreHits.Inc()
+		l.Stats.StoreHits++
 		l.serializeWrite(r.Addr, ln.Words[w])
 		l.observeRead(r.Addr, old)
 		l.complete(r, old)
@@ -454,7 +451,7 @@ func (l *L1Ctrl) serveHit(ln *cache.Line, r *MemRequest) {
 		}
 		ln.Words[w] = r.Value
 		ln.Dirty = true
-		l.Stats.StoreHits.Inc()
+		l.Stats.StoreHits++
 		l.serializeWrite(r.Addr, r.Value)
 		l.complete(r, r.Value)
 	}
@@ -527,9 +524,9 @@ func (l *L1Ctrl) miss(line addrspace.Line, r *MemRequest, isSharer bool) {
 		kind, t = pendStore, MsgGetX
 	}
 	if kind == pendLoad {
-		l.Stats.LoadMisses.Inc()
+		l.Stats.LoadMisses++
 	} else {
-		l.Stats.StoreMisses.Inc()
+		l.Stats.StoreMisses++
 	}
 	// Record the miss completion latency (Access to Done).
 	if r.Done != nil {
@@ -697,7 +694,7 @@ func (l *L1Ctrl) wirelessTxDone(ww *wirelessWrite) {
 		ln.Words[ww.word] = ww.value
 		ln.UpdateCount = 0
 	}
-	l.Stats.WirelessWrites.Inc()
+	l.Stats.WirelessWrites++
 	if l.cfg.Trace != nil {
 		l.cfg.Trace.Emit(obs.Event{Cycle: l.env.Now(), Kind: obs.EvWirUpd,
 			Node: int32(l.id), Other: obs.NoNode, Line: line,
@@ -732,7 +729,6 @@ func (l *L1Ctrl) wirelessTxAborted(ww *wirelessWrite, jammed bool) {
 	}
 	delay := l.retryJitter()
 	if !jammed {
-		l.Stats.WirelessTxFailures.Inc()
 		fails, _ := l.wwFails.get(ww.line)
 		fails++
 		l.wwFails.put(ww.line, fails)
@@ -1039,7 +1035,7 @@ func (l *L1Ctrl) handleNACK(m *Msg) {
 	if !ok || p.req == nil || p.reqID != m.ReqID {
 		return
 	}
-	l.Stats.NACKs.Inc()
+	l.Stats.NACKs++
 	if p.toneHeld {
 		// The node had a request in flight when a BrWirUpgr arrived;
 		// receiving the bounce completes its part of the ToneAck.
@@ -1279,7 +1275,6 @@ func (l *L1Ctrl) install(line addrspace.Line, st cache.State, words [addrspace.W
 //proto:transition l1 M Evict -> I
 //proto:transition l1 W Evict -> I
 func (l *L1Ctrl) evict(ln *cache.Line) {
-	l.Stats.Evictions.Inc()
 	line := ln.Addr
 	// A queued (not yet serialized) wireless write to the victim is
 	// pulled back and re-dispatched; it will re-acquire the line via the
@@ -1379,7 +1374,7 @@ func (l *L1Ctrl) handleRemoteUpdate(m *Msg) {
 	}
 	ln.Words[m.Word] = m.Words[m.Word]
 	ln.UpdateCount++
-	l.Stats.UpdatesReceived.Inc()
+	l.Stats.UpdatesReceived++
 
 	if ww, busy := l.wwrites.get(m.Line); busy {
 		if ww.req.IsRMW {
@@ -1392,7 +1387,6 @@ func (l *L1Ctrl) handleRemoteUpdate(m *Msg) {
 			}
 			l.wwrites.del(m.Line)
 			ln.NonEvict = false
-			l.Stats.RMWRetries.Inc()
 			l.requeueShim(l.retryJitter(), ww.req, m.Line)
 			l.freeWrite(ww)
 		}
@@ -1411,7 +1405,7 @@ func (l *L1Ctrl) handleRemoteUpdate(m *Msg) {
 			Node: int32(l.id), Other: int32(m.Src), Line: m.Line,
 			A: uint64(ln.UpdateCount)})
 	}
-	l.Stats.SelfInvalidations.Inc()
+	l.Stats.SelfInvalidations++
 	l.data.Invalidate(m.Line)
 	l.env.SendWired(l.id, l.env.HomeOf(m.Line), PortHome, Msg{Type: MsgPutW, Line: m.Line, Src: l.id})
 }
@@ -1460,9 +1454,6 @@ func (l *L1Ctrl) handleWirDwgr(m *Msg) {
 func (l *L1Ctrl) handleWirInv(m *Msg) {
 	if r := l.cancelQueuedWrite(m.Line); r != nil {
 		l.data.Invalidate(m.Line)
-		if r.IsRMW {
-			l.Stats.RMWRetries.Inc()
-		}
 		l.requeueShim(1, r, m.Line)
 		return
 	}

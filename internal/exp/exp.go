@@ -634,24 +634,31 @@ func Motivation(o Options) (*MotivationResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	m := motivationOf(o, res)
+	return &m, nil
+}
+
+// motivationOf computes the §II-C statistics from o's WiDir runs. The
+// mean is over the runs whose writes updated any sharer. The re-read
+// fraction counts the updates that the receiving core read before the
+// next update arrived, i.e. updates that did not contribute to decay:
+// a receiver that self-invalidates lost UpdateCountMax updates unread.
+func motivationOf(o Options, res []*machine.Result) MotivationResult {
+	decay := float64(machine.DefaultConfig(o.Cores, coherence.WiDir).UpdateCountMax)
 	var sharers []float64
 	var consumed, updates float64
 	for _, r := range res {
 		if r.MeanSharersPerUpdate > 0 {
 			sharers = append(sharers, r.MeanSharersPerUpdate)
 		}
-		// Re-read fraction: updates that were read by the receiving
-		// core before the next update arrived, i.e. updates that did
-		// not contribute to decay. Receivers that self-invalidate lost
-		// UpdateCountMax updates unread.
 		updates += float64(r.UpdatesReceived)
-		consumed += float64(r.UpdatesReceived) - 3*float64(r.SelfInvalidations)
+		consumed += float64(r.UpdatesReceived) - decay*float64(r.SelfInvalidations)
 	}
-	m := &MotivationResult{MeanSharersPerWrite: stats.ArithMean(sharers)}
+	m := MotivationResult{MeanSharersPerWrite: stats.ArithMean(sharers)}
 	if updates > 0 {
 		m.ReReadFraction = consumed / updates
 	}
-	return m, nil
+	return m
 }
 
 // PrintMotivation renders the result.

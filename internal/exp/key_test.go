@@ -158,8 +158,8 @@ func TestConfigHashSeparates(t *testing.T) {
 		"pointers":       func(c *machine.Config) { c.MaxWiredSharers = 5; c.MaxPointers = 5 },
 		"updatecountmax": func(c *machine.Config) { c.UpdateCountMax = 7 },
 		"machine-seed":   func(c *machine.Config) { c.Seed = 2 },
-		"fault-ber":      func(c *machine.Config) { c.Fault.WirelessBER = 0.25 },
-		"fault-links":    func(c *machine.Config) { c.Fault.Links = []fault.Link{{Src: 0, Dst: 1}} },
+		"wireless-ber":   func(c *machine.Config) { c.Fault.WirelessBER = 0.25 },
+		"link-stall":     func(c *machine.Config) { c.Fault.LinkStallPct = 0.1 },
 		"checker":        func(c *machine.Config) { c.EnableChecker = true },
 	}
 	for name, mut := range mutations {
@@ -168,6 +168,15 @@ func TestConfigHashSeparates(t *testing.T) {
 		if k.key(t) == baseKey {
 			t.Errorf("changing %s did not change the key", name)
 		}
+	}
+	// Fault links need a link rate to be valid, so they are separated
+	// from a base that has one.
+	stall := base
+	stall.cfg.Fault.LinkStallPct = 0.1
+	links := stall
+	links.cfg.Fault.Links = []fault.Link{{Src: 0, Dst: 1}}
+	if links.key(t) == stall.key(t) {
+		t.Error("changing fault links did not change the key")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/machine"
 	"repro/internal/stats"
 )
 
@@ -26,7 +27,7 @@ func Summary(o Options) ([]SummaryRow, error) {
 	}
 
 	var mpkiN, latN, timeN, energyN, wnoc []float64
-	var updates, selfInv, updSum, updCnt float64
+	var widir []*machine.Result
 	hops := stats.NewHistogram(0, 3, 6, 9, 12)
 	shr := stats.NewHistogram(0, 6, 11, 26, 50)
 	for _, ar := range rows {
@@ -39,22 +40,14 @@ func Summary(o Options) ([]SummaryRow, error) {
 		wnoc = append(wnoc, ar.WiDir.Energy.Share("WNoC"))
 		hops.Merge(ar.Base.HopsPerLeg)
 		shr.Merge(ar.WiDir.SharersPerUpdate)
-		updates += float64(ar.WiDir.UpdatesReceived)
-		selfInv += float64(ar.WiDir.SelfInvalidations)
-		if ar.WiDir.MeanSharersPerUpdate > 0 {
-			updSum += ar.WiDir.MeanSharersPerUpdate
-			updCnt++
-		}
+		widir = append(widir, ar.WiDir)
 	}
-	reread := 0.0
-	if updates > 0 {
-		reread = (updates - 3*selfInv) / updates
-	}
+	m := motivationOf(o, widir)
 	sixPlus := hops.Fraction(2) + hops.Fraction(3) + hops.Fraction(4)
 
 	return []SummaryRow{
-		{"sharers updated per write (mean)", "~21", fmt.Sprintf("%.1f", updSum/max1(updCnt))},
-		{"updates re-read before next write", "~56%", fmt.Sprintf("%.0f%%", 100*reread)},
+		{"sharers updated per write (mean)", "~21", fmt.Sprintf("%.1f", m.MeanSharersPerWrite)},
+		{"updates re-read before next write", "~56%", fmt.Sprintf("%.0f%%", 100*m.ReReadFraction)},
 		{"wireless writes updating 50+ sharers", "37%", fmt.Sprintf("%.0f%%", 100*shr.Fraction(4))},
 		{"normalized L1 MPKI (avg)", "~0.85", fmt.Sprintf("%.3f", stats.ArithMean(mpkiN))},
 		{"normalized memory latency (avg)", "~0.65", fmt.Sprintf("%.3f", stats.ArithMean(latN))},
@@ -63,13 +56,6 @@ func Summary(o Options) ([]SummaryRow, error) {
 		{"normalized energy (avg)", "~0.79", fmt.Sprintf("%.3f", stats.ArithMean(energyN))},
 		{"WNoC share of WiDir energy", "5.9%", fmt.Sprintf("%.1f%%", 100*stats.ArithMean(wnoc))},
 	}, nil
-}
-
-func max1(v float64) float64 {
-	if v < 1 {
-		return 1
-	}
-	return v
 }
 
 // PrintSummary renders the headline table.

@@ -20,10 +20,8 @@ package fault
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
-	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -35,7 +33,7 @@ type Link struct {
 	Dst int
 }
 
-// String renders the link as "src-dst" (the -fault-links syntax).
+// String renders the link as "src-dst", the form Describe lists.
 func (l Link) String() string { return fmt.Sprintf("%d-%d", l.Src, l.Dst) }
 
 // Config declares the faults to inject. The zero value injects
@@ -87,9 +85,11 @@ func (c Config) Enabled() bool {
 }
 
 // Validate rejects a configuration no run could honour: every rate
-// must be a finite probability in [0, 1], and every afflicted link
-// must name nodes below nodes, the machine's node count. A link with
-// src == dst is valid: a node's packets to itself cross its router.
+// must be a finite probability in [0, 1], every afflicted link must
+// name nodes below nodes, the machine's node count, and links need a
+// stall or drop rate, without which they would inject nothing. A link
+// with src == dst is valid: a node's packets to itself cross its
+// router.
 func (c Config) Validate(nodes int) error {
 	for _, r := range []struct {
 		name string
@@ -108,6 +108,9 @@ func (c Config) Validate(nodes int) error {
 		if l.Src < 0 || l.Dst < 0 || l.Src >= nodes || l.Dst >= nodes {
 			return fmt.Errorf("fault: link %v names a node outside the machine's %d nodes", l, nodes)
 		}
+	}
+	if len(c.Links) > 0 && c.LinkStallPct == 0 && c.LinkDropPct == 0 {
+		return fmt.Errorf("fault: links %v need a stall or drop rate (LinkStallPct, LinkDropPct) to inject anything", c.Links)
 	}
 	return nil
 }
@@ -130,47 +133,13 @@ func (c Config) fill() Config {
 	return c
 }
 
-// ParseLinks parses a comma-separated "src-dst,src-dst" list (the
-// -fault-links flag syntax) into Links. Each part, trimmed of
-// surrounding space, must be exactly two non-negative decimal node
-// numbers joined by one '-'; anything else, trailing input included,
-// is an error.
-func ParseLinks(s string) ([]Link, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []Link
-	for _, part := range strings.Split(s, ",") {
-		src, dst, ok := strings.Cut(strings.TrimSpace(part), "-")
-		l := Link{Src: parseNode(src), Dst: parseNode(dst)}
-		if !ok || l.Src < 0 || l.Dst < 0 {
-			return nil, fmt.Errorf("fault: bad link %q (want \"src-dst\" with non-negative node numbers)", part)
-		}
-		out = append(out, l)
-	}
-	return out, nil
-}
-
-// parseNode parses a non-negative decimal node number, returning -1
-// for anything else: an empty string, a sign, a non-digit, or a value
-// that overflows int.
-func parseNode(s string) int {
-	if s == "" || strings.TrimLeft(s, "0123456789") != "" {
-		return -1
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return -1
-	}
-	return n
-}
-
-// Stats counts the faults an Injector actually injected.
+// Stats counts the faults an Injector actually injected. Corrupted
+// wireless transmissions are counted where they land, by the channel
+// (wireless.Channel.Corrupted).
 type Stats struct {
-	WirelessCorruptions stats.Counter // transmissions corrupted
-	LinkStalls          stats.Counter // packets stalled
-	LinkDrops           stats.Counter // packets dropped+retransmitted
-	DirDelays           stats.Counter // directory requests delayed
+	LinkStalls uint64 // packets stalled
+	LinkDrops  uint64 // packets dropped+retransmitted
+	DirDelays  uint64 // directory requests delayed
 }
 
 // Injector draws fault decisions for one machine. It is not safe for
@@ -223,14 +192,7 @@ func (in *Injector) Config() Config { return in.cfg }
 // CorruptTx draws whether one wireless transmission is corrupted. One
 // draw per completed transmission, in channel completion order.
 func (in *Injector) CorruptTx() bool {
-	if in.cfg.WirelessBER <= 0 {
-		return false
-	}
-	if !in.wireless.Bool(in.cfg.WirelessBER) {
-		return false
-	}
-	in.Stats.WirelessCorruptions.Inc()
-	return true
+	return in.cfg.WirelessBER > 0 && in.wireless.Bool(in.cfg.WirelessBER)
 }
 
 // LinkDelay draws the extra delay for one packet routed from src to
@@ -247,11 +209,11 @@ func (in *Injector) LinkDelay(src, dst int) uint64 {
 	}
 	u := in.mesh.Float64()
 	if u < in.cfg.LinkDropPct {
-		in.Stats.LinkDrops.Inc()
+		in.Stats.LinkDrops++
 		return in.cfg.LinkDropCycles
 	}
 	if u < in.cfg.LinkDropPct+in.cfg.LinkStallPct {
-		in.Stats.LinkStalls.Inc()
+		in.Stats.LinkStalls++
 		return in.cfg.LinkStallCycles
 	}
 	return 0
@@ -265,7 +227,7 @@ func (in *Injector) DirDelay() uint64 {
 	if !in.dir.Bool(in.cfg.DirDelayPct) {
 		return 0
 	}
-	in.Stats.DirDelays.Inc()
+	in.Stats.DirDelays++
 	return in.cfg.DirDelayCycles
 }
 

@@ -88,10 +88,10 @@ var hotLocks = workload.Profile{
 // retryCounts sums the NACKs, wireless jams and wireless writes so far.
 func (s *System) retryCounts() (nacks, jams, writes uint64) {
 	for _, l := range s.l1s {
-		nacks += l.Stats.NACKs.Value()
-		writes += l.Stats.WirelessWrites.Value()
+		nacks += l.Stats.NACKs
+		writes += l.Stats.WirelessWrites
 	}
-	return nacks, s.wchan.Jams.Value(), writes
+	return nacks, s.wchan.Jams, writes
 }
 
 // TestSimFastForwardAllocBudget puts a ceiling on the allocations of

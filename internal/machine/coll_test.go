@@ -29,7 +29,7 @@ func TestCollisionScalesWithUtilization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.CollisionProb, float64(sys.Wireless().BusyCycles.Value()) / float64(r.Cycles)
+		return r.CollisionProb, float64(sys.Wireless().BusyCycles) / float64(r.Cycles)
 	}
 	cHigh, uHigh := probe(0.08)
 	cLow, uLow := probe(0.02)

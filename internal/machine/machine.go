@@ -214,7 +214,7 @@ type System struct {
 	memory      *coherence.MemoryImage
 	mcNodes     []int
 	mcFree      []uint64
-	memAccesses stats.Counter
+	memAccesses uint64
 
 	checker  *Checker
 	injector *fault.Injector
@@ -478,7 +478,7 @@ func (s *System) deliverWireless(now uint64, msg wireless.Message[coherence.Msg]
 // with the Table III round-trip latency.
 func (s *System) handleMC(now uint64, m *coherence.Msg) {
 	mc := s.space.MCOf(m.Line)
-	s.memAccesses.Inc()
+	s.memAccesses++
 	start := s.mcFree[mc]
 	if start < now {
 		start = now
@@ -849,8 +849,8 @@ func (s *System) result() *Result {
 		SharersPerUpdate: stats.NewHistogram(0, 6, 11, 26, 50),
 		MissLatency:      stats.NewHistogram(coherence.MissLatencyBins...),
 		HopsPerLeg:       s.mesh.HopsPerLeg,
-		MeshPackets:      s.mesh.Packets.Value(),
-		MemAccesses:      s.memAccesses.Value(),
+		MeshPackets:      s.mesh.Packets,
+		MemAccesses:      s.memAccesses,
 	}
 	var updSum, updCount uint64
 	var llcAccesses, dirReqs uint64
@@ -866,41 +866,41 @@ func (s *System) result() *Result {
 		r.StoreROBLat += cs.StoreROBLatency
 
 		ls := &s.l1s[i].Stats
-		r.L1LoadMisses += ls.LoadMisses.Value()
-		r.L1StoreMisses += ls.StoreMisses.Value()
-		r.L1Hits += ls.LoadHits.Value() + ls.StoreHits.Value()
-		r.L1Accesses += ls.L1Accesses.Value()
-		r.WirelessWrites += ls.WirelessWrites.Value()
-		r.UpdatesReceived += ls.UpdatesReceived.Value()
-		r.SelfInvalidations += ls.SelfInvalidations.Value()
-		r.NACKs += ls.NACKs.Value()
+		r.L1LoadMisses += ls.LoadMisses
+		r.L1StoreMisses += ls.StoreMisses
+		r.L1Hits += ls.LoadHits + ls.StoreHits
+		r.L1Accesses += ls.L1Accesses
+		r.WirelessWrites += ls.WirelessWrites
+		r.UpdatesReceived += ls.UpdatesReceived
+		r.SelfInvalidations += ls.SelfInvalidations
+		r.NACKs += ls.NACKs
 		r.MissLatency.Merge(ls.MissLatency)
 
 		hs := &s.homes[i].Stats
-		r.SToW += hs.SToW.Value()
-		r.WToS += hs.WToS.Value()
-		r.FaultDemotions += hs.FaultDemotions.Value()
-		r.WirInvs += hs.WirInvs.Value()
-		r.BroadcastInvs += hs.BroadcastInvs.Value()
-		r.Invalidations += hs.Invalidations.Value()
+		r.SToW += hs.SToW
+		r.WToS += hs.WToS
+		r.FaultDemotions += hs.FaultDemotions
+		r.WirInvs += hs.WirInvs
+		r.BroadcastInvs += hs.BroadcastInvs
+		r.Invalidations += hs.Invalidations
 		r.SharersPerUpdate.Merge(hs.SharersAtUpd)
-		updSum += hs.UpdateSharerSum.Value()
+		updSum += hs.UpdateSharerSum
 		updCount += hs.SharersAtUpd.Total()
-		llcAccesses += hs.LLCAccesses.Value()
-		dirReqs += hs.GetS.Value() + hs.GetX.Value()
+		llcAccesses += hs.LLCAccesses
+		dirReqs += hs.GetS + hs.GetX
 	}
 	if updCount > 0 {
 		r.MeanSharersPerUpdate = float64(updSum) / float64(updCount)
 	}
-	r.WirelessAttempts = s.wchan.Attempts.Value()
-	r.WirelessCollisions = s.wchan.Collisions.Value()
+	r.WirelessAttempts = s.wchan.Attempts
+	r.WirelessCollisions = s.wchan.Collisions
 	r.CollisionProb = s.wchan.CollisionProbability()
-	r.WirelessCorrupted = s.wchan.Corrupted.Value()
-	r.WirelessTxFailures = s.wchan.TxFailures.Value()
+	r.WirelessCorrupted = s.wchan.Corrupted
+	r.WirelessTxFailures = s.wchan.TxFailures
 	if s.injector != nil {
 		fs := &s.injector.Stats
-		r.LinkFaultDelays = fs.LinkStalls.Value() + fs.LinkDrops.Value()
-		r.DirFaultDelays = fs.DirDelays.Value()
+		r.LinkFaultDelays = fs.LinkStalls + fs.LinkDrops
+		r.DirFaultDelays = fs.DirDelays
 	}
 
 	r.Energy = energy.Compute(energy.Counts{
@@ -910,11 +910,11 @@ func (s *System) result() *Result {
 		L1Accesses:   r.L1Accesses,
 		LLCAccesses:  llcAccesses,
 		DirRequests:  dirReqs,
-		FlitHops:     s.mesh.FlitHops.Value(),
-		RouterXings:  s.mesh.RouterXings.Value(),
-		MemAccesses:  s.memAccesses.Value(),
-		WirelessBusy: s.wchan.BusyCycles.Value(),
-		WirelessTxns: s.wchan.Successes.Value(),
+		FlitHops:     s.mesh.FlitHops,
+		RouterXings:  s.mesh.RouterXings,
+		MemAccesses:  s.memAccesses,
+		WirelessBusy: s.wchan.BusyCycles,
+		WirelessTxns: s.wchan.Successes,
 		WirelessOn:   s.cfg.Protocol == coherence.WiDir,
 	}, energy.Default())
 	r.EnergyPJ = r.Energy.Total()

@@ -220,7 +220,10 @@ func TestNewSystemRejectsBadConfig(t *testing.T) {
 		{"Fault.Links=0-999", func(c *Config) {
 			c.Fault.LinkStallPct, c.Fault.Links = 0.5, []fault.Link{{Src: 0, Dst: 999}}
 		}},
-		{"Fault.Links=16-0", func(c *Config) { c.Fault.Links = []fault.Link{{Src: 16, Dst: 0}} }},
+		{"Fault.Links=16-0", func(c *Config) {
+			c.Fault.LinkDropPct, c.Fault.Links = 0.5, []fault.Link{{Src: 16, Dst: 0}}
+		}},
+		{"Fault.Links without a rate", func(c *Config) { c.Fault.Links = []fault.Link{{Src: 0, Dst: 1}} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -268,10 +271,10 @@ func TestMemoryDataIntegrity(t *testing.T) {
 	if _, err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if sys.Home(0).Stats.DirEvictions.Value() == 0 &&
-		sys.Home(1).Stats.DirEvictions.Value() == 0 &&
-		sys.Home(2).Stats.DirEvictions.Value() == 0 &&
-		sys.Home(3).Stats.DirEvictions.Value() == 0 {
+	if sys.Home(0).Stats.DirEvictions == 0 &&
+		sys.Home(1).Stats.DirEvictions == 0 &&
+		sys.Home(2).Stats.DirEvictions == 0 &&
+		sys.Home(3).Stats.DirEvictions == 0 {
 		t.Fatal("test did not exercise directory evictions")
 	}
 }

@@ -80,10 +80,10 @@ type Mesh struct {
 
 	// Measurements.
 	HopsPerLeg  *stats.Histogram // Table V bins
-	FlitHops    stats.Counter    // energy: flit×hop traversals
-	RouterXings stats.Counter    // energy: packet×router traversals
-	Packets     stats.Counter
-	TotalLat    stats.Counter // sum of injection→delivery latencies
+	FlitHops    uint64           // energy: flit×hop traversals
+	RouterXings uint64           // energy: packet×router traversals
+	Packets     uint64
+	TotalLat    uint64 // sum of injection→delivery latencies
 }
 
 const (
@@ -134,7 +134,7 @@ func (m *Mesh) Send(now uint64, pkt Packet) {
 	if pkt.Flits < 1 {
 		pkt.Flits = 1
 	}
-	m.Packets.Inc()
+	m.Packets++
 	src, dst := m.xy[pkt.Src], m.xy[pkt.Dst]
 	hops := src.hops(dst)
 	m.HopsPerLeg.Observe(hops)
@@ -167,8 +167,8 @@ func (m *Mesh) Send(now uint64, pkt Packet) {
 			m.linkFree[li] = t + flits
 			t++ // hop latency
 		}
-		m.FlitHops.Add(uint64(hops) * flits)
-		m.RouterXings.Add(uint64(hops))
+		m.FlitHops += uint64(hops) * flits
+		m.RouterXings += uint64(hops)
 	}
 	if m.Jitter > 0 {
 		m.jitterSeed = m.jitterSeed*6364136223846793005 + 1442695040888963407
@@ -192,7 +192,7 @@ func (m *Mesh) Send(now uint64, pkt Packet) {
 			Node: int32(pkt.Src), Other: int32(pkt.Dst), Line: obs.NoLine,
 			A: uint64(hops), B: t})
 	}
-	m.TotalLat.Add(t - now)
+	m.TotalLat += t - now
 	m.inflight.Push(t, pkt)
 }
 

@@ -140,14 +140,14 @@ func TestEnergyCounters(t *testing.T) {
 	m := New(4, 1, fn)
 	m.Send(0, Packet{Src: 0, Dst: 2, Flits: 3})
 	pump(m, 20)
-	if m.FlitHops.Value() != 6 { // 2 hops x 3 flits
-		t.Fatalf("flit-hops = %d", m.FlitHops.Value())
+	if m.FlitHops != 6 { // 2 hops x 3 flits
+		t.Fatalf("flit-hops = %d", m.FlitHops)
 	}
-	if m.RouterXings.Value() != 2 {
-		t.Fatalf("router crossings = %d", m.RouterXings.Value())
+	if m.RouterXings != 2 {
+		t.Fatalf("router crossings = %d", m.RouterXings)
 	}
-	if m.Packets.Value() != 1 {
-		t.Fatalf("packets = %d", m.Packets.Value())
+	if m.Packets != 1 {
+		t.Fatalf("packets = %d", m.Packets)
 	}
 }
 

@@ -1,6 +1,8 @@
-// Package stats provides the counters, histograms and breakdown tables
-// used to collect and report simulation measurements. All types have a
-// useful zero value except Histogram, which needs its bin edges.
+// Package stats provides the histograms and breakdown tables used to
+// collect and report simulation measurements. Event counts are plain
+// uint64 fields on each component's stats struct. A Histogram needs its
+// bin edges and a Breakdown its category order, so both are built with
+// their constructors.
 package stats
 
 import (
@@ -8,23 +10,6 @@ import (
 	"math"
 	"strings"
 )
-
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset sets the counter back to zero.
-func (c *Counter) Reset() { c.n = 0 }
 
 // Histogram counts samples into caller-defined integer bins. A sample v
 // falls into bin i where i is the largest index with edges[i] <= v; a

@@ -7,22 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Value() != 0 {
-		t.Fatal("zero value not zero")
-	}
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 6 {
-		t.Fatalf("got %d, want 6", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestHistogramBinning(t *testing.T) {
 	h := NewHistogram(0, 3, 6, 9, 12)
 	cases := map[int]int{

@@ -17,7 +17,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/pool"
-	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -153,14 +152,14 @@ type Channel[P any] struct {
 	MaxTries int
 
 	// Stats for Table VI and Fig. 9.
-	Attempts   stats.Counter // transmission starts (first cycle sent)
-	Collisions stats.Counter // starts aborted by a same-cycle collision
-	Jams       stats.Counter // starts aborted by jamming
-	Successes  stats.Counter
-	BusyCycles stats.Counter // medium-occupied cycles (energy: TX+RX)
-	ToneCycles stats.Counter // cycles with at least one tone holder
-	Corrupted  stats.Counter // transmissions lost to injected faults
-	TxFailures stats.Counter // senders that exhausted their retries
+	Attempts   uint64 // transmission starts (first cycle sent)
+	Collisions uint64 // starts aborted by a same-cycle collision
+	Jams       uint64 // starts aborted by jamming
+	Successes  uint64
+	BusyCycles uint64 // medium-occupied cycles (energy: TX+RX)
+	ToneCycles uint64 // cycles with at least one tone holder
+	Corrupted  uint64 // transmissions lost to injected faults
+	TxFailures uint64 // senders that exhausted their retries
 }
 
 // NewChannel returns an idle channel using rng for backoff draws.
@@ -354,10 +353,10 @@ func (c *Channel[P]) FastForward(from, to uint64) {
 		if busy > skipped {
 			busy = skipped
 		}
-		c.BusyCycles.Add(busy)
+		c.BusyCycles += busy
 	}
 	if c.toneHolds > 0 {
-		c.ToneCycles.Add(skipped)
+		c.ToneCycles += skipped
 	}
 }
 
@@ -367,10 +366,10 @@ func (c *Channel[P]) FastForward(from, to uint64) {
 // tone waiters.
 func (c *Channel[P]) Tick(now uint64) {
 	if now < c.busyUntil {
-		c.BusyCycles.Inc()
+		c.BusyCycles++
 	}
 	if c.toneHolds > 0 {
-		c.ToneCycles.Inc()
+		c.ToneCycles++
 	}
 
 	// Complete the active transmission: the collision-detect cycle is
@@ -383,7 +382,7 @@ func (c *Channel[P]) Tick(now uint64) {
 		if c.FaultCorrupt != nil && c.FaultCorrupt(req.msg) {
 			c.corrupt(now, req)
 		} else {
-			c.Successes.Inc()
+			c.Successes++
 			if req.cb != nil {
 				req.cb.TxDone(now)
 			}
@@ -444,15 +443,13 @@ queue:
 	if len(starters) == 0 {
 		return
 	}
-	for range starters {
-		c.Attempts.Inc()
-	}
+	c.Attempts += uint64(len(starters))
 	if len(starters) > 1 {
 		// Collision: every starter aborts after the detect cycle and
 		// backs off exponentially (BRS).
 		c.busyUntil = now + AbortCycles
 		for _, r := range starters {
-			c.Collisions.Inc()
+			c.Collisions++
 			r.tries++
 			r.retryAt = now + uint64(AbortCycles) + c.backoff(r.tries)
 			if c.Trace != nil {
@@ -466,7 +463,7 @@ queue:
 	winner := starters[0]
 	if !winner.msg.Privileged && c.JammedFor(winner.msg.Line) {
 		// The jamming transceiver negative-acks in the detect cycle.
-		c.Jams.Inc()
+		c.Jams++
 		if c.Trace != nil {
 			c.Trace.Emit(obs.Event{Cycle: now, Kind: obs.EvJam,
 				Node: int32(winner.msg.Sender), Other: int32(c.jammed[winner.msg.Line].owner),
@@ -498,7 +495,7 @@ queue:
 // jammed=false discriminates a fault abort from a jam — otherwise the
 // request re-queues behind an exponential backoff and contends again.
 func (c *Channel[P]) corrupt(now uint64, req *txRequest[P]) {
-	c.Corrupted.Inc()
+	c.Corrupted++
 	req.tries++
 	exhausted := !req.msg.Privileged && c.MaxTries > 0 && req.tries >= c.MaxTries
 	if c.Trace != nil {
@@ -514,7 +511,7 @@ func (c *Channel[P]) corrupt(now uint64, req *txRequest[P]) {
 		c.OnTxFault(now, req.msg, exhausted)
 	}
 	if exhausted {
-		c.TxFailures.Inc()
+		c.TxFailures++
 		if req.cb != nil {
 			req.cb.TxAborted(now, false)
 		}
@@ -548,11 +545,11 @@ func (c *Channel[P]) backoff(tries int) uint64 {
 
 // CollisionProbability returns collisions / attempts (Table VI metric).
 func (c *Channel[P]) CollisionProbability() float64 {
-	a := c.Attempts.Value()
+	a := c.Attempts
 	if a == 0 {
 		return 0
 	}
-	return float64(c.Collisions.Value()) / float64(a)
+	return float64(c.Collisions) / float64(a)
 }
 
 // tickToken arbitrates the medium by rotating a virtual token: one node
@@ -571,9 +568,9 @@ func (c *Channel[P]) tickToken(now uint64) {
 		if winner == nil {
 			continue // pass the token on (one hop per cycle folded in)
 		}
-		c.Attempts.Inc()
+		c.Attempts++
 		if !winner.msg.Privileged && c.JammedFor(winner.msg.Line) {
-			c.Jams.Inc()
+			c.Jams++
 			if c.Trace != nil {
 				c.Trace.Emit(obs.Event{Cycle: now, Kind: obs.EvJam,
 					Node: int32(winner.msg.Sender), Other: int32(c.jammed[winner.msg.Line].owner),

@@ -55,7 +55,7 @@ func TestSingleTransmission(t *testing.T) {
 	if doneAt < TransferCycles+CollisionDetectCycles {
 		t.Fatalf("done too early at %d", doneAt)
 	}
-	if c.Successes.Value() != 1 || c.Collisions.Value() != 0 {
+	if c.Successes != 1 || c.Collisions != 0 {
 		t.Fatal("stats wrong")
 	}
 }
@@ -69,7 +69,7 @@ func TestCollisionThenBackoffResolves(t *testing.T) {
 	if len(*got) != 4 {
 		t.Fatalf("deliveries = %d, want 4", len(*got))
 	}
-	if c.Collisions.Value() == 0 {
+	if c.Collisions == 0 {
 		t.Fatal("simultaneous starters did not collide")
 	}
 	if c.CollisionProbability() <= 0 || c.CollisionProbability() >= 1 {
@@ -111,8 +111,8 @@ func TestJamAbortsUnprivileged(t *testing.T) {
 	if len(*got) != 0 {
 		t.Fatal("jammed transmission delivered")
 	}
-	if c.Jams.Value() != 1 {
-		t.Fatalf("jam count = %d", c.Jams.Value())
+	if c.Jams != 1 {
+		t.Fatalf("jam count = %d", c.Jams)
 	}
 }
 
@@ -288,7 +288,7 @@ func TestBusyCyclesCounted(t *testing.T) {
 	c, _ := newTestChannel()
 	c.Transmit(Message[any]{Sender: 0, Line: 1}, nil)
 	pump(c, 1, 20)
-	if c.BusyCycles.Value() == 0 {
+	if c.BusyCycles == 0 {
 		t.Fatal("busy cycles not counted")
 	}
 }
@@ -326,8 +326,8 @@ func TestTokenMACDeliversWithoutCollisions(t *testing.T) {
 	if len(got) != 8 {
 		t.Fatalf("deliveries = %d", len(got))
 	}
-	if c.Collisions.Value() != 0 {
-		t.Fatalf("token MAC collided %d times", c.Collisions.Value())
+	if c.Collisions != 0 {
+		t.Fatalf("token MAC collided %d times", c.Collisions)
 	}
 }
 
@@ -370,13 +370,13 @@ func TestFaultCorruptRetriesThenDelivers(t *testing.T) {
 	if len(*got) != 1 || doneCount != 1 {
 		t.Fatalf("deliveries = %d, done = %d, want 1/1", len(*got), doneCount)
 	}
-	if c.Corrupted.Value() != 2 || c.Successes.Value() != 1 {
-		t.Fatalf("corrupted = %d, successes = %d", c.Corrupted.Value(), c.Successes.Value())
+	if c.Corrupted != 2 || c.Successes != 1 {
+		t.Fatalf("corrupted = %d, successes = %d", c.Corrupted, c.Successes)
 	}
 	if len(faults) != 2 || faults[0] || faults[1] {
 		t.Fatalf("OnTxFault calls = %v, want two non-exhausted", faults)
 	}
-	if c.TxFailures.Value() != 0 {
+	if c.TxFailures != 0 {
 		t.Fatal("retryable faults counted as failures")
 	}
 }
@@ -406,9 +406,9 @@ func TestFaultExhaustionAborts(t *testing.T) {
 	if len(*got) != 0 {
 		t.Fatal("corrupted transmission delivered")
 	}
-	if c.Corrupted.Value() != 3 || c.TxFailures.Value() != 1 {
+	if c.Corrupted != 3 || c.TxFailures != 1 {
 		t.Fatalf("corrupted = %d, failures = %d, want 3/1",
-			c.Corrupted.Value(), c.TxFailures.Value())
+			c.Corrupted, c.TxFailures)
 	}
 	if !sawExhausted {
 		t.Fatal("OnTxFault never reported exhaustion")
@@ -425,8 +425,8 @@ func TestFaultPrivilegedRetriesUnbounded(t *testing.T) {
 	if len(*got) != 1 {
 		t.Fatal("privileged broadcast never delivered through faults")
 	}
-	if c.Corrupted.Value() != 10 {
-		t.Fatalf("corrupted = %d, want 10", c.Corrupted.Value())
+	if c.Corrupted != 10 {
+		t.Fatalf("corrupted = %d, want 10", c.Corrupted)
 	}
 }
 
@@ -435,7 +435,7 @@ func TestFaultRequeuedCancelWorks(t *testing.T) {
 	c.FaultCorrupt = corruptFirstN(1)
 	tx := c.Transmit(Message[any]{Sender: 1, Line: 10, Payload: "x"}, nil)
 	// Run until the corruption re-queues the request, then withdraw it.
-	for now := uint64(1); c.Corrupted.Value() == 0; now++ {
+	for now := uint64(1); c.Corrupted == 0; now++ {
 		c.Tick(now)
 		if now > 100 {
 			t.Fatal("corruption never drawn")
@@ -539,11 +539,11 @@ func TestFaultCollisionJamInteraction(t *testing.T) {
 		}
 		seen[m.Payload.(int)] = true
 	}
-	if c.Collisions.Value() == 0 {
+	if c.Collisions == 0 {
 		t.Fatal("same-cycle starters did not collide")
 	}
-	if c.Corrupted.Value() != 3 {
-		t.Fatalf("corrupted = %d, want 3", c.Corrupted.Value())
+	if c.Corrupted != 3 {
+		t.Fatalf("corrupted = %d, want 3", c.Corrupted)
 	}
 }
 
